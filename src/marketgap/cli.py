@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from datetime import date
@@ -20,7 +21,13 @@ from pathlib import Path
 from . import __version__
 from .errors import DataError, MarketGapError, UsageError
 from .ordinal import entropy_series, phase_statistics
-from .panel import load_price_panel, log_returns, write_metadata, write_price_panel
+from .panel import (
+    load_price_panel,
+    log_returns,
+    open_input,
+    write_metadata,
+    write_price_panel,
+)
 from .portfolio import (
     StudyConfig,
     quintile_report,
@@ -38,6 +45,7 @@ from .regimes import (
     write_gap_csv,
     write_gap_jsonl,
     write_heatmap_csv,
+    _fmt,
 )
 from .synth import (
     generate_factor_panel,
@@ -57,10 +65,6 @@ ENTROPY_CSV_UNITS = (
 
 
 # ---------- Small helpers ----------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
 
 def _round9(x: float) -> float:
     return float(_fmt(x))
@@ -125,7 +129,6 @@ def run_gap(config: dict) -> None:
         rho_mode=config["rho_mode"],
         norm_mode=config["norm_mode"],
     )
-    threads = config.get("threads", 1)
     outputs: list[str] = []
     summary: dict = {"config": {
         "window": gap_cfg.window, "step": gap_cfg.step,
@@ -134,7 +137,7 @@ def run_gap(config: dict) -> None:
     for market in panel.markets():
         sub = panel.market_panel(market)
         returns = log_returns(sub)
-        series = gap_series(returns, gap_cfg, threads=threads)
+        series = gap_series(returns, gap_cfg)
         name = _slug(market)
         write_gap_csv(series, out / f"gap_{name}.csv")
         write_gap_jsonl(series, out / f"gap_{name}.jsonl")
@@ -159,9 +162,7 @@ def run_gap(config: dict) -> None:
                         f"sector {sector!r} in market {market!r} has {len(members)} "
                         "ticker(s); need >= 2 for --by-sector"
                     )
-                sector_series = gap_series(
-                    log_returns(sub.restrict(members)), gap_cfg, threads=threads
-                )
+                sector_series = gap_series(log_returns(sub.restrict(members)), gap_cfg)
                 sec_name = f"{name}_{_slug(sector)}"
                 write_gap_csv(sector_series, out / f"gap_{sec_name}.csv")
                 outputs.append(f"gap_{sec_name}.csv")
@@ -254,9 +255,7 @@ def run_heatmap(config: dict) -> None:
     outputs: list[str] = []
     for market in panel.markets():
         sub = panel.market_panel(market)
-        grid = monthly_sector_heatmap(
-            log_returns(sub), sub.sector_of, gap_cfg, threads=config.get("threads", 1)
-        )
+        grid = monthly_sector_heatmap(log_returns(sub), sub.sector_of, gap_cfg)
         name = _slug(market)
         write_heatmap_csv(grid, out / f"heatmap_{name}.csv")
         outputs.append(f"heatmap_{name}.csv")
@@ -280,8 +279,7 @@ def run_portfolio(config: dict) -> None:
     for stream, market in enumerate(panel.markets()):
         sub = panel.market_panel(market)
         result = run_portfolio_study(
-            log_returns(sub), study_cfg, seed=config["seed"], market=market,
-            stream=stream, threads=config.get("threads", 1),
+            log_returns(sub), study_cfg, seed=config["seed"], market=market, stream=stream
         )
         results.append(result)
         reports[market] = report_to_dict(quintile_report(result.observations, event))
@@ -358,11 +356,17 @@ _RUNNERS = {
 
 
 def run_rerun(config: dict) -> None:
-    with open(config["manifest"], "r", encoding="utf-8") as fh:
+    with open_input(config["manifest"]) as fh:
         manifest = json.load(fh)
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise DataError(f"manifest names unknown command {command!r}")
+    for input_path, recorded in manifest["inputs"].items():
+        if not Path(input_path).is_file():
+            raise DataError(f"manifest input {input_path} is missing")
+        if _sha256(input_path) != recorded:
+            raise DataError(f"manifest input {input_path} changed since the run "
+                            "(SHA-256 mismatch)")
     stored = dict(manifest["config"])
     stored["out_dir"] = config["out_dir"]
     _RUNNERS[command](stored)
@@ -395,6 +399,23 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite: {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0: {text}")
+    return value
+
+
 def _add_common_inputs(p: argparse.ArgumentParser, need_meta: bool = False) -> None:
     p.add_argument("--prices", required=True, help="close-price file")
     p.add_argument("--layout", choices=("long", "wide"), default="long",
@@ -402,8 +423,6 @@ def _add_common_inputs(p: argparse.ArgumentParser, need_meta: bool = False) -> N
     p.add_argument("--meta", required=need_meta, default=None,
                    help="ticker,sector,market metadata file")
     p.add_argument("--out-dir", required=True, help="output directory")
-    p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker threads (results identical for any count)")
 
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
@@ -436,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shock announcement date (enables phase segmentation)")
     p.add_argument("--shock-halfwidth", type=_nonneg_int, default=2,
                    help="trading days on each side of the event (default 2)")
-    p.add_argument("--entropy-threshold", type=float, default=1.0,
+    p.add_argument("--entropy-threshold", type=_finite_float, default=1.0,
                    help="sustained-restoration threshold in nats (default 1.0)")
     p.add_argument("--sustain-days", type=_positive_int, default=20,
                    help="consecutive days above threshold (default 20)")
@@ -455,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", type=_positive_int, default=20, help="test window days")
     p.add_argument("--n-stocks", type=_positive_int, default=10, help="stocks per portfolio")
     p.add_argument("--portfolios", type=_positive_int, default=500, help="portfolios per window")
-    p.add_argument("--annualization", type=float, default=252.0)
+    p.add_argument("--annualization", type=_positive_float, default=252.0,
+                   help="trading days per year (default 252)")
     p.add_argument("--study-step", type=_positive_int, default=None,
                    help="days between windows (default: test length)")
     p.add_argument("--seed", type=_nonneg_int, required=True,

@@ -125,23 +125,14 @@ def entropy_series(
     returns: ReturnPanel,
     length: int = 60,
     step: int = 1,
-    embedding_dimension: int = 3,
-    delay: int = 1,
 ) -> EntropySeries:
     """Ordinal entropy at each rolling window end date.
 
     Only the final three returns of each window feed the patterns; the window
     length just positions the series so it shares a date axis with the
     spectral gap series. A stock contributes on a date iff its t-2..t returns
-    are all present. Embedding dimensions other than 3 or delays other than 1
-    are rejected.
+    are all present.
     """
-    if embedding_dimension != 3:
-        raise UsageError(
-            f"only embedding dimension 3 is supported, got {embedding_dimension}"
-        )
-    if delay != 1:
-        raise UsageError(f"only delay 1 is supported, got {delay}")
     windows = rolling_windows(returns, length, step)
     dates: list[date] = []
     values: list[float] = []

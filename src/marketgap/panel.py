@@ -165,8 +165,20 @@ class StandardizedWindow:
 
 # ---------- File I/O ----------
 
+def open_input(path):
+    """Open a UTF-8 input file; a missing or unreadable file is a DataError naming it.
+
+    Newlines pass through untranslated, as the csv module expects; JSON reads
+    the same either way.
+    """
+    try:
+        return open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror}") from exc
+
+
 def _open_rows(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path) as fh:
         yield from csv.reader(fh)
 
 

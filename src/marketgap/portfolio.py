@@ -9,7 +9,6 @@ Spearman ranks, quintile sorts, and incremental R-squared.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date
 from typing import NamedTuple
@@ -24,6 +23,8 @@ from .errors import (
     UsageError,
 )
 from .panel import ReturnPanel
+from .regimes import _fmt
+from .spectral import correlation_spectrum
 
 
 # ---------- Domain types ----------
@@ -204,13 +205,9 @@ def _window_observations(
         # weights and the correlation for the gap of the same subset.
         cov = covariance_matrix(x)
         d = np.sqrt(np.diag(cov.values))
-        corr = cov.values / np.outer(d, d)
-        corr = (corr + corr.T) / 2.0
-        np.clip(corr, -1.0, 1.0, out=corr)
-        np.fill_diagonal(corr, 1.0)
-        lam = float(np.linalg.eigvalsh(corr)[-1])
-        rho_bar = float((corr.sum() - n) / (n * (n - 1)))
-        delta = (lam - 1.0) / (n - 1.0) - rho_bar
+        spectrum = correlation_spectrum(cov.values / np.outer(d, d))
+        rho_bar = spectrum.rho_signed
+        delta = (spectrum.lambda_max - 1.0) / (n - 1.0) - rho_bar
 
         try:
             q_mvp = mvp_weights(cov)
@@ -245,13 +242,12 @@ def run_portfolio_study(
     seed: int = 0,
     market: str = "ALL",
     stream: int = 0,
-    threads: int = 1,
 ) -> StudyResult:
     """Run the rolling formation/test Monte Carlo study over one market's returns.
 
     Stock subsets are redrawn each window from an RNG substream keyed by
-    (seed, stream, window, portfolio), so results are bit-identical for any
-    thread count or execution order. Windows advance by config.step
+    (seed, stream, window, portfolio), so a window's observations do not
+    depend on which other windows run. Windows advance by config.step
     (default: the test length, giving non-overlapping test windows).
     """
     t, h = config.formation, config.test
@@ -263,21 +259,13 @@ def run_portfolio_study(
             "for one formation/test pair"
         )
 
-    def one(args):
-        w_idx, start = args
-        return _window_observations(returns, config, seed, stream, market, w_idx, start)
-
-    jobs = list(enumerate(starts))
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
-
     observations: list[PortfolioObservation] = []
     skipped_windows: list[tuple[int, str]] = []
     skipped_portfolios = 0
-    for (w_idx, _), (obs, skipped, reason) in zip(jobs, results):
+    for w_idx, start in enumerate(starts):
+        obs, skipped, reason = _window_observations(
+            returns, config, seed, stream, market, w_idx, start
+        )
         if reason is not None:
             skipped_windows.append((w_idx, reason))
         observations.extend(obs)
@@ -419,10 +407,6 @@ def quintile_report(
 
 
 # ---------- Serialization ----------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
 
 OBS_CSV_HEADER = "market,window_end,delta,rho_bar,sigma_hist,sigma_mvp,sigma_ew,tickers"
 OBS_CSV_UNITS = (

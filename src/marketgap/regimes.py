@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -63,29 +62,18 @@ class GapSeries:
         return np.array([s.lambda_norm for s in self.summaries])
 
 
-def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig(), threads: int = 1) -> GapSeries:
-    """One spectral summary per rolling window; degenerate windows are reported.
-
-    Windows are independent, so the computation is mapped over a thread pool
-    when threads > 1; the merge order is the window order either way.
-    """
-    windows = rolling_windows(returns, config.window, config.step)
-
-    def one(w):
+def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeries:
+    """One spectral summary per rolling window; degenerate windows are reported."""
+    summaries: list[SpectralSummary] = []
+    dropped: list[DroppedWindow] = []
+    for w in rolling_windows(returns, config.window, config.step):
         try:
             std = standardize_window(returns, w)
-            return spectral_summary(std, rho_mode=config.rho_mode, norm_mode=config.norm_mode)
+            summaries.append(
+                spectral_summary(std, rho_mode=config.rho_mode, norm_mode=config.norm_mode)
+            )
         except DegenerateWindowError as exc:
-            return DroppedWindow(end_date=returns.dates[w.end - 1], reason=str(exc))
-
-    if threads > 1 and len(windows) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, windows))
-    else:
-        results = [one(w) for w in windows]
-
-    summaries = [r for r in results if isinstance(r, SpectralSummary)]
-    dropped = [r for r in results if isinstance(r, DroppedWindow)]
+            dropped.append(DroppedWindow(end_date=returns.dates[w.end - 1], reason=str(exc)))
     if dropped:
         logger.info("gap series dropped %d degenerate window(s), first: %s",
                     len(dropped), dropped[0].reason)
@@ -274,7 +262,6 @@ def monthly_sector_heatmap(
     returns: ReturnPanel,
     sector_of: dict[str, str],
     config: GapConfig = GapConfig(),
-    threads: int = 1,
 ) -> HeatmapGrid:
     """Intra-sector gap series bucketed into monthly means of lambda_norm.
 
@@ -303,7 +290,7 @@ def monthly_sector_heatmap(
             tickers=list(by_sector[sector]),
             values=returns.values[:, cols],
         )
-        series = gap_series(sub, config, threads=threads)
+        series = gap_series(sub, config)
         omitted[sector] = len(series.dropped)
         buckets: dict[str, list[float]] = {}
         for s in series.summaries:

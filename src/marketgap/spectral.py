@@ -1,4 +1,4 @@
-"""Correlation matrices, eigen-spectra, random-matrix bounds, and per-window summaries.
+"""Correlation eigenvalues, random-matrix bounds, and per-window summaries.
 
 The per-window summary couples the normalized leading eigenvalue
 lambda_norm = (lambda_max - 1) / (N - 1) with the mean off-diagonal
@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,44 +23,6 @@ NORM_MODES = ("excess", "plain")
 
 
 # ---------- Domain types ----------
-
-@dataclass(eq=False)
-class CorrelationMatrix:
-    """Symmetric Pearson correlation matrix with unit diagonal."""
-
-    assets: list[str]
-    values: np.ndarray
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
-
-    def validate(self, psd_tol: float = 1e-8) -> None:
-        c = self.values
-        if c.shape != (self.n_assets, self.n_assets):
-            raise NumericError("correlation matrix shape mismatch")
-        if not np.allclose(c, c.T, atol=1e-12, rtol=0.0):
-            raise NumericError("correlation matrix not symmetric")
-        if np.max(np.abs(np.diag(c) - 1.0)) > 1e-10:
-            raise NumericError("correlation diagonal deviates from 1")
-        if np.max(np.abs(c)) > 1.0 + 1e-10:
-            raise NumericError("correlation entry outside [-1, 1]")
-        smallest = float(np.linalg.eigvalsh(c)[0])
-        if smallest < -psd_tol:
-            raise NumericError(f"correlation matrix not PSD (min eigenvalue {smallest:.3e})")
-
-
-@dataclass(eq=False)
-class EigenSpectrum:
-    """Eigenvalues in descending order with orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def leading(self) -> float:
-        return float(self.eigenvalues[0])
-
 
 @dataclass(frozen=True)
 class MPBounds:
@@ -87,39 +50,41 @@ class SpectralSummary:
     n_above_mp: int
 
 
+class CorrelationSpectrum(NamedTuple):
+    """A cleaned correlation matrix, its ascending eigenvalues, lambda_max and rho_signed."""
+
+    values: np.ndarray
+    eigenvalues: np.ndarray
+    lambda_max: float
+    rho_signed: float
+
+
 # ---------- Operations ----------
 
-def correlation_matrix(window: StandardizedWindow) -> CorrelationMatrix:
-    """Equal-time Pearson matrix C = Z Z' / T from a standardized window.
+def correlation_spectrum(raw: np.ndarray) -> CorrelationSpectrum:
+    """Eigenvalues and mean off-diagonal correlation of a raw N x N estimate, N >= 2.
 
-    Result is symmetrized, clipped to [-1, 1], and gets an exact unit diagonal.
+    `raw` is Z Z' / T from a standardized window or V / outer(d, d) from a
+    covariance. It is symmetrized, clipped to [-1, 1] and given an exact unit
+    diagonal before a single eigenvalue-only decomposition.
     """
-    n, t = window.values.shape
-    if n < 2:
-        raise DegenerateWindowError(f"correlation needs >= 2 assets, got {n}")
-    if t < 3:
-        raise DegenerateWindowError(f"correlation needs >= 3 observations, got {t}")
-    c = window.values @ window.values.T / t
-    c = (c + c.T) / 2.0
+    n = raw.shape[0]
+    c = (raw + raw.T) / 2.0
     np.clip(c, -1.0, 1.0, out=c)
     np.fill_diagonal(c, 1.0)
-    return CorrelationMatrix(assets=list(window.assets), values=c)
-
-
-def eigen_spectrum(corr: CorrelationMatrix, negative_tol: float = 1e-8) -> EigenSpectrum:
-    """Full symmetric eigendecomposition, descending, tiny negatives clamped to 0."""
-    c = corr.values
     try:
-        w, v = np.linalg.eigh(c)
+        w = np.linalg.eigvalsh(c)
     except np.linalg.LinAlgError as exc:
         raise NumericError(
-            f"eigendecomposition failed for {corr.n_assets}x{corr.n_assets} matrix "
+            f"eigendecomposition failed for {n}x{n} matrix "
             f"(|C|_max={np.max(np.abs(c)):.3e}, trace={np.trace(c):.6e}): {exc}"
         ) from exc
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    w[(w < 0.0) & (w >= -negative_tol)] = 0.0
-    return EigenSpectrum(eigenvalues=w, eigenvectors=v)
+    return CorrelationSpectrum(
+        values=c,
+        eigenvalues=w,
+        lambda_max=float(w[-1]),
+        rho_signed=float((c.sum() - n) / (n * (n - 1))),  # the diagonal sums to exactly n
+    )
 
 
 def mp_bounds(t_obs: int, n_assets: int) -> MPBounds:
@@ -141,34 +106,34 @@ def mean_offdiagonal(values: np.ndarray, absolute: bool = False) -> float:
 
 
 def summary_from_correlation(
-    corr: CorrelationMatrix,
+    values: np.ndarray,
     *,
     end_date: date,
     n_obs: int,
     rho_mode: str = "signed",
     norm_mode: str = "excess",
 ) -> SpectralSummary:
-    """Spectral summary of an explicit correlation matrix (n_obs sets the MP band)."""
+    """Spectral summary of a raw correlation estimate (n_obs sets the MP band)."""
     if rho_mode not in RHO_MODES:
         raise UsageError(f"rho_mode must be one of {RHO_MODES}, got {rho_mode!r}")
     if norm_mode not in NORM_MODES:
         raise UsageError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
-    n = corr.n_assets
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
     if n < 2:
         raise DegenerateWindowError(f"summary needs >= 2 assets, got {n}")
-    spectrum = eigen_spectrum(corr)
-    lam = spectrum.leading
+    spectrum = correlation_spectrum(values)
+    lam = spectrum.lambda_max
     lam_norm = lam / n if norm_mode == "plain" else (lam - 1.0) / (n - 1.0)
-    rho_signed = mean_offdiagonal(corr.values, absolute=False)
-    rho_abs = mean_offdiagonal(corr.values, absolute=True)
-    rho = rho_abs if rho_mode == "abs" else rho_signed
+    rho_abs = mean_offdiagonal(spectrum.values, absolute=True)
+    rho = rho_abs if rho_mode == "abs" else spectrum.rho_signed
     bounds = mp_bounds(n_obs, n)
     return SpectralSummary(
         end_date=end_date,
         n_assets=n,
         lambda_max=lam,
         lambda_norm=lam_norm,
-        rho_signed=rho_signed,
+        rho_signed=spectrum.rho_signed,
         rho_abs=rho_abs,
         delta=lam_norm - rho,
         rho_mode=rho_mode,
@@ -183,10 +148,14 @@ def spectral_summary(
     rho_mode: str = "signed",
     norm_mode: str = "excess",
 ) -> SpectralSummary:
-    """Correlation, eigen-spectrum, MP band, and the gap for one window."""
-    corr = correlation_matrix(window)
+    """Spectral summary of one window's equal-time Pearson matrix C = Z Z' / T."""
+    n, t = window.values.shape
+    if n < 2:
+        raise DegenerateWindowError(f"correlation needs >= 2 assets, got {n}")
+    if t < 3:
+        raise DegenerateWindowError(f"correlation needs >= 3 observations, got {t}")
     return summary_from_correlation(
-        corr,
+        window.values @ window.values.T / t,
         end_date=window.end_date,
         n_obs=window.spec.length,
         rho_mode=rho_mode,

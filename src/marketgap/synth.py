@@ -16,7 +16,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from .errors import DataError, UsageError
-from .panel import PricePanel, merge_panels
+from .panel import PricePanel, merge_panels, open_input
 
 DEFAULT_SEED = 20250402
 DEFAULT_START_DATE = date(2024, 7, 1)
@@ -335,7 +335,7 @@ def load_scenario_json(path) -> SynthConfig:
     either explicit market_loadings/sector_loadings arrays or
     loading_ranges {"beta": [lo, hi], "gamma": [lo, hi]} drawn from the seed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

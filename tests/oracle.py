@@ -1,0 +1,189 @@
+"""Reference spectral chain the package's single eigenvalue kernel is checked against.
+
+This is the per-window path as it stood before the kernel existed: an explicit
+correlation wrapper, a full `np.linalg.eigh` eigendecomposition (eigenvectors
+included), and the summary built from those pieces. It also keeps the
+portfolio study's former inline subset gap. Only the dataclasses and the
+closed-form Marchenko-Pastur band come from the package.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from datetime import date
+
+import numpy as np
+
+from marketgap.errors import DegenerateWindowError, NumericError, UsageError
+from marketgap.panel import ReturnPanel, StandardizedWindow, rolling_windows, standardize_window
+from marketgap.regimes import DroppedWindow, GapConfig
+from marketgap.spectral import NORM_MODES, RHO_MODES, SpectralSummary, mp_bounds
+
+
+@dataclass(eq=False)
+class CorrelationMatrix:
+    """Symmetric Pearson correlation matrix with unit diagonal."""
+
+    assets: list[str]
+    values: np.ndarray
+
+    @property
+    def n_assets(self) -> int:
+        return len(self.assets)
+
+    def validate(self, psd_tol: float = 1e-8) -> None:
+        c = self.values
+        if c.shape != (self.n_assets, self.n_assets):
+            raise NumericError("correlation matrix shape mismatch")
+        if not np.allclose(c, c.T, atol=1e-12, rtol=0.0):
+            raise NumericError("correlation matrix not symmetric")
+        if np.max(np.abs(np.diag(c) - 1.0)) > 1e-10:
+            raise NumericError("correlation diagonal deviates from 1")
+        if np.max(np.abs(c)) > 1.0 + 1e-10:
+            raise NumericError("correlation entry outside [-1, 1]")
+        smallest = float(np.linalg.eigvalsh(c)[0])
+        if smallest < -psd_tol:
+            raise NumericError(f"correlation matrix not PSD (min eigenvalue {smallest:.3e})")
+
+
+@dataclass(eq=False)
+class EigenSpectrum:
+    """Eigenvalues in descending order with orthonormal eigenvector columns."""
+
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
+
+    @property
+    def leading(self) -> float:
+        return float(self.eigenvalues[0])
+
+
+def named(values) -> CorrelationMatrix:
+    """Wrap an explicit matrix with placeholder asset names."""
+    values = np.asarray(values, dtype=float)
+    return CorrelationMatrix(assets=[f"T{j}" for j in range(values.shape[0])], values=values)
+
+
+def correlation_matrix(window: StandardizedWindow) -> CorrelationMatrix:
+    """Equal-time Pearson matrix C = Z Z' / T from a standardized window.
+
+    Result is symmetrized, clipped to [-1, 1], and gets an exact unit diagonal.
+    """
+    n, t = window.values.shape
+    if n < 2:
+        raise DegenerateWindowError(f"correlation needs >= 2 assets, got {n}")
+    if t < 3:
+        raise DegenerateWindowError(f"correlation needs >= 3 observations, got {t}")
+    c = window.values @ window.values.T / t
+    c = (c + c.T) / 2.0
+    np.clip(c, -1.0, 1.0, out=c)
+    np.fill_diagonal(c, 1.0)
+    return CorrelationMatrix(assets=list(window.assets), values=c)
+
+
+def eigen_spectrum(corr: CorrelationMatrix, negative_tol: float = 1e-8) -> EigenSpectrum:
+    """Full symmetric eigendecomposition, descending, tiny negatives clamped to 0."""
+    c = corr.values
+    try:
+        w, v = np.linalg.eigh(c)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(
+            f"eigendecomposition failed for {corr.n_assets}x{corr.n_assets} matrix "
+            f"(|C|_max={np.max(np.abs(c)):.3e}, trace={np.trace(c):.6e}): {exc}"
+        ) from exc
+    w = w[::-1].copy()
+    v = v[:, ::-1].copy()
+    w[(w < 0.0) & (w >= -negative_tol)] = 0.0
+    return EigenSpectrum(eigenvalues=w, eigenvectors=v)
+
+
+def mean_offdiagonal(values: np.ndarray, absolute: bool = False) -> float:
+    """Arithmetic mean of the off-diagonal entries (optionally of their magnitudes)."""
+    n = values.shape[0]
+    m = np.abs(values) if absolute else values
+    return float((m.sum() - np.trace(m)) / (n * (n - 1)))
+
+
+def summary_from_correlation(
+    corr: CorrelationMatrix,
+    *,
+    end_date: date,
+    n_obs: int,
+    rho_mode: str = "signed",
+    norm_mode: str = "excess",
+) -> SpectralSummary:
+    """Spectral summary of an explicit correlation matrix (n_obs sets the MP band)."""
+    if rho_mode not in RHO_MODES:
+        raise UsageError(f"rho_mode must be one of {RHO_MODES}, got {rho_mode!r}")
+    if norm_mode not in NORM_MODES:
+        raise UsageError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
+    n = corr.n_assets
+    if n < 2:
+        raise DegenerateWindowError(f"summary needs >= 2 assets, got {n}")
+    spectrum = eigen_spectrum(corr)
+    lam = spectrum.leading
+    lam_norm = lam / n if norm_mode == "plain" else (lam - 1.0) / (n - 1.0)
+    rho_signed = mean_offdiagonal(corr.values, absolute=False)
+    rho_abs = mean_offdiagonal(corr.values, absolute=True)
+    rho = rho_abs if rho_mode == "abs" else rho_signed
+    bounds = mp_bounds(n_obs, n)
+    return SpectralSummary(
+        end_date=end_date,
+        n_assets=n,
+        lambda_max=lam,
+        lambda_norm=lam_norm,
+        rho_signed=rho_signed,
+        rho_abs=rho_abs,
+        delta=lam_norm - rho,
+        rho_mode=rho_mode,
+        norm_mode=norm_mode,
+        mp=bounds,
+        n_above_mp=int(np.count_nonzero(spectrum.eigenvalues > bounds.upper)),
+    )
+
+
+def spectral_summary(
+    window: StandardizedWindow,
+    rho_mode: str = "signed",
+    norm_mode: str = "excess",
+) -> SpectralSummary:
+    """Correlation, eigen-spectrum, MP band, and the gap for one window."""
+    corr = correlation_matrix(window)
+    return summary_from_correlation(
+        corr,
+        end_date=window.end_date,
+        n_obs=window.spec.length,
+        rho_mode=rho_mode,
+        norm_mode=norm_mode,
+    )
+
+
+def gap_series(
+    returns: ReturnPanel, config: GapConfig
+) -> tuple[list[SpectralSummary], list[DroppedWindow]]:
+    """Per-window summaries and dropped windows, one window at a time."""
+    summaries, dropped = [], []
+    for w in rolling_windows(returns, config.window, config.step):
+        try:
+            std = standardize_window(returns, w)
+            summaries.append(
+                spectral_summary(std, rho_mode=config.rho_mode, norm_mode=config.norm_mode)
+            )
+        except DegenerateWindowError as exc:
+            dropped.append(DroppedWindow(end_date=returns.dates[w.end - 1], reason=str(exc)))
+    return summaries, dropped
+
+
+def subset_gap(x: np.ndarray) -> tuple[float, float]:
+    """(delta, rho_bar) of one portfolio subset's raw (n, T) formation returns."""
+    n = x.shape[0]
+    centered = x - x.mean(axis=1, keepdims=True)
+    v = centered @ centered.T / x.shape[1]
+    v = (v + v.T) / 2.0
+    d = np.sqrt(np.diag(v))
+    corr = v / np.outer(d, d)
+    corr = (corr + corr.T) / 2.0
+    np.clip(corr, -1.0, 1.0, out=corr)
+    np.fill_diagonal(corr, 1.0)
+    lam = float(np.linalg.eigvalsh(corr)[-1])
+    rho_bar = float((corr.sum() - n) / (n * (n - 1)))
+    return (lam - 1.0) / (n - 1.0) - rho_bar, rho_bar

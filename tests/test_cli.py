@@ -130,12 +130,38 @@ def test_gap_by_sector_emits_sector_files(tmp_path, synth_dir):
     assert set(summary["markets"]["SYN"]["sectors"]) == {f"SEC{k}" for k in range(5)}
 
 
-def test_gap_threads_byte_identical(tmp_path, synth_dir):
-    a, b = tmp_path / "a", tmp_path / "b"
-    for out, threads in ((a, 1), (b, 4)):
+def test_gap_rows_window_subset_invariant(tmp_path, synth_dir):
+    # Every row of a --step 3 run is byte-identical to every third row of --step 1.
+    daily, coarse = tmp_path / "daily", tmp_path / "coarse"
+    for out, step in ((daily, 1), (coarse, 3)):
         assert run("gap", "--prices", synth_dir / "prices.csv", "--window", 30,
-                   "--threads", threads, "--out-dir", out) == 0
-    assert digest(a / "gap_ALL.csv") == digest(b / "gap_ALL.csv")
+                   "--step", step, "--out-dir", out) == 0
+    for name, skip in (("gap_ALL.csv", 2), ("gap_ALL.jsonl", 0)):
+        rows = (daily / name).read_bytes().splitlines()[skip:]
+        assert len(rows) > 100
+        assert (coarse / name).read_bytes().splitlines()[skip:] == rows[::3]
+
+
+def test_gap_rejects_threads_flag(tmp_path, synth_dir):
+    with pytest.raises(SystemExit) as exc:
+        run("gap", "--prices", synth_dir / "prices.csv", "--threads", 2,
+            "--out-dir", tmp_path / "g")
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--prices", "--meta"])
+def test_missing_input_file_is_exit_3(tmp_path, synth_dir, capsys, flag):
+    inputs = {"--prices": synth_dir / "prices.csv", "--meta": synth_dir / "meta.csv"}
+    inputs[flag] = tmp_path / "missing.csv"
+    args = [a for pair in inputs.items() for a in pair]
+    assert run("gap", *args, "--out-dir", tmp_path / "out") == 3
+    assert str(tmp_path / "missing.csv") in capsys.readouterr().err
+
+
+def test_missing_scenario_file_is_exit_3(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert run("synth", "--scenario", missing, "--out-dir", tmp_path / "out") == 3
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_gap_rejects_bad_price_file(tmp_path):
@@ -145,6 +171,19 @@ def test_gap_rejects_bad_price_file(tmp_path):
 
 
 # ---------- entropy ----------
+
+@pytest.mark.parametrize("command,flag,value", [
+    *(("entropy", "--entropy-threshold", v) for v in ("nan", "inf", "-inf")),
+    *(("portfolio", "--annualization", v) for v in ("nan", "inf", "-inf", "0", "-1")),
+])
+def test_float_flags_must_be_finite_and_in_range(tmp_path, synth_dir, command, flag, value):
+    extra = ("--seed", 1) if command == "portfolio" else ()
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--prices", synth_dir / "prices.csv", *extra, f"{flag}={value}",
+            "--out-dir", tmp_path / "out")
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
 
 def test_entropy_constant_panel_zero_series(tmp_path):
     # All tickers are copies of one series: a single shared pattern each day.
@@ -308,6 +347,42 @@ def test_rerun_reproduces_bytes(tmp_path, synth_dir):
         assert digest(first / name) == digest(second / name)
 
 
+def test_rerun_refuses_changed_input(tmp_path, synth_dir, capsys):
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes((synth_dir / "prices.csv").read_bytes())
+    first = tmp_path / "first"
+    assert run("gap", "--prices", prices, "--window", 30, "--out-dir", first) == 0
+    lines = prices.read_text().splitlines()
+    day, ticker, close = lines[1].split(",")
+    lines[1] = f"{day},{ticker},{float(close) * 1.01!r}"
+    prices.write_text("\n".join(lines) + "\n")
+    second = tmp_path / "second"
+    assert run("rerun", "--manifest", first / "manifest.json", "--out-dir", second) == 3
+    assert str(prices) in capsys.readouterr().err
+    assert not (second / "gap_ALL.csv").exists()
+
+    prices.unlink()
+    assert run("rerun", "--manifest", first / "manifest.json", "--out-dir", second) == 3
+    assert str(prices) in capsys.readouterr().err
+
+
+def test_rerun_accepts_manifest_with_threads(tmp_path, synth_dir):
+    # Manifests written while the CLI still had --threads record it in the
+    # config; replaying one ignores it and reproduces the outputs.
+    first = tmp_path / "first"
+    assert run("gap", "--prices", synth_dir / "prices.csv",
+               "--meta", synth_dir / "meta.csv", "--window", 30, "--by-sector",
+               "--out-dir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["threads"] = 1
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    second = tmp_path / "second"
+    assert run("rerun", "--manifest", old, "--out-dir", second) == 0
+    for name in manifest["outputs"]:
+        assert digest(first / name) == digest(second / name)
+
+
 def test_manifest_contents(tmp_path, synth_dir):
     out = tmp_path / "gap"
     assert run("gap", "--prices", synth_dir / "prices.csv", "--window", 30,
@@ -318,6 +393,7 @@ def test_manifest_contents(tmp_path, synth_dir):
     assert str(synth_dir / "prices.csv") in manifest["inputs"]
     assert manifest["inputs"][str(synth_dir / "prices.csv")] == digest(synth_dir / "prices.csv")
     assert "gap_ALL.csv" in manifest["outputs"]
+    assert "threads" not in manifest["config"]
 
 
 def test_version_flag():

@@ -213,14 +213,6 @@ def test_entropy_series_bookkeeping():
     assert series.probabilities.shape == (len(windows), 6)
 
 
-def test_entropy_series_rejects_other_embeddings():
-    returns = make_returns(np.zeros((10, 4)))
-    with pytest.raises(UsageError, match="embedding dimension 3"):
-        entropy_series(returns, length=5, embedding_dimension=4)
-    with pytest.raises(UsageError, match="delay 1"):
-        entropy_series(returns, length=5, delay=2)
-
-
 # ---------- Phase statistics ----------
 
 def series_of(values, start=date(2025, 1, 2)):

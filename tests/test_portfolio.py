@@ -6,13 +6,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from marketgap.errors import (
     DataError,
     DegeneratePortfolioError,
     UndefinedCorrelationError,
     UsageError,
 )
-from marketgap.panel import log_returns
+from marketgap.panel import ReturnPanel, WindowSpec, log_returns, standardize_window
 from marketgap.portfolio import (
     PortfolioObservation,
     StudyConfig,
@@ -267,11 +268,19 @@ def test_study_counts_and_determinism(small_study):
     assert different.observations != first.observations
 
 
-def test_study_deterministic_across_threads(small_study):
+def test_study_window_subset_invariant(small_study):
+    # A date-truncated panel runs a prefix of the windows; each window's
+    # observations depend on its own rows and RNG substream only.
     returns, config = small_study
-    one = run_portfolio_study(returns, config, seed=5, threads=1)
-    four = run_portfolio_study(returns, config, seed=5, threads=4)
-    assert one.observations == four.observations
+    full = run_portfolio_study(returns, config, seed=5)
+    cut = returns.n_dates - 2 * config.test
+    head = ReturnPanel(dates=returns.dates[:cut], tickers=list(returns.tickers),
+                       values=returns.values[:cut])
+    part = run_portfolio_study(head, config, seed=5)
+    n_windows = (cut - config.formation - config.test) // config.test + 1
+    assert n_windows >= 2
+    assert {o.window_index for o in part.observations} == set(range(n_windows))
+    assert part.observations == [o for o in full.observations if o.window_index < n_windows]
 
 
 def test_study_resamples_stocks_each_window(small_study):
@@ -322,24 +331,21 @@ def test_study_panel_too_short():
 
 
 def test_study_delta_uses_subset_matrix(small_study):
-    # Delta must lie in the algebraically possible band for a 10-asset matrix
-    # and rho_bar must match the stored subset exactly via recomputation.
-    returns, config = small_study
+    # delta and rho_bar come from the subset's own correlation matrix: they
+    # match the former inline computation and the eigh window chain.
+    returns, _ = small_study
     result = run_portfolio_study(returns, StudyConfig(formation=60, test=20,
-                                                      n_stocks=10, portfolios=3), seed=9)
-    from marketgap.panel import ReturnPanel, WindowSpec, standardize_window
-    from marketgap.spectral import correlation_matrix, eigen_spectrum, mean_offdiagonal
-    for o in result.observations[:6]:
+                                                      n_stocks=10, portfolios=8), seed=9)
+    assert len(result.observations) > 20
+    for o in result.observations:
         end_row = returns.dates.index(o.window_end) + 1
         cols = [returns.tickers.index(t) for t in o.tickers]
+        delta, rho_bar = oracle.subset_gap(returns.values[end_row - 60:end_row, cols].T)
+        assert abs(o.delta - delta) <= 1e-12 and abs(o.rho_bar - rho_bar) <= 1e-12
         sub = ReturnPanel(dates=list(returns.dates), tickers=list(o.tickers),
                           values=returns.values[:, cols])
-        std = standardize_window(sub, WindowSpec(60, 1, end_row))
-        corr = correlation_matrix(std)
-        lam = eigen_spectrum(corr).leading
-        rho = mean_offdiagonal(corr.values)
-        assert o.rho_bar == pytest.approx(rho, abs=1e-12)
-        assert o.delta == pytest.approx((lam - 1) / 9 - rho, abs=1e-10)
+        ref = oracle.spectral_summary(standardize_window(sub, WindowSpec(60, 1, end_row)))
+        assert abs(o.delta - ref.delta) <= 1e-12 and abs(o.rho_bar - ref.rho_signed) <= 1e-12
 
 
 # ---------- Quintile report ----------

@@ -1,15 +1,17 @@
-"""Correlation, eigen-spectrum, MP-bound, and gap-summary tests."""
+"""Correlation kernel, eigenvalue, MP-bound, and gap-summary tests."""
 import math
 from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from marketgap.errors import DegenerateWindowError, NumericError, UsageError
+from marketgap.regimes import GapConfig, gap_series
 from marketgap.spectral import (
-    CorrelationMatrix,
-    correlation_matrix,
-    eigen_spectrum,
+    correlation_spectrum,
     equicorrelation,
     mean_offdiagonal,
     mp_bounds,
@@ -17,41 +19,41 @@ from marketgap.spectral import (
     summary_from_correlation,
 )
 
-from conftest import make_std_window, random_correlation, zscore_rows
+from conftest import make_returns, make_std_window, random_correlation, zscore_rows
 
 
-def corr_of(assets_values):
-    return CorrelationMatrix(
-        assets=[f"T{j}" for j in range(assets_values.shape[0])],
-        values=np.asarray(assets_values, dtype=float),
-    )
+def window_corr(z):
+    """Cleaned correlation matrix of standardized rows, through the kernel."""
+    return correlation_spectrum(z @ z.T / z.shape[1]).values
+
+
+def descending(values):
+    return correlation_spectrum(np.asarray(values, dtype=float)).eigenvalues[::-1]
 
 
 # ---------- Correlation matrices ----------
 
 def test_identical_rows_give_perfect_correlation():
     z = zscore_rows(np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]]))
-    c = correlation_matrix(make_std_window(z))
-    np.testing.assert_allclose(c.values, [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
+    np.testing.assert_allclose(window_corr(z), [[1.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
 
 def test_negated_row_gives_minus_one():
     base = zscore_rows(np.array([[0.3, -0.1, 0.4, -0.6]]))[0]
-    c = correlation_matrix(make_std_window(np.vstack([base, -base])))
-    assert c.values[0, 1] == pytest.approx(-1.0, abs=1e-14)
+    c = window_corr(np.vstack([base, -base]))
+    assert c[0, 1] == pytest.approx(-1.0, abs=1e-14)
 
 
 def test_independent_long_rows_nearly_uncorrelated():
     rng = np.random.default_rng(123)
     z = zscore_rows(rng.standard_normal((2, 1000)))
-    c = correlation_matrix(make_std_window(z))
-    assert abs(c.values[0, 1]) < 0.1
+    assert abs(window_corr(z)[0, 1]) < 0.1
 
 
 def test_correlation_preconditions():
     z = zscore_rows(np.random.default_rng(0).standard_normal((1, 50)))
-    with pytest.raises(DegenerateWindowError):
-        correlation_matrix(make_std_window(z))
+    with pytest.raises(DegenerateWindowError, match="2 assets"):
+        spectral_summary(make_std_window(z))
 
 
 def test_correlation_invariants_on_random_windows():
@@ -59,8 +61,31 @@ def test_correlation_invariants_on_random_windows():
     for _ in range(20):
         n = int(rng.integers(2, 15))
         t = int(rng.integers(3, 90))
-        c = correlation_matrix(make_std_window(zscore_rows(rng.standard_normal((n, t)))))
-        c.validate()
+        c = window_corr(zscore_rows(rng.standard_normal((n, t))))
+        oracle.named(c).validate()
+
+
+def test_kernel_cleans_raw_estimate_without_touching_input():
+    raw = np.array([[1.2, 0.5, -1.3], [0.3, 0.9, 0.2], [-1.1, 0.2, 1.0]])
+    before = raw.copy()
+    spectrum = correlation_spectrum(raw)
+    c = spectrum.values
+    np.testing.assert_array_equal(raw, before)
+    np.testing.assert_array_equal(c, c.T)
+    np.testing.assert_array_equal(np.diag(c), 1.0)
+    assert c[0, 1] == 0.4 and c[0, 2] == -1.0
+    assert spectrum.rho_signed == pytest.approx((0.4 - 1.0 + 0.2) / 3, abs=1e-15)
+    assert spectrum.lambda_max == spectrum.eigenvalues[-1]
+    assert np.all(np.diff(spectrum.eigenvalues) >= 0.0)  # ascending
+
+
+def test_kernel_maps_linalg_failure_to_numeric_error(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericError, match="eigendecomposition failed for 3x3"):
+        correlation_spectrum(np.eye(3))
 
 
 # ---------- Eigen spectra ----------
@@ -87,14 +112,12 @@ def charpoly_eigenvalues(a):
 
 
 def test_identity_spectrum():
-    s = eigen_spectrum(corr_of(np.eye(5)))
-    np.testing.assert_allclose(s.eigenvalues, np.ones(5), atol=1e-12)
+    np.testing.assert_allclose(descending(np.eye(5)), np.ones(5), atol=1e-12)
 
 
 def test_equicorrelation_analytic_spectrum():
-    s = eigen_spectrum(corr_of(equicorrelation(5, 0.3)))
     expected = np.array([1 + 4 * 0.3, 0.7, 0.7, 0.7, 0.7])
-    np.testing.assert_allclose(s.eigenvalues, expected, atol=1e-10)
+    np.testing.assert_allclose(descending(equicorrelation(5, 0.3)), expected, atol=1e-10)
 
 
 def test_equicorrelation_spectrum_grid():
@@ -102,15 +125,15 @@ def test_equicorrelation_spectrum_grid():
     # whole (c, n) grid.
     for c in np.arange(0.0, 0.95, 0.1):
         for n in (3, 5, 25, 120):
-            w = eigen_spectrum(corr_of(equicorrelation(n, float(c)))).eigenvalues
+            w = descending(equicorrelation(n, float(c)))
             expected = np.concatenate([[1 + (n - 1) * c], np.full(n - 1, 1 - c)])
             np.testing.assert_allclose(w, expected, atol=1e-10)
 
 
 def test_all_ones_rank_one_spectrum():
-    s = eigen_spectrum(corr_of(equicorrelation(10, 1.0)))
-    assert s.eigenvalues[0] == pytest.approx(10.0, abs=1e-10)
-    np.testing.assert_allclose(s.eigenvalues[1:], 0.0, atol=1e-10)
+    w = descending(equicorrelation(10, 1.0))
+    assert w[0] == pytest.approx(10.0, abs=1e-10)
+    np.testing.assert_allclose(w[1:], 0.0, atol=1e-10)
 
 
 def test_eigen_matches_charpoly_oracle_small_n():
@@ -118,23 +141,25 @@ def test_eigen_matches_charpoly_oracle_small_n():
     for n in (2, 3, 4):
         for _ in range(40):
             c = random_correlation(rng, n)
-            got = eigen_spectrum(corr_of(c)).eigenvalues
+            got = descending(c)
             want = charpoly_eigenvalues(c)
             np.testing.assert_allclose(got, want, atol=1e-8)
 
 
-def test_eigen_descending_trace_reconstruction_orthonormal():
+def test_eigen_ascending_trace_and_full_decomposition_oracle():
     rng = np.random.default_rng(31)
     for _ in range(15):
         n = int(rng.integers(3, 40))
         c = random_correlation(rng, n)
-        s = eigen_spectrum(corr_of(c))
-        w, v = s.eigenvalues, s.eigenvectors
-        assert np.all(np.diff(w) <= 1e-12)  # descending
+        w = correlation_spectrum(c).eigenvalues
+        assert np.all(np.diff(w) >= -1e-12)  # ascending
         assert abs(w.sum() - n) < 1e-8  # trace preserved
-        assert np.max(np.abs(v @ np.diag(w) @ v.T - c)) < 1e-8  # reconstruction
-        assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-8  # orthonormal
-        assert w[-1] >= 0.0 or w[-1] < -1e-8  # tiny negatives clamped
+        full = oracle.eigen_spectrum(oracle.named(c))
+        v = full.eigenvectors
+        # The reference decomposition reconstructs c, so its eigenvalues are
+        # the spectrum; the kernel's must agree with them.
+        assert np.max(np.abs(v @ np.diag(full.eigenvalues) @ v.T - c)) < 1e-8
+        np.testing.assert_allclose(w[::-1], full.eigenvalues, atol=1e-12)
 
 
 # ---------- Marchenko-Pastur bounds ----------
@@ -184,7 +209,7 @@ def test_summary_equicorrelation_identity():
     for c in (0.0, 0.2, 0.5, 0.9):
         for n in (3, 25, 120):
             s = summary_from_correlation(
-                corr_of(equicorrelation(n, c)), end_date=date(2025, 1, 2), n_obs=60
+                equicorrelation(n, c), end_date=date(2025, 1, 2), n_obs=60
             )
             assert s.lambda_norm == pytest.approx(c, abs=1e-10)
             assert s.rho_signed == pytest.approx(c, abs=1e-12)
@@ -192,10 +217,10 @@ def test_summary_equicorrelation_identity():
 
 
 def test_summary_identity_and_all_ones_limits():
-    s = summary_from_correlation(corr_of(np.eye(8)), end_date=date(2025, 1, 2), n_obs=60)
+    s = summary_from_correlation(np.eye(8), end_date=date(2025, 1, 2), n_obs=60)
     assert abs(s.lambda_norm) < 1e-12 and abs(s.delta) < 1e-12
     s = summary_from_correlation(
-        corr_of(equicorrelation(10, 1.0)), end_date=date(2025, 1, 2), n_obs=60
+        equicorrelation(10, 1.0), end_date=date(2025, 1, 2), n_obs=60
     )
     assert s.lambda_norm == pytest.approx(1.0, abs=1e-12)
     assert s.rho_signed == pytest.approx(1.0, abs=1e-12)
@@ -203,13 +228,13 @@ def test_summary_identity_and_all_ones_limits():
 
 
 def test_summary_modes():
-    c = corr_of(equicorrelation(5, 0.4))
+    c = equicorrelation(5, 0.4)
     plain = summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=60,
                                      norm_mode="plain")
     assert plain.lambda_norm == pytest.approx((1 + 4 * 0.4) / 5, abs=1e-12)
 
     mixed = np.array([[1.0, -0.5, 0.2], [-0.5, 1.0, -0.1], [0.2, -0.1, 1.0]])
-    s_abs = summary_from_correlation(corr_of(mixed), end_date=date(2025, 1, 2),
+    s_abs = summary_from_correlation(mixed, end_date=date(2025, 1, 2),
                                      n_obs=60, rho_mode="abs")
     assert s_abs.rho_abs == pytest.approx((0.5 + 0.2 + 0.1) / 3, abs=1e-12)
     assert s_abs.rho_abs >= s_abs.rho_signed
@@ -226,7 +251,7 @@ def test_rayleigh_bound_on_random_matrices():
     for _ in range(300):
         n = int(rng.choice([5, 25, 60]))
         c = random_correlation(rng, n)
-        s = summary_from_correlation(corr_of(c), end_date=date(2025, 1, 2), n_obs=60)
+        s = summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=60)
         assert s.delta >= -1e-10
 
 
@@ -234,8 +259,8 @@ def test_lambda_norm_and_rho_invariant_under_permutation():
     rng = np.random.default_rng(55)
     c = random_correlation(rng, 12)
     perm = rng.permutation(12)
-    s1 = summary_from_correlation(corr_of(c), end_date=date(2025, 1, 2), n_obs=60)
-    s2 = summary_from_correlation(corr_of(c[np.ix_(perm, perm)]),
+    s1 = summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=60)
+    s2 = summary_from_correlation(c[np.ix_(perm, perm)],
                                   end_date=date(2025, 1, 2), n_obs=60)
     assert s1.lambda_norm == pytest.approx(s2.lambda_norm, abs=1e-10)
     assert s1.rho_signed == pytest.approx(s2.rho_signed, abs=1e-12)
@@ -244,7 +269,7 @@ def test_lambda_norm_and_rho_invariant_under_permutation():
 def test_n_above_mp_counts_strictly_above():
     # Strong one-factor matrix: exactly the leading eigenvalue escapes the band.
     c = equicorrelation(50, 0.6)
-    s = summary_from_correlation(corr_of(c), end_date=date(2025, 1, 2), n_obs=100)
+    s = summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=100)
     assert s.lambda_max > s.mp.upper
     assert s.n_above_mp == 1
 
@@ -258,8 +283,8 @@ def test_rank_deficient_q_below_one_is_supported():
     assert s.n_assets == 120
     assert 0.0 <= s.lambda_norm <= 1.0
     assert s.delta >= -1e-10
-    spec = eigen_spectrum(correlation_matrix(w))
-    assert np.sum(spec.eigenvalues < 1e-10) >= 120 - 60  # null space present
+    eigenvalues = correlation_spectrum(z @ z.T / 60).eigenvalues
+    assert np.sum(eigenvalues < 1e-10) >= 120 - 60  # null space present
 
 
 def test_mean_offdiagonal_signed_vs_abs():
@@ -271,10 +296,95 @@ def test_mean_offdiagonal_signed_vs_abs():
 def test_correlation_validate_rejects_bad_matrices():
     bad_diag = np.array([[0.9, 0.1], [0.1, 1.0]])
     with pytest.raises(NumericError):
-        corr_of(bad_diag).validate()
+        oracle.named(bad_diag).validate()
     asym = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(NumericError):
-        corr_of(asym).validate()
+        oracle.named(asym).validate()
     not_psd = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
     with pytest.raises(NumericError):
-        corr_of(not_psd).validate()
+        oracle.named(not_psd).validate()
+
+
+def test_summary_rejects_single_asset():
+    with pytest.raises(DegenerateWindowError, match="2 assets"):
+        summary_from_correlation(np.ones((1, 1)), end_date=date(2025, 1, 2), n_obs=60)
+
+
+# ---------- Oracle equivalence: kernel vs the eigh reference chain ----------
+
+MODES = [(r, m) for r in ("signed", "abs") for m in ("excess", "plain")]
+FLOAT_FIELDS = ("lambda_max", "lambda_norm", "rho_signed", "rho_abs", "delta")
+
+
+def assert_matches_oracle(got, want):
+    for field in FLOAT_FIELDS:
+        assert abs(getattr(got, field) - getattr(want, field)) <= 1e-12, field
+    assert got.n_above_mp == want.n_above_mp
+    assert got.n_assets == want.n_assets
+    assert got.end_date == want.end_date
+    assert (got.rho_mode, got.norm_mode, got.mp) == (want.rho_mode, want.norm_mode, want.mp)
+
+
+def block_correlation(sizes, within, between):
+    n = sum(sizes)
+    c = np.full((n, n), between)
+    lo = 0
+    for size, r in zip(sizes, within):
+        c[lo:lo + size, lo:lo + size] = r
+        lo += size
+    np.fill_diagonal(c, 1.0)
+    return c
+
+
+ACCEPTANCE_MATRICES = [
+    np.eye(2), np.eye(50),
+    *(equicorrelation(n, c) for n in (3, 5, 25, 120) for c in (0.0, 0.3, 0.6, 0.9)),
+    equicorrelation(10, 1.0), equicorrelation(4, -1.0 / 3.0),
+    block_correlation([3, 4, 5], [0.8, 0.5, 0.2], 0.1),
+    block_correlation([10, 10], [0.9, -0.05], 0.0),
+    block_correlation([2, 30, 8], [0.95, 0.4, 0.6], -0.02),
+]
+
+
+@pytest.mark.parametrize("rho_mode,norm_mode", MODES)
+def test_summary_matches_oracle_on_acceptance_matrices(rho_mode, norm_mode):
+    rng = np.random.default_rng(404)
+    randoms = [random_correlation(rng, n) for n in (5, 25, 120) for _ in range(3)]
+    for c in ACCEPTANCE_MATRICES + randoms:
+        for n_obs in (20, 60, 250):
+            kwargs = dict(end_date=date(2025, 1, 2), n_obs=n_obs,
+                          rho_mode=rho_mode, norm_mode=norm_mode)
+            assert_matches_oracle(summary_from_correlation(c, **kwargs),
+                                  oracle.summary_from_correlation(oracle.named(c), **kwargs))
+
+
+@st.composite
+def return_panels(draw):
+    """Panels with N from 2 to above T, NaN runs, and assets flat over a stretch."""
+    window = draw(st.integers(3, 15))
+    n_assets = draw(st.integers(2, 4) | st.integers(2, 3 * window))
+    n_dates = window + draw(st.integers(0, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    common = rng.standard_normal(n_dates)
+    loadings = rng.uniform(-1.5, 1.5, n_assets) * draw(st.sampled_from([0.0, 0.5, 2.0]))
+    values = 0.01 * (rng.standard_normal((n_dates, n_assets)) + np.outer(common, loadings))
+    runs = st.tuples(st.integers(0, n_assets - 1), st.integers(0, n_dates - 1),
+                     st.integers(1, n_dates))
+    for asset, start, length in draw(st.lists(runs, max_size=4)):
+        values[start:start + length, asset] = np.nan
+    for asset, start, length in draw(st.lists(runs, max_size=3)):
+        values[start:start + length, asset] = 0.0
+    return make_returns(values), window, draw(st.integers(1, 3))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(case=return_panels(), modes=st.sampled_from(MODES))
+def test_gap_series_matches_oracle_on_random_panels(case, modes):
+    returns, window, step = case
+    config = GapConfig(window=window, step=step, rho_mode=modes[0], norm_mode=modes[1])
+    series = gap_series(returns, config)
+    want, want_dropped = oracle.gap_series(returns, config)
+    assert len(series.summaries) == len(want)
+    for got, ref in zip(series.summaries, want):
+        assert_matches_oracle(got, ref)
+    assert series.dropped == want_dropped
