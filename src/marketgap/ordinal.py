@@ -14,7 +14,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import DegenerateWindowError, NumericError, UsageError
+from .errors import DegenerateWindowError, UsageError
 from .panel import ReturnPanel, rolling_windows
 from .regimes import PhaseWindows
 
@@ -71,15 +71,6 @@ class OrdinalPhaseStats:
 
 
 # ---------- Pattern extraction ----------
-
-def ordinal_pattern(x0: float, x1: float, x2: float) -> int:
-    """Pattern id of the permutation sorting (x0, x1, x2) ascending, stable on ties."""
-    for v in (x0, x1, x2):
-        if not math.isfinite(v):
-            raise NumericError(f"ordinal pattern needs finite inputs, got {v!r}")
-    perm = sorted(range(3), key=lambda i: ((x0, x1, x2)[i], i))
-    return int(_CODE_TO_INDEX[9 * perm[0] + 3 * perm[1] + perm[2]])
-
 
 def pattern_indices(triples: np.ndarray) -> np.ndarray:
     """Vectorized pattern ids for a (3, n_stocks) block of return triples."""

@@ -1,4 +1,4 @@
-"""Price-panel ingestion, log returns, window standardization, and rolling windows.
+"""Price-panel ingestion, log returns, and rolling windows.
 
 Panels hold aligned daily close prices as a dates x tickers float matrix with
 NaN marking missing observations. All operations are pure; panels are never
@@ -7,25 +7,18 @@ mutated after construction, so they are safe to share across workers.
 from __future__ import annotations
 
 import csv
-import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
 
 import numpy as np
 
-from .errors import DataError, DegenerateWindowError, ParseError, UsageError
-
-logger = logging.getLogger(__name__)
+from .errors import DataError, ParseError, UsageError
 
 LONG_HEADER = ("date", "ticker", "close")
 META_HEADER = ("ticker", "sector", "market")
 DEFAULT_SECTOR = "UNKNOWN"
 DEFAULT_MARKET = "ALL"
-
-# Reasons recorded when a window drops an asset.
-REASON_MISSING = "missing data"
-REASON_ZERO_VARIANCE = "zero variance"
 
 
 # ---------- Domain types ----------
@@ -68,7 +61,8 @@ class PricePanel:
 
     def restrict(self, tickers: list[str], drop_empty_dates: bool = True) -> "PricePanel":
         """Column subset (given order), optionally dropping dates with no data left."""
-        idx = [self.tickers.index(t) for t in tickers]
+        column = {t: j for j, t in enumerate(self.tickers)}
+        idx = [column[t] for t in tickers]
         close = self.close[:, idx]
         dates = self.dates
         if drop_empty_dates:
@@ -144,23 +138,6 @@ class WindowSpec:
     @property
     def start(self) -> int:
         return self.end - self.length
-
-
-@dataclass(eq=False)
-class StandardizedWindow:
-    """Z-scored return window, assets as rows; incomplete/flat assets dropped."""
-
-    spec: WindowSpec
-    end_date: date
-    assets: list[str]
-    values: np.ndarray  # shape (n_assets, length); each row has mean 0, variance 1
-    means: np.ndarray
-    stds: np.ndarray
-    dropped: list[tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def n_assets(self) -> int:
-        return len(self.assets)
 
 
 # ---------- File I/O ----------
@@ -376,56 +353,3 @@ def rolling_windows(returns: ReturnPanel, length: int, step: int = 1) -> list[Wi
     if length > n:
         return []
     return [WindowSpec(length, step, end) for end in range(length, n + 1, step)]
-
-
-def standardize_window(returns: ReturnPanel, window: WindowSpec) -> StandardizedWindow:
-    """Z-score each asset over the window using the population (1/T) variance.
-
-    Assets with any missing return in the window are dropped with reason
-    "missing data"; assets with zero variance with reason "zero variance".
-    Fewer than 2 survivors raises DegenerateWindowError.
-    """
-    if window.end > returns.n_dates:
-        raise UsageError("window extends past the end of the return panel")
-    block = returns.values[window.start:window.end]  # (T, N)
-    complete = ~np.isnan(block).any(axis=0)
-
-    dropped: list[tuple[str, str]] = []
-    keep: list[int] = []
-    means = np.zeros(returns.n_assets)
-    stds = np.zeros(returns.n_assets)
-    for j, ticker in enumerate(returns.tickers):
-        if not complete[j]:
-            dropped.append((ticker, REASON_MISSING))
-            continue
-        m = block[:, j].mean()
-        s = math.sqrt(float(np.mean((block[:, j] - m) ** 2)))
-        if s <= 0.0 or not math.isfinite(s):
-            dropped.append((ticker, REASON_ZERO_VARIANCE))
-            continue
-        means[j] = m
-        stds[j] = s
-        keep.append(j)
-
-    if dropped:
-        logger.debug(
-            "window ending %s dropped %d asset(s): %s",
-            returns.dates[window.end - 1].isoformat(), len(dropped),
-            ", ".join(f"{t} ({r})" for t, r in dropped[:5]),
-        )
-    if len(keep) < 2:
-        raise DegenerateWindowError(
-            f"window ending {returns.dates[window.end - 1].isoformat()} retained "
-            f"{len(keep)} assets (need >= 2)"
-        )
-    keep_arr = np.array(keep, dtype=int)
-    z = (block[:, keep_arr] - means[keep_arr]) / stds[keep_arr]
-    return StandardizedWindow(
-        spec=window,
-        end_date=returns.dates[window.end - 1],
-        assets=[returns.tickers[j] for j in keep],
-        values=np.ascontiguousarray(z.T),
-        means=means[keep_arr],
-        stds=stds[keep_arr],
-        dropped=dropped,
-    )

@@ -14,7 +14,6 @@ from datetime import date
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import (
     DataError,
@@ -301,6 +300,10 @@ def spearman(x, y) -> SpearmanResult:
         raise DataError("spearman inputs contain NaN")
     if np.all(xv == xv[0]) or np.all(yv == yv[0]):
         raise UndefinedCorrelationError("zero rank variance: correlation undefined")
+    # Imported here: scipy.stats costs about a second at start-up, and only the
+    # portfolio report needs it.
+    from scipy import stats as sstats
+
     rx = sstats.rankdata(xv, method="average")
     ry = sstats.rankdata(yv, method="average")
     rx -= rx.mean()

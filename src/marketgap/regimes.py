@@ -8,9 +8,9 @@ from datetime import date
 
 import numpy as np
 
-from .errors import DataError, DegenerateWindowError, UsageError
-from .panel import ReturnPanel, rolling_windows, standardize_window
-from .spectral import NORM_MODES, RHO_MODES, SpectralSummary, spectral_summary
+from .errors import DataError, UsageError
+from .panel import ReturnPanel, rolling_windows
+from .spectral import NORM_MODES, RHO_MODES, SpectralSummary, rolling_spectra
 
 logger = logging.getLogger(__name__)
 
@@ -64,16 +64,18 @@ class GapSeries:
 
 def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeries:
     """One spectral summary per rolling window; degenerate windows are reported."""
+    windows = rolling_windows(returns, config.window, config.step)
+    spectra = rolling_spectra(returns.values, config.window, config.step)
     summaries: list[SpectralSummary] = []
     dropped: list[DroppedWindow] = []
-    for w in rolling_windows(returns, config.window, config.step):
-        try:
-            std = standardize_window(returns, w)
-            summaries.append(
-                spectral_summary(std, rho_mode=config.rho_mode, norm_mode=config.norm_mode)
-            )
-        except DegenerateWindowError as exc:
-            dropped.append(DroppedWindow(end_date=returns.dates[w.end - 1], reason=str(exc)))
+    for k, w in enumerate(windows):
+        end_date = returns.dates[w.end - 1]
+        if spectra.n_assets[k] < 2:
+            dropped.append(DroppedWindow(end_date=end_date, reason=(
+                f"window ending {end_date.isoformat()} retained "
+                f"{spectra.n_assets[k]} assets (need >= 2)")))
+        else:
+            summaries.append(spectra.summary(k, end_date, config.rho_mode, config.norm_mode))
     if dropped:
         logger.info("gap series dropped %d degenerate window(s), first: %s",
                     len(dropped), dropped[0].reason)
@@ -283,8 +285,9 @@ def monthly_sector_heatmap(
     count_cell: dict[tuple[str, str], int] = {}
     omitted: dict[str, int] = {}
     months: set[str] = set()
+    column = {t: j for j, t in enumerate(returns.tickers)}
     for sector in sorted(by_sector):
-        cols = [returns.tickers.index(t) for t in by_sector[sector]]
+        cols = [column[t] for t in by_sector[sector]]
         sub = ReturnPanel(
             dates=list(returns.dates),
             tickers=list(by_sector[sector]),

@@ -14,12 +14,17 @@ from datetime import date
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateWindowError, NumericError, UsageError
-from .panel import StandardizedWindow
 
 RHO_MODES = ("signed", "abs")
 NORM_MODES = ("excess", "plain")
+
+# Cap on the bytes of one stacked array in `rolling_spectra`: windows are taken
+# in chunks whose stacks (returns, z-scores, correlation matrices) stay below it.
+# A single window larger than the cap forms a chunk on its own.
+_CHUNK_BYTES = 4 * 2**20
 
 
 # ---------- Domain types ----------
@@ -51,40 +56,146 @@ class SpectralSummary:
 
 
 class CorrelationSpectrum(NamedTuple):
-    """A cleaned correlation matrix, its ascending eigenvalues, lambda_max and rho_signed."""
+    """Cleaned correlation matrices, their ascending eigenvalues, lambda_max and rho_signed.
+
+    From `correlation_spectra` on a stack every field is stacked along the
+    leading axes; from `correlation_spectrum` it describes one matrix.
+    """
 
     values: np.ndarray
     eigenvalues: np.ndarray
-    lambda_max: float
-    rho_signed: float
+    lambda_max: np.ndarray | float
+    rho_signed: np.ndarray | float
+
+
+class WindowSpectra(NamedTuple):
+    """Per-window statistics from `rolling_spectra`, one entry per window.
+
+    A window that keeps fewer than two assets has n_assets < 2, NaN
+    statistics and n_above_mp 0.
+    """
+
+    length: int  # observations per window; sets the Marchenko-Pastur band
+    n_assets: np.ndarray
+    lambda_max: np.ndarray
+    rho_signed: np.ndarray
+    rho_abs: np.ndarray
+    n_above_mp: np.ndarray
+
+    def summary(self, k: int, end_date: date, rho_mode: str = "signed",
+                norm_mode: str = "excess") -> SpectralSummary:
+        """Window k's summary under the given rho and normalization modes."""
+        return _summary(end_date, int(self.n_assets[k]), self.length,
+                        float(self.lambda_max[k]), float(self.rho_signed[k]),
+                        float(self.rho_abs[k]), int(self.n_above_mp[k]), rho_mode, norm_mode)
 
 
 # ---------- Operations ----------
 
-def correlation_spectrum(raw: np.ndarray) -> CorrelationSpectrum:
-    """Eigenvalues and mean off-diagonal correlation of a raw N x N estimate, N >= 2.
+def correlation_spectra(raw: np.ndarray, z: np.ndarray | None = None) -> CorrelationSpectrum:
+    """Eigenvalues and mean off-diagonal correlation of raw n x n estimates, n >= 2.
 
-    `raw` is Z Z' / T from a standardized window or V / outer(d, d) from a
-    covariance. It is symmetrized, clipped to [-1, 1] and given an exact unit
-    diagonal before a single eigenvalue-only decomposition.
+    `raw` is one estimate or a stack of them along leading axes; each is
+    Z Z' / T from a standardized window or V / outer(d, d) from a covariance.
+    It is symmetrized, clipped to [-1, 1] and given an exact unit diagonal;
+    rho_signed comes from that cleaned matrix. One eigenvalue-only
+    decomposition covers the whole stack. When `z`, the (..., n, T)
+    standardized rows behind Z Z' / T, is given and n > T, it decomposes the
+    T x T dual Z'Z / T instead: the nonzero spectra of the two are equal, so
+    the eigenvalues are the top T of the n.
     """
-    n = raw.shape[0]
-    c = (raw + raw.T) / 2.0
+    n = raw.shape[-1]
+    c = np.add(raw, raw.swapaxes(-1, -2))  # a new C-ordered array: the reshape is a view
+    c /= 2.0
     np.clip(c, -1.0, 1.0, out=c)
-    np.fill_diagonal(c, 1.0)
+    c.reshape(-1, n * n)[:, ::n + 1] = 1.0
+    if z is not None and n > z.shape[-1]:
+        m = z.swapaxes(-1, -2) @ z
+        m /= z.shape[-1]
+    else:
+        m = c
     try:
-        w = np.linalg.eigvalsh(c)
+        w = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
+        size = m.shape[-1]
         raise NumericError(
-            f"eigendecomposition failed for {n}x{n} matrix "
-            f"(|C|_max={np.max(np.abs(c)):.3e}, trace={np.trace(c):.6e}): {exc}"
+            f"eigendecomposition failed for {size}x{size} matrix "
+            f"(|C|_max={np.max(np.abs(m)):.3e}, "
+            f"trace={np.trace(m, axis1=-2, axis2=-1).max():.6e}): {exc}"
         ) from exc
     return CorrelationSpectrum(
         values=c,
         eigenvalues=w,
-        lambda_max=float(w[-1]),
-        rho_signed=float((c.sum() - n) / (n * (n - 1))),  # the diagonal sums to exactly n
+        lambda_max=w[..., -1],
+        # Each diagonal sums to exactly n.
+        rho_signed=(c.sum(axis=(-2, -1)) - n) / (n * (n - 1)),
     )
+
+
+def correlation_spectrum(raw: np.ndarray) -> CorrelationSpectrum:
+    """`correlation_spectra` of one raw N x N estimate, N >= 2, with float statistics."""
+    c, w, lam, rho = correlation_spectra(raw)
+    return CorrelationSpectrum(c, w, float(lam), float(rho))
+
+
+def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> WindowSpectra:
+    """Spectral statistics of every rolling window of a (dates x assets) return matrix.
+
+    Window k covers rows [k * step, k * step + length), the windows of
+    `panel.rolling_windows`. In each window an asset with a missing return,
+    or with zero or non-finite population variance, is dropped; the others
+    are z-scored with the population (1/T) variance and C = Z Z' / T goes
+    through `correlation_spectra`. Windows are taken in chunks bounded by
+    _CHUNK_BYTES, and each chunk in groups of windows that keep the same
+    assets, so a complete panel forms one group per chunk.
+    """
+    n_dates, n_all = values.shape
+    n_win = (n_dates - length) // step + 1 if n_dates >= length else 0
+    out = WindowSpectra(
+        length=length,
+        n_assets=np.zeros(n_win, dtype=np.int64),
+        lambda_max=np.full(n_win, np.nan),
+        rho_signed=np.full(n_win, np.nan),
+        rho_abs=np.full(n_win, np.nan),
+        n_above_mp=np.zeros(n_win, dtype=np.int64),
+    )
+    if n_win == 0:
+        return out
+    windows = sliding_window_view(values, length, axis=0)[::step]  # (W, N, T) view
+    nan_seen = np.zeros((n_dates + 1, n_all), dtype=np.int64)
+    np.cumsum(np.isnan(values), axis=0, out=nan_seen[1:])
+    starts = np.arange(n_win) * step
+    complete = nan_seen[starts + length] == nan_seen[starts]  # (W, N)
+    chunk = max(1, _CHUNK_BYTES // (8 * max(n_all, 1) * max(n_all, length)))
+    for lo in range(0, n_win, chunk):
+        # A C-ordered copy: each asset's T returns are contiguous, so the means and
+        # variances below sum in the same order as a one-dimensional reduction.
+        dev = np.array(windows[lo:lo + chunk], order="C")  # (k, N, T)
+        dev -= dev.mean(axis=-1, keepdims=True)
+        std = np.sqrt(np.mean(dev * dev, axis=-1))
+        keep = complete[lo:lo + chunk] & np.isfinite(std) & (std > 0.0)
+        groups: dict[bytes, list[int]] = {}
+        for i, row in enumerate(keep):
+            groups.setdefault(row.tobytes(), []).append(i)
+        for members in groups.values():
+            kept = keep[members[0]]
+            n = int(np.count_nonzero(kept))
+            idx = lo + np.array(members)
+            out.n_assets[idx] = n
+            if n < 2:
+                continue
+            cells = np.ix_(members, np.flatnonzero(kept))
+            z = dev[cells] / std[cells][..., np.newaxis]
+            raw = z @ z.swapaxes(-1, -2)
+            raw /= length
+            spectra = correlation_spectra(raw, z)
+            del raw  # frees a stack before |C| below takes one
+            out.lambda_max[idx] = spectra.lambda_max
+            out.rho_signed[idx] = spectra.rho_signed
+            out.rho_abs[idx] = (np.abs(spectra.values).sum(axis=(1, 2)) - n) / (n * (n - 1))
+            upper = mp_bounds(length, n).upper
+            out.n_above_mp[idx] = np.count_nonzero(spectra.eigenvalues > upper, axis=1)
+    return out
 
 
 def mp_bounds(t_obs: int, n_assets: int) -> MPBounds:
@@ -105,6 +216,25 @@ def mean_offdiagonal(values: np.ndarray, absolute: bool = False) -> float:
     return float((m.sum() - np.trace(m)) / (n * (n - 1)))
 
 
+def _summary(end_date: date, n: int, n_obs: int, lam: float, rho_signed: float,
+             rho_abs: float, n_above_mp: int, rho_mode: str, norm_mode: str) -> SpectralSummary:
+    lam_norm = lam / n if norm_mode == "plain" else (lam - 1.0) / (n - 1.0)
+    rho = rho_abs if rho_mode == "abs" else rho_signed
+    return SpectralSummary(
+        end_date=end_date,
+        n_assets=n,
+        lambda_max=lam,
+        lambda_norm=lam_norm,
+        rho_signed=rho_signed,
+        rho_abs=rho_abs,
+        delta=lam_norm - rho,
+        rho_mode=rho_mode,
+        norm_mode=norm_mode,
+        mp=mp_bounds(n_obs, n),
+        n_above_mp=n_above_mp,
+    )
+
+
 def summary_from_correlation(
     values: np.ndarray,
     *,
@@ -123,44 +253,10 @@ def summary_from_correlation(
     if n < 2:
         raise DegenerateWindowError(f"summary needs >= 2 assets, got {n}")
     spectrum = correlation_spectrum(values)
-    lam = spectrum.lambda_max
-    lam_norm = lam / n if norm_mode == "plain" else (lam - 1.0) / (n - 1.0)
-    rho_abs = mean_offdiagonal(spectrum.values, absolute=True)
-    rho = rho_abs if rho_mode == "abs" else spectrum.rho_signed
-    bounds = mp_bounds(n_obs, n)
-    return SpectralSummary(
-        end_date=end_date,
-        n_assets=n,
-        lambda_max=lam,
-        lambda_norm=lam_norm,
-        rho_signed=spectrum.rho_signed,
-        rho_abs=rho_abs,
-        delta=lam_norm - rho,
-        rho_mode=rho_mode,
-        norm_mode=norm_mode,
-        mp=bounds,
-        n_above_mp=int(np.count_nonzero(spectrum.eigenvalues > bounds.upper)),
-    )
-
-
-def spectral_summary(
-    window: StandardizedWindow,
-    rho_mode: str = "signed",
-    norm_mode: str = "excess",
-) -> SpectralSummary:
-    """Spectral summary of one window's equal-time Pearson matrix C = Z Z' / T."""
-    n, t = window.values.shape
-    if n < 2:
-        raise DegenerateWindowError(f"correlation needs >= 2 assets, got {n}")
-    if t < 3:
-        raise DegenerateWindowError(f"correlation needs >= 3 observations, got {t}")
-    return summary_from_correlation(
-        window.values @ window.values.T / t,
-        end_date=window.end_date,
-        n_obs=window.spec.length,
-        rho_mode=rho_mode,
-        norm_mode=norm_mode,
-    )
+    n_above_mp = int(np.count_nonzero(spectrum.eigenvalues > mp_bounds(n_obs, n).upper))
+    return _summary(end_date, n, n_obs, spectrum.lambda_max, spectrum.rho_signed,
+                    mean_offdiagonal(spectrum.values, absolute=True), n_above_mp,
+                    rho_mode, norm_mode)
 
 
 def equicorrelation(n: int, c: float) -> np.ndarray:

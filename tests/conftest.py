@@ -4,7 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from marketgap.panel import PricePanel, ReturnPanel, StandardizedWindow, WindowSpec
+from marketgap.panel import PricePanel, ReturnPanel
 from marketgap.synth import DEFAULT_SEED, risk_study_scenario, three_phase_scenario
 
 
@@ -38,21 +38,6 @@ def make_returns(values, tickers=None, start=date(2025, 1, 2)):
     n_dates, n_assets = values.shape
     tickers = tickers or [f"T{j}" for j in range(n_assets)]
     return ReturnPanel(dates=weekdays(start, n_dates), tickers=list(tickers), values=values)
-
-
-def make_std_window(z, assets=None, end_date=date(2025, 6, 2)):
-    """StandardizedWindow wrapper around already-standardized rows (assets x T)."""
-    z = np.asarray(z, dtype=float)
-    n, t = z.shape
-    assets = assets or [f"T{j}" for j in range(n)]
-    return StandardizedWindow(
-        spec=WindowSpec(length=t, step=1, end=t),
-        end_date=end_date,
-        assets=list(assets),
-        values=z,
-        means=np.zeros(n),
-        stds=np.ones(n),
-    )
 
 
 def zscore_rows(x):

@@ -1,22 +1,93 @@
-"""Reference spectral chain the package's single eigenvalue kernel is checked against.
+"""Reference chains the package's batched kernels are checked against.
 
-This is the per-window path as it stood before the kernel existed: an explicit
-correlation wrapper, a full `np.linalg.eigh` eigendecomposition (eigenvectors
-included), and the summary built from those pieces. It also keeps the
-portfolio study's former inline subset gap. Only the dataclasses and the
-closed-form Marchenko-Pastur band come from the package.
+This is the per-window path as it stood before the batched kernel existed:
+a per-asset loop that z-scores one window, an explicit correlation wrapper, a
+full `np.linalg.eigh` eigendecomposition (eigenvectors included), and the
+summary built from those pieces. It also keeps the portfolio study's former
+inline subset gap and the scalar ordinal pattern. Only the dataclasses and
+the closed-form Marchenko-Pastur band come from the package.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from datetime import date
 
 import numpy as np
 
 from marketgap.errors import DegenerateWindowError, NumericError, UsageError
-from marketgap.panel import ReturnPanel, StandardizedWindow, rolling_windows, standardize_window
+from marketgap.ordinal import PATTERNS
+from marketgap.panel import ReturnPanel, WindowSpec, rolling_windows
 from marketgap.regimes import DroppedWindow, GapConfig
 from marketgap.spectral import NORM_MODES, RHO_MODES, SpectralSummary, mp_bounds
+
+# Reasons recorded when a window drops an asset.
+REASON_MISSING = "missing data"
+REASON_ZERO_VARIANCE = "zero variance"
+
+
+@dataclass(eq=False)
+class StandardizedWindow:
+    """Z-scored return window, assets as rows; incomplete/flat assets dropped."""
+
+    spec: WindowSpec
+    end_date: date
+    assets: list[str]
+    values: np.ndarray  # shape (n_assets, length); each row has mean 0, variance 1
+    means: np.ndarray
+    stds: np.ndarray
+    dropped: list[tuple[str, str]] = field(default_factory=list)
+
+    @property
+    def n_assets(self) -> int:
+        return len(self.assets)
+
+
+def standardize_window(returns: ReturnPanel, window: WindowSpec) -> StandardizedWindow:
+    """Z-score each asset over the window using the population (1/T) variance.
+
+    Assets with any missing return in the window are dropped with reason
+    "missing data"; assets with zero variance with reason "zero variance".
+    Fewer than 2 survivors raises DegenerateWindowError.
+    """
+    if window.end > returns.n_dates:
+        raise UsageError("window extends past the end of the return panel")
+    block = returns.values[window.start:window.end]  # (T, N)
+    complete = ~np.isnan(block).any(axis=0)
+
+    dropped: list[tuple[str, str]] = []
+    keep: list[int] = []
+    means = np.zeros(returns.n_assets)
+    stds = np.zeros(returns.n_assets)
+    for j, ticker in enumerate(returns.tickers):
+        if not complete[j]:
+            dropped.append((ticker, REASON_MISSING))
+            continue
+        m = block[:, j].mean()
+        s = math.sqrt(float(np.mean((block[:, j] - m) ** 2)))
+        if s <= 0.0 or not math.isfinite(s):
+            dropped.append((ticker, REASON_ZERO_VARIANCE))
+            continue
+        means[j] = m
+        stds[j] = s
+        keep.append(j)
+
+    if len(keep) < 2:
+        raise DegenerateWindowError(
+            f"window ending {returns.dates[window.end - 1].isoformat()} retained "
+            f"{len(keep)} assets (need >= 2)"
+        )
+    keep_arr = np.array(keep, dtype=int)
+    z = (block[:, keep_arr] - means[keep_arr]) / stds[keep_arr]
+    return StandardizedWindow(
+        spec=window,
+        end_date=returns.dates[window.end - 1],
+        assets=[returns.tickers[j] for j in keep],
+        values=np.ascontiguousarray(z.T),
+        means=means[keep_arr],
+        stds=stds[keep_arr],
+        dropped=dropped,
+    )
 
 
 @dataclass(eq=False)
@@ -187,3 +258,12 @@ def subset_gap(x: np.ndarray) -> tuple[float, float]:
     lam = float(np.linalg.eigvalsh(corr)[-1])
     rho_bar = float((corr.sum() - n) / (n * (n - 1)))
     return (lam - 1.0) / (n - 1.0) - rho_bar, rho_bar
+
+
+def ordinal_pattern(x0: float, x1: float, x2: float) -> int:
+    """Pattern id of the permutation sorting (x0, x1, x2) ascending, stable on ties."""
+    for v in (x0, x1, x2):
+        if not math.isfinite(v):
+            raise NumericError(f"ordinal pattern needs finite inputs, got {v!r}")
+    perm = sorted(range(3), key=lambda i: ((x0, x1, x2)[i], i))
+    return PATTERNS.index(tuple(perm))

@@ -1,7 +1,11 @@
 """End-to-end CLI tests: commands, manifests, determinism, exit codes."""
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,3 +404,11 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run("--version")
     assert exc.value.code == 0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up; only `spearman` may load it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import marketgap.cli, sys; assert 'scipy.stats' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -14,11 +14,11 @@ from marketgap.ordinal import (
     cross_section_distribution,
     entropy_series,
     ordinal_entropy,
-    ordinal_pattern,
     pattern_indices,
     phase_statistics,
 )
 from marketgap.regimes import PhaseWindows
+from oracle import ordinal_pattern
 
 from conftest import make_returns, weekdays
 

@@ -1,4 +1,4 @@
-"""Panel ingestion, log returns, standardization, and rolling-window tests."""
+"""Panel ingestion, log returns, reference standardization, and rolling-window tests."""
 import math
 from datetime import date
 
@@ -7,17 +7,15 @@ import pytest
 
 from marketgap.errors import DataError, DegenerateWindowError, ParseError, UsageError
 from marketgap.panel import (
-    REASON_MISSING,
-    REASON_ZERO_VARIANCE,
     WindowSpec,
     load_metadata,
     load_price_panel,
     log_returns,
     merge_panels,
     rolling_windows,
-    standardize_window,
     write_price_panel,
 )
+from oracle import REASON_MISSING, REASON_ZERO_VARIANCE, standardize_window
 
 from conftest import make_panel, make_returns
 
@@ -209,6 +207,9 @@ def test_price_reconstruction_round_trip():
 
 
 # ---------- Standardization ----------
+
+# These pin the per-asset reference in oracle.py that the batched kernel in
+# `spectral.rolling_spectra` is checked against (see test_spectral).
 
 def test_standardize_1_2_3_under_population_variance():
     # For (1, 2, 3): population variance = 2/3, so the z-scores are

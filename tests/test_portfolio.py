@@ -13,7 +13,7 @@ from marketgap.errors import (
     UndefinedCorrelationError,
     UsageError,
 )
-from marketgap.panel import ReturnPanel, WindowSpec, log_returns, standardize_window
+from marketgap.panel import ReturnPanel, WindowSpec, log_returns
 from marketgap.portfolio import (
     PortfolioObservation,
     StudyConfig,
@@ -344,7 +344,7 @@ def test_study_delta_uses_subset_matrix(small_study):
         assert abs(o.delta - delta) <= 1e-12 and abs(o.rho_bar - rho_bar) <= 1e-12
         sub = ReturnPanel(dates=list(returns.dates), tickers=list(o.tickers),
                           values=returns.values[:, cols])
-        ref = oracle.spectral_summary(standardize_window(sub, WindowSpec(60, 1, end_row)))
+        ref = oracle.spectral_summary(oracle.standardize_window(sub, WindowSpec(60, 1, end_row)))
         assert abs(o.delta - ref.delta) <= 1e-12 and abs(o.rho_bar - ref.rho_signed) <= 1e-12
 
 

@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 import oracle
 from marketgap.errors import DegenerateWindowError, NumericError, UsageError
 from marketgap.regimes import GapConfig, gap_series
+from marketgap import spectral
 from marketgap.spectral import (
     correlation_spectrum,
     equicorrelation,
     mean_offdiagonal,
     mp_bounds,
-    spectral_summary,
+    rolling_spectra,
     summary_from_correlation,
 )
 
-from conftest import make_returns, make_std_window, random_correlation, zscore_rows
+from conftest import make_returns, random_correlation, zscore_rows
 
 
 def window_corr(z):
@@ -51,9 +52,13 @@ def test_independent_long_rows_nearly_uncorrelated():
 
 
 def test_correlation_preconditions():
-    z = zscore_rows(np.random.default_rng(0).standard_normal((1, 50)))
+    # One asset gives no correlation: the window reports it and holds no statistics.
+    values = np.random.default_rng(0).standard_normal((50, 1))
+    spectra = rolling_spectra(values, 50)
+    assert spectra.n_assets.tolist() == [1]
+    assert np.isnan(spectra.lambda_max[0]) and spectra.n_above_mp[0] == 0
     with pytest.raises(DegenerateWindowError, match="2 assets"):
-        spectral_summary(make_std_window(z))
+        summary_from_correlation(np.ones((1, 1)), end_date=date(2025, 1, 2), n_obs=50)
 
 
 def test_correlation_invariants_on_random_windows():
@@ -278,8 +283,7 @@ def test_rank_deficient_q_below_one_is_supported():
     # T < N: the sample correlation is rank deficient but the summary holds up.
     rng = np.random.default_rng(66)
     z = zscore_rows(rng.standard_normal((120, 60)))
-    w = make_std_window(z)
-    s = spectral_summary(w)
+    s = rolling_spectra(z.T, 60).summary(0, date(2025, 1, 2))
     assert s.n_assets == 120
     assert 0.0 <= s.lambda_norm <= 1.0
     assert s.delta >= -1e-10
@@ -388,3 +392,73 @@ def test_gap_series_matches_oracle_on_random_panels(case, modes):
     for got, ref in zip(series.summaries, want):
         assert_matches_oracle(got, ref)
     assert series.dropped == want_dropped
+
+
+# ---------- Batched rolling kernel: chunks, survivor groups and the dual ----------
+
+def panel_with_gaps(rng, n_dates, n_assets):
+    """One-factor returns whose NaN runs enter and leave mid-series, plus a flat run.
+
+    With 60 dates and windows of 12, some windows keep every asset and others
+    lose one to four, so the survivor groups change along the series.
+    """
+    common = rng.standard_normal(n_dates)
+    loadings = rng.uniform(0.2, 1.5, n_assets)
+    values = 0.01 * (rng.standard_normal((n_dates, n_assets)) + np.outer(common, loadings))
+    sixth = n_dates // 6
+    values[2 * sixth:2 * sixth + 4, 0] = np.nan  # a gap in the middle
+    values[:sixth, 1] = np.nan  # listed late
+    values[5 * sixth:, 2] = np.nan  # delisted early
+    values[2 * sixth + 2:2 * sixth + 18, 3] = 0.0  # flat long enough to fill a window
+    return values
+
+
+def test_rolling_spectra_chunk_boundaries_are_bit_identical(monkeypatch):
+    rng = np.random.default_rng(17)
+    for n_assets, length, step in ((9, 12, 1), (40, 12, 2), (13, 12, 1)):
+        values = panel_with_gaps(rng, 70, n_assets)
+        monkeypatch.setattr(spectral, "_CHUNK_BYTES", 1 << 40)
+        whole = rolling_spectra(values, length, step)
+        monkeypatch.setattr(spectral, "_CHUNK_BYTES", 1)  # one window per chunk
+        single = rolling_spectra(values, length, step)
+        assert len(np.unique(whole.n_assets)) >= 2  # several survivor groups
+        for a, b in zip(whole, single):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
+def assert_close_relative(got, want):
+    for field in FLOAT_FIELDS:
+        g, w = getattr(got, field), getattr(want, field)
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), field
+    assert got.n_above_mp == want.n_above_mp
+    assert (got.n_assets, got.end_date, got.mp) == (want.n_assets, want.end_date, want.mp)
+
+
+@pytest.mark.parametrize("n_assets", [11, 12, 13, 96])  # T - 1, T, T + 1 and N >> T
+@pytest.mark.parametrize("rho_mode,norm_mode", MODES)
+def test_dual_branch_matches_oracle(monkeypatch, n_assets, rho_mode, norm_mode):
+    length = 12
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        sizes.append(a.shape[-1])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    returns = make_returns(panel_with_gaps(np.random.default_rng(n_assets), 60, n_assets))
+    config = GapConfig(window=length, step=1, rho_mode=rho_mode, norm_mode=norm_mode)
+    series = gap_series(returns, config)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    want, want_dropped = oracle.gap_series(returns, config)
+    assert series.dropped == want_dropped
+    assert len(series.summaries) == len(want) > 0
+    for got, ref in zip(series.summaries, want):
+        assert_close_relative(got, ref)
+        # Both build C from the same z-scores, so rho agrees to the last bit.
+        assert (got.rho_signed, got.rho_abs) == (ref.rho_signed, ref.rho_abs)
+    # Survivor counts straddle T, so both sides of the branch run: the
+    # decomposed matrix is n x n for n <= T and the T x T dual above it.
+    kept = {s.n_assets for s in series.summaries}
+    assert max(kept) == n_assets and len(kept) > 1
+    assert set(sizes) == {min(n, length) for n in kept}
