@@ -28,24 +28,13 @@ from .panel import (
     write_metadata,
     write_price_panel,
 )
-from .portfolio import (
-    StudyConfig,
-    quintile_report,
-    report_to_dict,
-    run_portfolio_study,
-    write_observations_csv,
-)
+from .portfolio import StudyConfig, quintile_report, run_portfolio_study
 from .regimes import (
     GapConfig,
     SegmentationParams,
     gap_series,
     monthly_sector_heatmap,
     phase_segmentation,
-    phase_windows_to_dict,
-    write_gap_csv,
-    write_gap_jsonl,
-    write_heatmap_csv,
-    _fmt,
 )
 from .synth import (
     generate_factor_panel,
@@ -57,18 +46,136 @@ from .synth import (
     truth_to_dict,
 )
 
-ENTROPY_CSV_HEADER = "date,n_stocks,H_ord_nats,p0,p1,p2,p3,p4,p5"
+# ---------- Output format ----------
+#
+# Every table is a `# units:` line, a header line and one comma-joined row per
+# record. In tables and JSON reports alike a float keeps 9 significant digits
+# and a date is ISO-8601.
+
+GAP_CSV_UNITS = (
+    "# units: end_date=ISO-8601 date, n_assets=count, lambda_max=dimensionless, "
+    "lambda_norm=dimensionless, rho_signed=dimensionless, rho_abs=dimensionless, "
+    "delta=dimensionless, mp_lower=dimensionless, mp_upper=dimensionless, n_above_mp=count"
+)
+GAP_CSV_HEADER = (
+    "end_date,n_assets,lambda_max,lambda_norm,rho_signed,rho_abs,delta,"
+    "mp_lower,mp_upper,n_above_mp"
+)
 ENTROPY_CSV_UNITS = (
     "# units: date=ISO-8601 date, n_stocks=count, H_ord_nats=nats, "
     "p0..p5=probability (dimensionless)"
 )
+ENTROPY_CSV_HEADER = "date,n_stocks,H_ord_nats,p0,p1,p2,p3,p4,p5"
+HEATMAP_CSV_UNITS = (
+    "# units: sector=label, month=YYYY-MM, mean_lambda_norm=dimensionless, window_count=count"
+)
+HEATMAP_CSV_HEADER = "sector,month,mean_lambda_norm,window_count"
+OBS_CSV_UNITS = (
+    "# units: market=label, window_end=ISO-8601 date, delta=dimensionless, "
+    "rho_bar=dimensionless, sigma_hist=% annualized, sigma_mvp=% annualized, "
+    "sigma_ew=% annualized, tickers=semicolon-joined labels"
+)
+OBS_CSV_HEADER = "market,window_end,delta,rho_bar,sigma_hist,sigma_mvp,sigma_ew,tickers"
+
+
+def _cell(x) -> str:
+    """A float (NumPy float64 too) to 9 significant digits, a date to ISO-8601."""
+    if isinstance(x, float):
+        return format(x, ".9g")
+    if isinstance(x, date):
+        return x.isoformat()
+    return str(x)
+
+
+def _json_value(x):
+    """The _cell rule for JSON: a rounded float stays a number; None, ints and labels pass."""
+    if isinstance(x, float):
+        return float(_cell(x))
+    return _cell(x) if isinstance(x, date) else x
+
+
+def _write_table(path, units: str, header: str, rows) -> None:
+    lines = [units, header, *(",".join(map(_cell, row)) for row in rows)]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _gap_row(s) -> tuple:
+    """The GAP_CSV_HEADER fields of one spectral summary."""
+    return (s.end_date, s.n_assets, s.lambda_max, s.lambda_norm, s.rho_signed, s.rho_abs,
+            s.delta, s.mp.lower, s.mp.upper, s.n_above_mp)
+
+
+def _write_gap_jsonl(series, path) -> None:
+    keys = GAP_CSV_HEADER.split(",")
+    with open(path, "w", encoding="utf-8") as fh:
+        for s in series.summaries:
+            record = dict(zip(keys, map(_json_value, _gap_row(s))),
+                          rho_mode=s.rho_mode, norm_mode=s.norm_mode)
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _interval_dict(interval) -> dict | None:
+    if interval is None:
+        return None
+    return {"start": interval[0].isoformat(), "end": interval[1].isoformat()}
+
+
+def _phases_dict(phases) -> dict:
+    return {
+        "event_date": phases.event_date.isoformat(),
+        "pre_shock": _interval_dict(phases.pre_shock),
+        "shock": _interval_dict(phases.shock),
+        "false_recovery": _interval_dict(phases.false_recovery),
+        "stabilized": _interval_dict(phases.stabilized),
+        "threshold_met": phases.threshold_met,
+        "sustained_start": _json_value(phases.sustained_start),
+    }
+
+
+def _phase_stats_dict(stats) -> dict:
+    def stat(s):
+        if s is None:
+            return None
+        return {"mean_nats": _json_value(s.mean), "std_nats": _json_value(s.std), "n": s.count}
+
+    return {
+        "pre_shock": stat(stats.pre_shock),
+        "shock": stat(stats.shock),
+        "false_recovery": stat(stats.false_recovery),
+        "stabilized": stat(stats.stabilized),
+        "false_recovery_p95_nats": _json_value(stats.false_recovery_p95),
+        "percentile_method": stats.percentile_method,
+    }
+
+
+def _report_dict(report) -> dict:
+    def spear(s):
+        return None if s is None else {"rho": _json_value(s.rho),
+                                       "p_value": _json_value(s.p_value)}
+
+    def subperiod(t):
+        return None if t is None else {"rho": _json_value(t[0]),
+                                       "p_value": _json_value(t[1]), "n": t[2]}
+
+    return {
+        "market": report.market,
+        "n_observations": report.n_observations,
+        "event_date": _json_value(report.event_date),
+        "spearman_delta_mvp": spear(report.spearman_delta_mvp),
+        "spearman_delta_ew": spear(report.spearman_delta_ew),
+        "quintile_mean_sigma_mvp_pct": [_json_value(m) for m in report.quintile_mean_sigma_mvp],
+        "ls_spread_pct": _json_value(report.ls_spread),
+        "benchmark_spearman_rho_bar": spear(report.benchmark_spearman_rho_bar),
+        "benchmark_spearman_sigma_hist": spear(report.benchmark_spearman_sigma_hist),
+        "incr_r2_over_rho_bar": _json_value(report.incr_r2_over_rho_bar),
+        "incr_r2_over_sigma_hist": _json_value(report.incr_r2_over_sigma_hist),
+        "pre_shock_spearman": subperiod(report.pre_shock),
+        "post_shock_spearman": subperiod(report.post_shock),
+    }
 
 
 # ---------- Small helpers ----------
-
-def _round9(x: float) -> float:
-    return float(_fmt(x))
-
 
 def _sha256(path) -> str:
     h = hashlib.sha256()
@@ -139,19 +246,20 @@ def run_gap(config: dict) -> None:
         returns = log_returns(sub)
         series = gap_series(returns, gap_cfg)
         name = _slug(market)
-        write_gap_csv(series, out / f"gap_{name}.csv")
-        write_gap_jsonl(series, out / f"gap_{name}.jsonl")
+        _write_table(out / f"gap_{name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
+                     map(_gap_row, series.summaries))
+        _write_gap_jsonl(series, out / f"gap_{name}.jsonl")
         outputs += [f"gap_{name}.csv", f"gap_{name}.jsonl"]
         deltas = series.deltas
         summary["markets"][market] = {
             "n_windows": len(series.summaries),
             "n_dropped_windows": len(series.dropped),
-            "delta_mean": _round9(deltas.mean()) if deltas.size else None,
-            "delta_min": _round9(deltas.min()) if deltas.size else None,
-            "delta_max": _round9(deltas.max()) if deltas.size else None,
-            "max_abs_delta": _round9(max(abs(deltas.min()), abs(deltas.max())))
+            "delta_mean": _json_value(deltas.mean()) if deltas.size else None,
+            "delta_min": _json_value(deltas.min()) if deltas.size else None,
+            "delta_max": _json_value(deltas.max()) if deltas.size else None,
+            "max_abs_delta": _json_value(max(abs(deltas.min()), abs(deltas.max())))
             if deltas.size else None,
-            "lambda_norm_mean": _round9(series.lambda_norms.mean()) if deltas.size else None,
+            "lambda_norm_mean": _json_value(series.lambda_norms.mean()) if deltas.size else None,
         }
         if config.get("by_sector"):
             sectors_summary = {}
@@ -164,11 +272,12 @@ def run_gap(config: dict) -> None:
                     )
                 sector_series = gap_series(log_returns(sub.restrict(members)), gap_cfg)
                 sec_name = f"{name}_{_slug(sector)}"
-                write_gap_csv(sector_series, out / f"gap_{sec_name}.csv")
+                _write_table(out / f"gap_{sec_name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
+                             map(_gap_row, sector_series.summaries))
                 outputs.append(f"gap_{sec_name}.csv")
                 sectors_summary[sector] = {
                     "n_windows": len(sector_series.summaries),
-                    "delta_mean": _round9(sector_series.deltas.mean())
+                    "delta_mean": _json_value(sector_series.deltas.mean())
                     if sector_series.summaries else None,
                 }
             summary["markets"][market]["sectors"] = sectors_summary
@@ -177,37 +286,20 @@ def run_gap(config: dict) -> None:
     _write_manifest(out, "gap", config, _input_paths(config), outputs)
 
 
-def _write_entropy_csv(series, path) -> None:
-    lines = [ENTROPY_CSV_UNITS, ENTROPY_CSV_HEADER]
-    for i, d in enumerate(series.dates):
-        probs = ",".join(_fmt(p) for p in series.probabilities[i])
-        lines.append(f"{d.isoformat()},{series.n_stocks[i]},{_fmt(series.values[i])},{probs}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _phase_stats_dict(stats) -> dict:
-    def stat(s):
-        if s is None:
-            return None
-        return {
-            "mean_nats": _round9(s.mean),
-            "std_nats": _round9(s.std) if s.std is not None else None,
-            "n": s.count,
-        }
-
-    return {
-        "pre_shock": stat(stats.pre_shock),
-        "shock": stat(stats.shock),
-        "false_recovery": stat(stats.false_recovery),
-        "stabilized": stat(stats.stabilized),
-        "false_recovery_p95_nats": _round9(stats.false_recovery_p95)
-        if stats.false_recovery_p95 is not None else None,
-        "percentile_method": stats.percentile_method,
-    }
-
-
 def run_entropy(config: dict) -> None:
+    start, end = config.get("stabilized_start"), config.get("stabilized_end")
+    if (start or end) and not config.get("event_date"):
+        raise UsageError("--stabilized-start and --stabilized-end need --event-date")
+    if bool(start) != bool(end):
+        raise UsageError("--stabilized-start and --stabilized-end go together")
+    if start and date.fromisoformat(start) > date.fromisoformat(end):
+        raise UsageError(f"--stabilized-start {start} is after --stabilized-end {end}")
+    params = SegmentationParams(
+        shock_halfwidth=config["shock_halfwidth"],
+        threshold=config["entropy_threshold"],
+        sustain_days=config["sustain_days"],
+        stabilized=(date.fromisoformat(start), date.fromisoformat(end)) if start else None,
+    )
     out = _out_dir(config)
     panel = _load_panel(config)
     outputs: list[str] = []
@@ -216,27 +308,16 @@ def run_entropy(config: dict) -> None:
         returns = log_returns(sub)
         series = entropy_series(returns, length=config["window"], step=config["step"])
         name = _slug(market)
-        _write_entropy_csv(series, out / f"entropy_{name}.csv")
+        _write_table(out / f"entropy_{name}.csv", ENTROPY_CSV_UNITS, ENTROPY_CSV_HEADER, (
+            (d, series.n_stocks[i], series.values[i], *series.probabilities[i])
+            for i, d in enumerate(series.dates)))
         outputs.append(f"entropy_{name}.csv")
         if config.get("event_date"):
             event = date.fromisoformat(config["event_date"])
-            if bool(config.get("stabilized_start")) != bool(config.get("stabilized_end")):
-                raise UsageError("--stabilized-start and --stabilized-end go together")
-            params = SegmentationParams(
-                shock_halfwidth=config["shock_halfwidth"],
-                threshold=config["entropy_threshold"],
-                sustain_days=config["sustain_days"],
-                stabilized=(
-                    (date.fromisoformat(config["stabilized_start"]),
-                     date.fromisoformat(config["stabilized_end"]))
-                    if config.get("stabilized_start")
-                    else None
-                ),
-            )
             phases = phase_segmentation(series.dates, series.values, event, params=params)
             stats = phase_statistics(series, phases)
             _write_json(
-                {"phases": phase_windows_to_dict(phases), "statistics": _phase_stats_dict(stats)},
+                {"phases": _phases_dict(phases), "statistics": _phase_stats_dict(stats)},
                 out / f"phases_{name}.json",
             )
             outputs.append(f"phases_{name}.json")
@@ -248,16 +329,18 @@ def run_heatmap(config: dict) -> None:
     if config.get("meta") is None:
         raise UsageError("heatmap requires --meta with sector labels")
     panel = _load_panel(config)
-    gap_cfg = GapConfig(
-        window=config["window"], step=config["step"],
-        rho_mode=config["rho_mode"], norm_mode=config["norm_mode"],
-    )
+    # lambda_norm does not depend on the rho mode, so the heatmap takes none.
+    gap_cfg = GapConfig(window=config["window"], step=config["step"],
+                        norm_mode=config["norm_mode"])
     outputs: list[str] = []
     for market in panel.markets():
         sub = panel.market_panel(market)
         grid = monthly_sector_heatmap(log_returns(sub), sub.sector_of, gap_cfg)
         name = _slug(market)
-        write_heatmap_csv(grid, out / f"heatmap_{name}.csv")
+        _write_table(out / f"heatmap_{name}.csv", HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER, (
+            (sector, month, grid.mean_lambda_norm[sector, month], grid.window_count[sector, month])
+            for sector in grid.sectors for month in grid.months
+            if (sector, month) in grid.mean_lambda_norm))
         outputs.append(f"heatmap_{name}.csv")
     _write_manifest(out, "heatmap", config, _input_paths(config), outputs)
 
@@ -282,12 +365,15 @@ def run_portfolio(config: dict) -> None:
             log_returns(sub), study_cfg, seed=config["seed"], market=market, stream=stream
         )
         results.append(result)
-        reports[market] = report_to_dict(quintile_report(result.observations, event))
+        reports[market] = _report_dict(quintile_report(result.observations, event))
         reports[market]["skipped_windows"] = [
             {"window_index": w, "reason": reason} for w, reason in result.skipped_windows
         ]
         reports[market]["skipped_portfolios"] = result.skipped_portfolios
-    write_observations_csv(results, out / "observations.csv")
+    _write_table(out / "observations.csv", OBS_CSV_UNITS, OBS_CSV_HEADER, (
+        (o.market, o.window_end, o.delta, o.rho_bar, o.sigma_hist, o.sigma_mvp, o.sigma_ew,
+         ";".join(o.tickers))
+        for result in results for o in result.observations))
     report = {
         "study": {
             "formation": study_cfg.formation,
@@ -465,7 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("heatmap", help="monthly sector heatmap of lambda_norm")
     _add_common_inputs(p, need_meta=True)
     _add_window_flags(p)
-    p.add_argument("--rho-mode", choices=("signed", "abs"), default="signed")
     p.add_argument("--norm-mode", choices=("excess", "plain"), default="excess")
 
     p = sub.add_parser("portfolio", help="rolling Monte Carlo portfolio risk study")

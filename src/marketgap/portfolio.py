@@ -22,19 +22,10 @@ from .errors import (
     UsageError,
 )
 from .panel import ReturnPanel
-from .regimes import _fmt
 from .spectral import correlation_spectrum
 
 
 # ---------- Domain types ----------
-
-@dataclass(eq=False)
-class CovarianceMatrix:
-    """Sample covariance of raw formation returns (population 1/T denominator)."""
-
-    assets: list[str]
-    values: np.ndarray
-
 
 class SpearmanResult(NamedTuple):
     rho: float
@@ -120,8 +111,8 @@ class QuintileReport:
 
 # ---------- Weight construction ----------
 
-def covariance_matrix(values: np.ndarray, assets: list[str] | None = None) -> CovarianceMatrix:
-    """Covariance of raw returns, assets as rows, population (1/T) denominator."""
+def covariance_matrix(values: np.ndarray) -> np.ndarray:
+    """Symmetric covariance of raw returns, assets as rows, population (1/T) denominator."""
     x = np.asarray(values, dtype=float)
     if x.ndim != 2 or x.shape[0] < 2:
         raise UsageError(f"covariance needs a (n_assets >= 2, n_obs) block, got {x.shape}")
@@ -129,19 +120,17 @@ def covariance_matrix(values: np.ndarray, assets: list[str] | None = None) -> Co
         raise DataError("covariance input contains missing returns; filter assets first")
     centered = x - x.mean(axis=1, keepdims=True)
     v = centered @ centered.T / x.shape[1]
-    v = (v + v.T) / 2.0
-    names = assets if assets is not None else [f"A{i}" for i in range(x.shape[0])]
-    return CovarianceMatrix(assets=list(names), values=v)
+    return (v + v.T) / 2.0
 
 
-def mvp_weights(cov: CovarianceMatrix | np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def mvp_weights(cov: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
     """Fully invested minimum-variance weights q = V+ 1 / (1' V+ 1).
 
     Uses the Moore-Penrose pseudo-inverse (singular values below rtol * s_max
     are treated as zero), so rank-deficient covariances still yield weights;
     shorting is allowed. Raises DegeneratePortfolioError when 1'V+1 vanishes.
     """
-    v = cov.values if isinstance(cov, CovarianceMatrix) else np.asarray(cov, dtype=float)
+    v = np.asarray(cov, dtype=float)
     pinv = np.linalg.pinv(v, rcond=rtol)
     ones = np.ones(v.shape[0])
     numer = pinv @ ones
@@ -203,8 +192,8 @@ def _window_observations(
         # Shared population-1/T moments give both the covariance for the
         # weights and the correlation for the gap of the same subset.
         cov = covariance_matrix(x)
-        d = np.sqrt(np.diag(cov.values))
-        spectrum = correlation_spectrum(cov.values / np.outer(d, d))
+        d = np.sqrt(np.diag(cov))
+        spectrum = correlation_spectrum(cov / np.outer(d, d))
         rho_bar = spectrum.rho_signed
         delta = (spectrum.lambda_max - 1.0) / (n - 1.0) - rho_bar
 
@@ -282,6 +271,18 @@ def run_portfolio_study(
 
 # ---------- Statistics ----------
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their positions."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    new_value = np.r_[True, xs[1:] != xs[:-1]]
+    bounds = np.r_[np.flatnonzero(new_value), x.size]  # tie groups are [bounds[g], bounds[g+1])
+    group = np.cumsum(new_value) - 1
+    ranks = np.empty(x.size)
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
+
+
 def spearman(x, y) -> SpearmanResult:
     """Spearman rank correlation with average ranks for ties.
 
@@ -300,12 +301,12 @@ def spearman(x, y) -> SpearmanResult:
         raise DataError("spearman inputs contain NaN")
     if np.all(xv == xv[0]) or np.all(yv == yv[0]):
         raise UndefinedCorrelationError("zero rank variance: correlation undefined")
-    # Imported here: scipy.stats costs about a second at start-up, and only the
+    # Imported here: scipy.special costs ~0.3 s of start-up, and only the
     # portfolio report needs it.
-    from scipy import stats as sstats
+    from scipy.special import stdtr
 
-    rx = sstats.rankdata(xv, method="average")
-    ry = sstats.rankdata(yv, method="average")
+    rx = _average_ranks(xv)
+    ry = _average_ranks(yv)
     rx -= rx.mean()
     ry -= ry.mean()
     rho = float(rx @ ry / math.sqrt((rx @ rx) * (ry @ ry)))
@@ -313,7 +314,7 @@ def spearman(x, y) -> SpearmanResult:
     if abs(rho) >= 1.0:
         return SpearmanResult(rho=rho, p_value=0.0)
     tstat = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(sstats.t.sf(abs(tstat), df=n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(tstat)))  # the t survival function at |t|
     return SpearmanResult(rho=rho, p_value=min(1.0, p))
 
 
@@ -408,58 +409,3 @@ def quintile_report(
         post_shock=post,
     )
 
-
-# ---------- Serialization ----------
-
-OBS_CSV_HEADER = "market,window_end,delta,rho_bar,sigma_hist,sigma_mvp,sigma_ew,tickers"
-OBS_CSV_UNITS = (
-    "# units: market=label, window_end=ISO-8601 date, delta=dimensionless, "
-    "rho_bar=dimensionless, sigma_hist=% annualized, sigma_mvp=% annualized, "
-    "sigma_ew=% annualized, tickers=semicolon-joined labels"
-)
-
-
-def write_observations_csv(results: list[StudyResult], path) -> None:
-    lines = [OBS_CSV_UNITS, OBS_CSV_HEADER]
-    for result in results:
-        for o in result.observations:
-            lines.append(",".join([
-                o.market,
-                o.window_end.isoformat(),
-                _fmt(o.delta),
-                _fmt(o.rho_bar),
-                _fmt(o.sigma_hist),
-                _fmt(o.sigma_mvp),
-                _fmt(o.sigma_ew),
-                ";".join(o.tickers),
-            ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def report_to_dict(report: QuintileReport) -> dict:
-    def spear(s: SpearmanResult | None) -> dict | None:
-        if s is None:
-            return None
-        return {"rho": float(_fmt(s.rho)), "p_value": float(_fmt(s.p_value))}
-
-    def subperiod(t):
-        if t is None:
-            return None
-        return {"rho": float(_fmt(t[0])), "p_value": float(_fmt(t[1])), "n": t[2]}
-
-    return {
-        "market": report.market,
-        "n_observations": report.n_observations,
-        "event_date": report.event_date.isoformat() if report.event_date else None,
-        "spearman_delta_mvp": spear(report.spearman_delta_mvp),
-        "spearman_delta_ew": spear(report.spearman_delta_ew),
-        "quintile_mean_sigma_mvp_pct": [float(_fmt(m)) for m in report.quintile_mean_sigma_mvp],
-        "ls_spread_pct": float(_fmt(report.ls_spread)),
-        "benchmark_spearman_rho_bar": spear(report.benchmark_spearman_rho_bar),
-        "benchmark_spearman_sigma_hist": spear(report.benchmark_spearman_sigma_hist),
-        "incr_r2_over_rho_bar": float(_fmt(report.incr_r2_over_rho_bar)),
-        "incr_r2_over_sigma_hist": float(_fmt(report.incr_r2_over_sigma_hist)),
-        "pre_shock_spearman": subperiod(report.pre_shock),
-        "post_shock_spearman": subperiod(report.post_shock),
-    }

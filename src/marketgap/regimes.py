@@ -1,7 +1,6 @@
 """Gap time series, shock-phase segmentation, and monthly sector heatmaps."""
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from datetime import date
@@ -97,7 +96,6 @@ class SegmentationParams:
     shock_halfwidth: int = 2
     threshold: float = 1.0
     sustain_days: int = 20
-    pre_shock: Interval | None = None
     stabilized: Interval | None = None
     fixed_intervals: dict[str, Interval] | None = None
 
@@ -182,6 +180,8 @@ def phase_segmentation(
 
     if rule != "threshold_based":
         raise UsageError(f"unknown segmentation rule {rule!r}")
+    if params.stabilized is not None:
+        _check_interval("stabilized", params.stabilized)
 
     if not dates[0] <= event_date <= dates[-1]:
         raise DataError(
@@ -196,11 +196,7 @@ def phase_segmentation(
             f"series does not cover event date +- {k} trading days"
         )
     shock = (dates[e_idx - k], dates[e_idx + k])
-    pre = params.pre_shock
-    if pre is None:
-        pre = (dates[0], dates[e_idx - k - 1]) if e_idx - k >= 1 else None
-    if pre is not None:
-        _check_interval("pre_shock", pre)
+    pre = (dates[0], dates[e_idx - k - 1]) if e_idx - k >= 1 else None
 
     post_start = e_idx + k + 1
     m = params.sustain_days
@@ -228,13 +224,11 @@ def phase_segmentation(
             if sustained_idx > post_start
             else None
         )
-        stabilized = params.stabilized or (dates[sustained_idx], dates[-1])
-        _check_interval("stabilized", stabilized)
         phases = PhaseWindows(
             pre_shock=pre,
             shock=shock,
             false_recovery=false_recovery,
-            stabilized=stabilized,
+            stabilized=params.stabilized or (dates[sustained_idx], dates[-1]),
             event_date=event_date,
             threshold_met=True,
             sustained_start=dates[sustained_idx],
@@ -310,99 +304,3 @@ def monthly_sector_heatmap(
         omitted_windows=omitted,
     )
 
-
-# ---------- Serialization ----------
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
-GAP_CSV_HEADER = (
-    "end_date,n_assets,lambda_max,lambda_norm,rho_signed,rho_abs,delta,"
-    "mp_lower,mp_upper,n_above_mp"
-)
-GAP_CSV_UNITS = (
-    "# units: end_date=ISO-8601 date, n_assets=count, lambda_max=dimensionless, "
-    "lambda_norm=dimensionless, rho_signed=dimensionless, rho_abs=dimensionless, "
-    "delta=dimensionless, mp_lower=dimensionless, mp_upper=dimensionless, n_above_mp=count"
-)
-
-
-def write_gap_csv(series: GapSeries, path) -> None:
-    lines = [GAP_CSV_UNITS, GAP_CSV_HEADER]
-    for s in series.summaries:
-        lines.append(",".join([
-            s.end_date.isoformat(),
-            str(s.n_assets),
-            _fmt(s.lambda_max),
-            _fmt(s.lambda_norm),
-            _fmt(s.rho_signed),
-            _fmt(s.rho_abs),
-            _fmt(s.delta),
-            _fmt(s.mp.lower),
-            _fmt(s.mp.upper),
-            str(s.n_above_mp),
-        ]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def summary_to_dict(s: SpectralSummary) -> dict:
-    return {
-        "end_date": s.end_date.isoformat(),
-        "n_assets": s.n_assets,
-        "lambda_max": float(_fmt(s.lambda_max)),
-        "lambda_norm": float(_fmt(s.lambda_norm)),
-        "rho_signed": float(_fmt(s.rho_signed)),
-        "rho_abs": float(_fmt(s.rho_abs)),
-        "delta": float(_fmt(s.delta)),
-        "rho_mode": s.rho_mode,
-        "norm_mode": s.norm_mode,
-        "mp_lower": float(_fmt(s.mp.lower)),
-        "mp_upper": float(_fmt(s.mp.upper)),
-        "n_above_mp": s.n_above_mp,
-    }
-
-
-def write_gap_jsonl(series: GapSeries, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for s in series.summaries:
-            fh.write(json.dumps(summary_to_dict(s), sort_keys=True) + "\n")
-
-
-HEATMAP_CSV_HEADER = "sector,month,mean_lambda_norm,window_count"
-HEATMAP_CSV_UNITS = (
-    "# units: sector=label, month=YYYY-MM, mean_lambda_norm=dimensionless, window_count=count"
-)
-
-
-def write_heatmap_csv(grid: HeatmapGrid, path) -> None:
-    lines = [HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER]
-    for sector in grid.sectors:
-        for month in grid.months:
-            key = (sector, month)
-            if key in grid.mean_lambda_norm:
-                lines.append(
-                    f"{sector},{month},{_fmt(grid.mean_lambda_norm[key])},{grid.window_count[key]}"
-                )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def phase_windows_to_dict(phases: PhaseWindows) -> dict:
-    def iv(interval):
-        if interval is None:
-            return None
-        return {"start": interval[0].isoformat(), "end": interval[1].isoformat()}
-
-    return {
-        "event_date": phases.event_date.isoformat(),
-        "pre_shock": iv(phases.pre_shock),
-        "shock": iv(phases.shock),
-        "false_recovery": iv(phases.false_recovery),
-        "stabilized": iv(phases.stabilized),
-        "threshold_met": phases.threshold_met,
-        "sustained_start": (
-            phases.sustained_start.isoformat() if phases.sustained_start else None
-        ),
-    }

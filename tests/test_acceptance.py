@@ -130,7 +130,7 @@ def test_criterion_06_mvp_in_sample_optimality():
     ok = True
     for _ in range(100):
         a = rng.standard_normal((10, 40)) * rng.uniform(0.005, 0.03)
-        v = covariance_matrix(a).values
+        v = covariance_matrix(a)
         q = mvp_weights(v)
         ok &= abs(q.sum() - 1.0) <= 1e-10
         mvp_var = float(q @ v @ q)

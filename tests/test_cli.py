@@ -221,6 +221,21 @@ def test_entropy_phases_json_shape(tmp_path, synth_dir):
     assert stats["false_recovery_p95_nats"] <= 1.7917595
 
 
+@pytest.mark.parametrize("flags", [
+    ("--stabilized-start", "2025-06-01"),
+    ("--stabilized-end", "2025-06-01"),
+    ("--event-date", "truth", "--stabilized-start", "2025-06-01"),
+    ("--event-date", "truth", "--stabilized-start", "2025-06-01",
+     "--stabilized-end", "2025-01-01", "--entropy-threshold", "5"),
+], ids=["start_without_event", "end_without_event", "start_alone", "reversed_never_met"])
+def test_entropy_stabilized_flags_checked_before_any_output(tmp_path, synth_dir, flags):
+    truth = json.loads((synth_dir / "truth.json").read_text())
+    flags = [truth["event_date"] if f == "truth" else f for f in flags]
+    out = tmp_path / "ent"
+    assert run("entropy", "--prices", synth_dir / "prices.csv", *flags, "--out-dir", out) == 2
+    assert not out.exists()
+
+
 def test_entropy_event_outside_range_is_exit_3(tmp_path, synth_dir):
     out = tmp_path / "ent"
     assert run("entropy", "--prices", synth_dir / "prices.csv",
@@ -248,6 +263,14 @@ def test_heatmap_requires_meta(tmp_path, synth_dir):
     with pytest.raises(SystemExit) as exc:
         run("heatmap", "--prices", synth_dir / "prices.csv",
             "--out-dir", tmp_path / "h")
+    assert exc.value.code == 2
+
+
+def test_heatmap_rejects_rho_mode_flag(tmp_path, synth_dir):
+    # lambda_norm, the only heatmap value, does not depend on the rho mode.
+    with pytest.raises(SystemExit) as exc:
+        run("heatmap", "--prices", synth_dir / "prices.csv", "--meta", synth_dir / "meta.csv",
+            "--rho-mode", "abs", "--out-dir", tmp_path / "h")
     assert exc.value.code == 2
 
 
@@ -387,6 +410,22 @@ def test_rerun_accepts_manifest_with_threads(tmp_path, synth_dir):
         assert digest(first / name) == digest(second / name)
 
 
+def test_rerun_accepts_heatmap_manifest_with_rho_mode(tmp_path, synth_dir):
+    # Heatmap manifests written while the command still took --rho-mode record
+    # it in the config; replaying one ignores it and reproduces the outputs.
+    first = tmp_path / "first"
+    assert run("heatmap", "--prices", synth_dir / "prices.csv",
+               "--meta", synth_dir / "meta.csv", "--window", 30, "--out-dir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"]["rho_mode"] = "abs"
+    old = tmp_path / "old_manifest.json"
+    old.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    second = tmp_path / "second"
+    assert run("rerun", "--manifest", old, "--out-dir", second) == 0
+    for name in manifest["outputs"]:
+        assert digest(first / name) == digest(second / name)
+
+
 def test_manifest_contents(tmp_path, synth_dir):
     out = tmp_path / "gap"
     assert run("gap", "--prices", synth_dir / "prices.csv", "--window", 30,
@@ -407,8 +446,23 @@ def test_version_flag():
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of start-up; only `spearman` may load it.
+    # scipy.stats costs about a second of start-up, and nothing needs it: neither
+    # the CLI import nor a portfolio report with its Spearman p-values loads it.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import marketgap.cli, sys; assert 'scipy.stats' not in sys.modules"
+    code = "\n".join([
+        "import sys",
+        "from datetime import date",
+        "import numpy as np",
+        "import marketgap.cli",
+        "assert 'scipy.stats' not in sys.modules",
+        "from marketgap.portfolio import PortfolioObservation, quintile_report",
+        "rng = np.random.default_rng(0)",
+        "obs = [PortfolioObservation('M', 0, date(2025, 1, 2 + k % 2), ('A', 'B'),",
+        "                            *rng.normal(size=5), seed_key=(k,)) for k in range(20)]",
+        "report = quintile_report(obs, date(2025, 1, 3))",
+        "assert 0.0 < report.spearman_delta_mvp.p_value < 1.0",
+        "assert report.pre_shock is not None and report.post_shock is not None",
+        "assert 'scipy.stats' not in sys.modules",
+    ])
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

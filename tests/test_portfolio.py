@@ -38,22 +38,23 @@ def test_covariance_identical_series_rank_one():
     x = np.array([0.01, -0.02, 0.03, 0.0])
     cov = covariance_matrix(np.vstack([x, x]))
     var = np.mean((x - x.mean()) ** 2)  # population denominator
-    np.testing.assert_allclose(cov.values, np.full((2, 2), var), atol=1e-18)
-    assert np.linalg.matrix_rank(cov.values) == 1
+    np.testing.assert_allclose(cov, np.full((2, 2), var), atol=1e-18)
+    assert np.linalg.matrix_rank(cov) == 1
 
 
 def test_covariance_uncorrelated_near_diagonal():
     rng = np.random.default_rng(10)
     x = rng.standard_normal((4, 4000)) * 0.01
     cov = covariance_matrix(x)
-    off = cov.values[~np.eye(4, dtype=bool)]
-    assert np.abs(off).max() < 0.2 * np.diag(cov.values).min()
+    np.testing.assert_array_equal(cov, cov.T)
+    off = cov[~np.eye(4, dtype=bool)]
+    assert np.abs(off).max() < 0.2 * np.diag(cov).min()
 
 
 def test_covariance_constant_asset_zero_row():
     x = np.vstack([np.full(5, 0.01), np.array([0.01, -0.02, 0.0, 0.03, 0.01])])
     cov = covariance_matrix(x)
-    np.testing.assert_allclose(cov.values[0], 0.0, atol=1e-18)
+    np.testing.assert_allclose(cov[0], 0.0, atol=1e-18)
 
 
 def test_covariance_rejects_missing_and_tiny():
@@ -94,7 +95,7 @@ def test_mvp_in_sample_optimality():
     rng = np.random.default_rng(2025)
     for _ in range(30):
         a = rng.standard_normal((10, 40)) * 0.01
-        v = covariance_matrix(a).values
+        v = covariance_matrix(a)
         q = mvp_weights(v)
         assert q.sum() == pytest.approx(1.0, abs=1e-10)
         mvp_var = q @ v @ q

@@ -124,6 +124,15 @@ def test_segmentation_never_exceeding_threshold_sets_warning():
     assert phases.stabilized is None and phases.sustained_start is None
 
 
+@pytest.mark.parametrize("values", [[0.5] * 60, [0.5] * 30 + [1.4] * 30],
+                         ids=["threshold_never_met", "threshold_met"])
+def test_segmentation_rejects_reversed_stabilized_interval(values):
+    dates, values = entropy_like(values)
+    params = SegmentationParams(stabilized=(dates[-1], dates[40]))
+    with pytest.raises(DataError, match="reversed"):
+        phase_segmentation(dates, values, dates[10], params=params)
+
+
 def test_segmentation_ties_at_threshold_do_not_count():
     # Exactly 1.0 is not "strictly above"; the run never qualifies.
     dates, values = entropy_like([0.5] * 10 + [1.0] * 50)
