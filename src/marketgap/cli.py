@@ -13,8 +13,10 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 import sys
+from collections import Counter
 from datetime import date
 from pathlib import Path
 
@@ -207,6 +209,10 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list, out
     _write_json(manifest, out_dir / "manifest.json")
 
 
+# The config keys that name input files.
+_INPUT_KEYS = ("prices", "meta", "scenario")
+
+
 def _load_panel(config: dict):
     return load_price_panel(
         config["prices"], layout=config.get("layout", "long"), metadata=config.get("meta")
@@ -214,7 +220,7 @@ def _load_panel(config: dict):
 
 
 def _input_paths(config: dict) -> list:
-    return [p for p in (config.get("prices"), config.get("meta"), config.get("scenario")) if p]
+    return [config[key] for key in _INPUT_KEYS if config.get(key)]
 
 
 def _out_dir(config: dict) -> Path:
@@ -230,6 +236,15 @@ def run_gap(config: dict) -> None:
         raise UsageError("--by-sector requires --meta with sector labels")
     out = _out_dir(config)
     panel = _load_panel(config)
+    if config.get("by_sector"):
+        # Every sector of every market is checked before any file is written.
+        sizes = Counter((panel.market_of[t], panel.sector_of[t]) for t in panel.tickers)
+        for (market, sector), size in sorted(sizes.items()):
+            if size < 2:
+                raise DataError(
+                    f"sector {sector!r} in market {market!r} has {size} "
+                    "ticker(s); need >= 2 for --by-sector"
+                )
     gap_cfg = GapConfig(
         window=config["window"],
         step=config["step"],
@@ -265,11 +280,6 @@ def run_gap(config: dict) -> None:
             sectors_summary = {}
             for sector in sub.sectors():
                 members = [t for t in sub.tickers if sub.sector_of[t] == sector]
-                if len(members) < 2:
-                    raise DataError(
-                        f"sector {sector!r} in market {market!r} has {len(members)} "
-                        "ticker(s); need >= 2 for --by-sector"
-                    )
                 sector_series = gap_series(log_returns(sub.restrict(members)), gap_cfg)
                 sec_name = f"{name}_{_slug(sector)}"
                 _write_table(out / f"gap_{sec_name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
@@ -585,7 +595,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
+    """The run config; input paths are made absolute so a manifest reruns from any directory."""
     config = {k: v for k, v in vars(args).items() if k != "command"}
+    for key in _INPUT_KEYS:
+        if config.get(key):
+            config[key] = os.path.abspath(config[key])
     return config
 
 

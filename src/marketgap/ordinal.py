@@ -15,7 +15,7 @@ from datetime import date
 import numpy as np
 
 from .errors import DegenerateWindowError, UsageError
-from .panel import ReturnPanel, rolling_windows
+from .panel import ReturnPanel, window_ends
 from .regimes import PhaseWindows
 
 # The 6 permutations of (0, 1, 2) in lexicographic order; index = pattern id.
@@ -27,16 +27,6 @@ MAX_ENTROPY = math.log(N_PATTERNS)
 _CODE_TO_INDEX = np.full(27, -1, dtype=np.int64)
 for _i, _p in enumerate(PATTERNS):
     _CODE_TO_INDEX[9 * _p[0] + 3 * _p[1] + _p[2]] = _i
-
-
-@dataclass(eq=False)
-class OrdinalDistribution:
-    """Pattern counts and frequencies across the eligible stocks on one date."""
-
-    date: date
-    counts: np.ndarray  # shape (6,), ints
-    probabilities: np.ndarray  # shape (6,), sums to 1
-    n_stocks: int
 
 
 @dataclass(eq=False)
@@ -73,41 +63,19 @@ class OrdinalPhaseStats:
 # ---------- Pattern extraction ----------
 
 def pattern_indices(triples: np.ndarray) -> np.ndarray:
-    """Vectorized pattern ids for a (3, n_stocks) block of return triples."""
-    if triples.shape[0] != 3:
-        raise UsageError(f"expected a (3, n) block, got shape {triples.shape}")
-    order = np.argsort(triples, axis=0, kind="stable")
-    codes = 9 * order[0] + 3 * order[1] + order[2]
+    """Vectorized pattern ids for a (..., 3, n_stocks) stack of return triples."""
+    if triples.ndim < 2 or triples.shape[-2] != 3:
+        raise UsageError(f"expected a (..., 3, n) block, got shape {triples.shape}")
+    order = np.argsort(triples, axis=-2, kind="stable")
+    codes = 9 * order[..., 0, :] + 3 * order[..., 1, :] + order[..., 2, :]
     return _CODE_TO_INDEX[codes]
 
 
-# ---------- Distributions and entropy ----------
+# ---------- Entropy ----------
 
-def cross_section_distribution(returns: ReturnPanel, when: date | int) -> OrdinalDistribution:
-    """Pattern distribution over stocks with complete returns at t-2, t-1, t."""
-    t = returns.date_index(when) if isinstance(when, date) else int(when)
-    if t < 2 or t >= returns.n_dates:
-        raise UsageError(f"date index {t} leaves no room for a 3-day triple")
-    triples = returns.values[t - 2:t + 1]  # (3, N)
-    eligible = np.isfinite(triples).all(axis=0)
-    n = int(np.count_nonzero(eligible))
-    if n == 0:
-        raise DegenerateWindowError(
-            f"no stock has complete returns for the triple ending {returns.dates[t].isoformat()}"
-        )
-    idx = pattern_indices(triples[:, eligible])
-    counts = np.bincount(idx, minlength=N_PATTERNS).astype(np.int64)
-    return OrdinalDistribution(
-        date=returns.dates[t],
-        counts=counts,
-        probabilities=counts / n,
-        n_stocks=n,
-    )
-
-
-def ordinal_entropy(dist) -> float:
+def ordinal_entropy(probabilities) -> float:
     """Shannon entropy in nats; zero-probability patterns contribute nothing."""
-    p = np.asarray(dist.probabilities if isinstance(dist, OrdinalDistribution) else dist, dtype=float)
+    p = np.asarray(probabilities, dtype=float)
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum() + 0.0)  # +0.0 normalizes -0.0
 
@@ -122,24 +90,26 @@ def entropy_series(
     Only the final three returns of each window feed the patterns; the window
     length just positions the series so it shares a date axis with the
     spectral gap series. A stock contributes on a date iff its t-2..t returns
-    are all present.
+    are all present; a date where none does raises DegenerateWindowError.
     """
-    windows = rolling_windows(returns, length, step)
-    dates: list[date] = []
-    values: list[float] = []
-    counts: list[int] = []
-    probs: list[np.ndarray] = []
-    for w in windows:
-        dist = cross_section_distribution(returns, w.end - 1)
-        dates.append(dist.date)
-        values.append(ordinal_entropy(dist))
-        counts.append(dist.n_stocks)
-        probs.append(dist.probabilities)
+    ends = window_ends(returns.n_dates, length, step)
+    triples = returns.values[(ends - 3)[:, np.newaxis] + np.arange(3)]  # (W, 3, N)
+    eligible = np.isfinite(triples).all(axis=1)  # (W, N)
+    n_stocks = np.count_nonzero(eligible, axis=1)
+    if not n_stocks.all():
+        first = returns.dates[ends[np.argmin(n_stocks)] - 1]
+        raise DegenerateWindowError(
+            f"no stock has complete returns for the triple ending {first.isoformat()}"
+        )
+    # Window k's patterns are counted in bins 6k .. 6k + 5.
+    bins = (N_PATTERNS * np.arange(ends.size)[:, np.newaxis] + pattern_indices(triples))[eligible]
+    counts = np.bincount(bins, minlength=N_PATTERNS * ends.size).reshape(-1, N_PATTERNS)
+    probabilities = counts / n_stocks[:, np.newaxis]
     return EntropySeries(
-        dates=dates,
-        values=np.array(values),
-        n_stocks=np.array(counts, dtype=np.int64),
-        probabilities=np.vstack(probs) if probs else np.zeros((0, N_PATTERNS)),
+        dates=[returns.dates[end - 1] for end in ends],
+        values=np.array([ordinal_entropy(p) for p in probabilities]),
+        n_stocks=n_stocks.astype(np.int64),
+        probabilities=probabilities,
         window_length=length,
         step=step,
     )

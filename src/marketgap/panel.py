@@ -59,20 +59,15 @@ class PricePanel:
     def sectors(self) -> list[str]:
         return sorted({self.sector_of[t] for t in self.tickers})
 
-    def restrict(self, tickers: list[str], drop_empty_dates: bool = True) -> "PricePanel":
-        """Column subset (given order), optionally dropping dates with no data left."""
+    def restrict(self, tickers: list[str]) -> "PricePanel":
+        """Column subset (given order), dropping dates with no data left."""
         column = {t: j for j, t in enumerate(self.tickers)}
-        idx = [column[t] for t in tickers]
-        close = self.close[:, idx]
-        dates = self.dates
-        if drop_empty_dates:
-            keep = np.isfinite(close).any(axis=1)
-            close = close[keep]
-            dates = [d for d, k in zip(self.dates, keep) if k]
+        close = self.close[:, [column[t] for t in tickers]]
+        keep = np.isfinite(close).any(axis=1)
         return PricePanel(
-            dates=dates,
+            dates=[d for d, k in zip(self.dates, keep) if k],
             tickers=list(tickers),
-            close=close.copy(),
+            close=close[keep],
             sector_of={t: self.sector_of[t] for t in tickers},
             market_of={t: self.market_of[t] for t in tickers},
         )
@@ -82,7 +77,7 @@ class PricePanel:
         members = [t for t in self.tickers if self.market_of[t] == market]
         if not members:
             raise DataError(f"no tickers labeled with market {market!r}")
-        return self.restrict(members, drop_empty_dates=True)
+        return self.restrict(members)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PricePanel):
@@ -111,33 +106,6 @@ class ReturnPanel:
     @property
     def n_assets(self) -> int:
         return len(self.tickers)
-
-    def date_index(self, d: date) -> int:
-        try:
-            return self.dates.index(d)
-        except ValueError:
-            raise DataError(f"date {d.isoformat()} is not in the return panel") from None
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """One end-anchored rolling window over return rows [end - length, end)."""
-
-    length: int
-    step: int
-    end: int  # 1-based end index into the return rows
-
-    def __post_init__(self):
-        if self.length < 3:
-            raise UsageError(f"window length must be >= 3, got {self.length}")
-        if self.step < 1:
-            raise UsageError(f"window step must be >= 1, got {self.step}")
-        if self.end < self.length:
-            raise UsageError("window end index lies before the window start")
-
-    @property
-    def start(self) -> int:
-        return self.end - self.length
 
 
 # ---------- File I/O ----------
@@ -343,13 +311,14 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
     return ReturnPanel(dates=panel.dates[1:], tickers=list(panel.tickers), values=values)
 
 
-def rolling_windows(returns: ReturnPanel, length: int, step: int = 1) -> list[WindowSpec]:
-    """End-anchored windows ending at rows length, length+step, ...; [] if too short."""
+def window_ends(n_dates: int, length: int, step: int = 1) -> np.ndarray:
+    """The rolling-window grid: 1-based end rows length, length + step, ... <= n_dates.
+
+    Window k covers rows [ends[k] - length, ends[k]); no window fits (the
+    result is empty) when n_dates < length.
+    """
     if length < 3:
         raise UsageError(f"window length must be >= 3, got {length}")
     if step < 1:
         raise UsageError(f"window step must be >= 1, got {step}")
-    n = returns.n_dates
-    if length > n:
-        return []
-    return [WindowSpec(length, step, end) for end in range(length, n + 1, step)]
+    return np.arange(length, n_dates + 1, step)

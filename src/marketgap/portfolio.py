@@ -21,7 +21,7 @@ from .errors import (
     UndefinedCorrelationError,
     UsageError,
 )
-from .panel import ReturnPanel
+from .panel import ReturnPanel, window_ends
 from .spectral import correlation_spectrum
 
 
@@ -87,7 +87,6 @@ class StudyResult:
     seed: int
     stream: int
     market: str
-    resampling: str = "per_window"
 
 
 @dataclass(frozen=True)
@@ -123,15 +122,15 @@ def covariance_matrix(values: np.ndarray) -> np.ndarray:
     return (v + v.T) / 2.0
 
 
-def mvp_weights(cov: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
+def mvp_weights(cov: np.ndarray) -> np.ndarray:
     """Fully invested minimum-variance weights q = V+ 1 / (1' V+ 1).
 
-    Uses the Moore-Penrose pseudo-inverse (singular values below rtol * s_max
+    Uses the Moore-Penrose pseudo-inverse (singular values below 1e-10 * s_max
     are treated as zero), so rank-deficient covariances still yield weights;
     shorting is allowed. Raises DegeneratePortfolioError when 1'V+1 vanishes.
     """
     v = np.asarray(cov, dtype=float)
-    pinv = np.linalg.pinv(v, rcond=rtol)
+    pinv = np.linalg.pinv(v, rcond=1e-10)
     ones = np.ones(v.shape[0])
     numer = pinv @ ones
     denom = float(ones @ numer)
@@ -169,18 +168,18 @@ def _window_observations(
     stream: int,
     market: str,
     w_idx: int,
-    start: int,
+    end: int,
 ) -> tuple[list[PortfolioObservation], int, str | None]:
     t, h, n = config.formation, config.test, config.n_stocks
-    form = returns.values[start:start + t]
-    test = returns.values[start + t:start + t + h]
+    form = returns.values[end - t:end]
+    test = returns.values[end:end + h]
     complete = ~(np.isnan(form).any(axis=0) | np.isnan(test).any(axis=0))
     form_std = form.std(axis=0)  # population; only the > 0 check matters here
     eligible = np.flatnonzero(complete & (form_std > 0.0))
     if eligible.size < n:
         return [], 0, f"{eligible.size} eligible stocks (need {n})"
 
-    end_date = returns.dates[start + t - 1]
+    end_date = returns.dates[end - 1]
     observations: list[PortfolioObservation] = []
     skipped = 0
     for p_idx in range(config.portfolios):
@@ -235,13 +234,14 @@ def run_portfolio_study(
 
     Stock subsets are redrawn each window from an RNG substream keyed by
     (seed, stream, window, portfolio), so a window's observations do not
-    depend on which other windows run. Windows advance by config.step
-    (default: the test length, giving non-overlapping test windows).
+    depend on which other windows run. The formation windows lie on the
+    `panel.window_ends` grid of the rows that leave room for a test window
+    after them, advancing by config.step (default: the test length, giving
+    non-overlapping test windows).
     """
     t, h = config.formation, config.test
-    step = config.effective_step
-    starts = list(range(0, returns.n_dates - t - h + 1, step))
-    if not starts:
+    ends = window_ends(returns.n_dates - h, t, config.effective_step)
+    if not ends.size:
         raise DataError(
             f"panel has {returns.n_dates} return rows; need >= {t + h} "
             "for one formation/test pair"
@@ -250,9 +250,9 @@ def run_portfolio_study(
     observations: list[PortfolioObservation] = []
     skipped_windows: list[tuple[int, str]] = []
     skipped_portfolios = 0
-    for w_idx, start in enumerate(starts):
+    for w_idx, end in enumerate(ends):
         obs, skipped, reason = _window_observations(
-            returns, config, seed, stream, market, w_idx, start
+            returns, config, seed, stream, market, w_idx, end
         )
         if reason is not None:
             skipped_windows.append((w_idx, reason))

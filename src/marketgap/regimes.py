@@ -8,7 +8,7 @@ from datetime import date
 import numpy as np
 
 from .errors import DataError, UsageError
-from .panel import ReturnPanel, rolling_windows
+from .panel import ReturnPanel
 from .spectral import NORM_MODES, RHO_MODES, SpectralSummary, rolling_spectra
 
 logger = logging.getLogger(__name__)
@@ -63,12 +63,11 @@ class GapSeries:
 
 def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeries:
     """One spectral summary per rolling window; degenerate windows are reported."""
-    windows = rolling_windows(returns, config.window, config.step)
     spectra = rolling_spectra(returns.values, config.window, config.step)
     summaries: list[SpectralSummary] = []
     dropped: list[DroppedWindow] = []
-    for k, w in enumerate(windows):
-        end_date = returns.dates[w.end - 1]
+    for k, end in enumerate(spectra.ends):
+        end_date = returns.dates[end - 1]
         if spectra.n_assets[k] < 2:
             dropped.append(DroppedWindow(end_date=end_date, reason=(
                 f"window ending {end_date.isoformat()} retained "

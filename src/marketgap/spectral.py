@@ -17,6 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DegenerateWindowError, NumericError, UsageError
+from .panel import window_ends
 
 RHO_MODES = ("signed", "abs")
 NORM_MODES = ("excess", "plain")
@@ -68,7 +69,7 @@ class CorrelationSpectrum(NamedTuple):
     rho_signed: np.ndarray | float
 
 
-class WindowSpectra(NamedTuple):
+class RollingSpectra(NamedTuple):
     """Per-window statistics from `rolling_spectra`, one entry per window.
 
     A window that keeps fewer than two assets has n_assets < 2, NaN
@@ -76,6 +77,7 @@ class WindowSpectra(NamedTuple):
     """
 
     length: int  # observations per window; sets the Marchenko-Pastur band
+    ends: np.ndarray  # 1-based end row of each window, from `panel.window_ends`
     n_assets: np.ndarray
     lambda_max: np.ndarray
     rho_signed: np.ndarray
@@ -138,11 +140,11 @@ def correlation_spectrum(raw: np.ndarray) -> CorrelationSpectrum:
     return CorrelationSpectrum(c, w, float(lam), float(rho))
 
 
-def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> WindowSpectra:
+def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSpectra:
     """Spectral statistics of every rolling window of a (dates x assets) return matrix.
 
-    Window k covers rows [k * step, k * step + length), the windows of
-    `panel.rolling_windows`. In each window an asset with a missing return,
+    Window k covers rows [ends[k] - length, ends[k]) on the grid of
+    `panel.window_ends`. In each window an asset with a missing return,
     or with zero or non-finite population variance, is dropped; the others
     are z-scored with the population (1/T) variance and C = Z Z' / T goes
     through `correlation_spectra`. Windows are taken in chunks bounded by
@@ -150,9 +152,11 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> WindowSpe
     assets, so a complete panel forms one group per chunk.
     """
     n_dates, n_all = values.shape
-    n_win = (n_dates - length) // step + 1 if n_dates >= length else 0
-    out = WindowSpectra(
+    ends = window_ends(n_dates, length, step)
+    n_win = ends.size
+    out = RollingSpectra(
         length=length,
+        ends=ends,
         n_assets=np.zeros(n_win, dtype=np.int64),
         lambda_max=np.full(n_win, np.nan),
         rho_signed=np.full(n_win, np.nan),
@@ -161,11 +165,11 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> WindowSpe
     )
     if n_win == 0:
         return out
-    windows = sliding_window_view(values, length, axis=0)[::step]  # (W, N, T) view
+    # A (W, N, T) view whose window k starts at row k * step = ends[k] - length.
+    windows = sliding_window_view(values, length, axis=0)[::step]
     nan_seen = np.zeros((n_dates + 1, n_all), dtype=np.int64)
     np.cumsum(np.isnan(values), axis=0, out=nan_seen[1:])
-    starts = np.arange(n_win) * step
-    complete = nan_seen[starts + length] == nan_seen[starts]  # (W, N)
+    complete = nan_seen[ends] == nan_seen[ends - length]  # (W, N)
     chunk = max(1, _CHUNK_BYTES // (8 * max(n_all, 1) * max(n_all, length)))
     for lo in range(0, n_win, chunk):
         # A C-ordered copy: each asset's T returns are contiguous, so the means and
@@ -195,6 +199,7 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> WindowSpe
             out.rho_abs[idx] = (np.abs(spectra.values).sum(axis=(1, 2)) - n) / (n * (n - 1))
             upper = mp_bounds(length, n).upper
             out.n_above_mp[idx] = np.count_nonzero(spectra.eigenvalues > upper, axis=1)
+            del spectra  # frees C before the next group forms its stacks
     return out
 
 

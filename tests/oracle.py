@@ -4,8 +4,11 @@ This is the per-window path as it stood before the batched kernel existed:
 a per-asset loop that z-scores one window, an explicit correlation wrapper, a
 full `np.linalg.eigh` eigendecomposition (eigenvectors included), and the
 summary built from those pieces. It also keeps the portfolio study's former
-inline subset gap and the scalar ordinal pattern. Only the dataclasses and
-the closed-form Marchenko-Pastur band come from the package.
+inline subset gap, the scalar ordinal pattern and the per-date ordinal
+distribution that the entropy series once took one window at a time. The
+windows come from a plain `range(length, n + 1, step)` loop here, not from
+the package's grid. Only the dataclasses, the pattern table and the
+closed-form Marchenko-Pastur band come from the package.
 """
 from __future__ import annotations
 
@@ -16,8 +19,8 @@ from datetime import date
 import numpy as np
 
 from marketgap.errors import DegenerateWindowError, NumericError, UsageError
-from marketgap.ordinal import PATTERNS
-from marketgap.panel import ReturnPanel, WindowSpec, rolling_windows
+from marketgap.ordinal import N_PATTERNS, PATTERNS
+from marketgap.panel import ReturnPanel
 from marketgap.regimes import DroppedWindow, GapConfig
 from marketgap.spectral import NORM_MODES, RHO_MODES, SpectralSummary, mp_bounds
 
@@ -28,9 +31,10 @@ REASON_ZERO_VARIANCE = "zero variance"
 
 @dataclass(eq=False)
 class StandardizedWindow:
-    """Z-scored return window, assets as rows; incomplete/flat assets dropped."""
+    """Z-scored return rows [start, end), assets as rows; incomplete/flat assets dropped."""
 
-    spec: WindowSpec
+    start: int
+    end: int
     end_date: date
     assets: list[str]
     values: np.ndarray  # shape (n_assets, length); each row has mean 0, variance 1
@@ -43,16 +47,16 @@ class StandardizedWindow:
         return len(self.assets)
 
 
-def standardize_window(returns: ReturnPanel, window: WindowSpec) -> StandardizedWindow:
-    """Z-score each asset over the window using the population (1/T) variance.
+def standardize_window(returns: ReturnPanel, start: int, end: int) -> StandardizedWindow:
+    """Z-score each asset over return rows [start, end) with the population (1/T) variance.
 
     Assets with any missing return in the window are dropped with reason
     "missing data"; assets with zero variance with reason "zero variance".
     Fewer than 2 survivors raises DegenerateWindowError.
     """
-    if window.end > returns.n_dates:
-        raise UsageError("window extends past the end of the return panel")
-    block = returns.values[window.start:window.end]  # (T, N)
+    if not 0 <= start < end <= returns.n_dates:
+        raise UsageError(f"window rows [{start}, {end}) do not lie in the return panel")
+    block = returns.values[start:end]  # (T, N)
     complete = ~np.isnan(block).any(axis=0)
 
     dropped: list[tuple[str, str]] = []
@@ -74,14 +78,15 @@ def standardize_window(returns: ReturnPanel, window: WindowSpec) -> Standardized
 
     if len(keep) < 2:
         raise DegenerateWindowError(
-            f"window ending {returns.dates[window.end - 1].isoformat()} retained "
+            f"window ending {returns.dates[end - 1].isoformat()} retained "
             f"{len(keep)} assets (need >= 2)"
         )
     keep_arr = np.array(keep, dtype=int)
     z = (block[:, keep_arr] - means[keep_arr]) / stds[keep_arr]
     return StandardizedWindow(
-        spec=window,
-        end_date=returns.dates[window.end - 1],
+        start=start,
+        end=end,
+        end_date=returns.dates[end - 1],
         assets=[returns.tickers[j] for j in keep],
         values=np.ascontiguousarray(z.T),
         means=means[keep_arr],
@@ -222,7 +227,7 @@ def spectral_summary(
     return summary_from_correlation(
         corr,
         end_date=window.end_date,
-        n_obs=window.spec.length,
+        n_obs=window.end - window.start,
         rho_mode=rho_mode,
         norm_mode=norm_mode,
     )
@@ -233,14 +238,14 @@ def gap_series(
 ) -> tuple[list[SpectralSummary], list[DroppedWindow]]:
     """Per-window summaries and dropped windows, one window at a time."""
     summaries, dropped = [], []
-    for w in rolling_windows(returns, config.window, config.step):
+    for end in range(config.window, returns.n_dates + 1, config.step):
         try:
-            std = standardize_window(returns, w)
+            std = standardize_window(returns, end - config.window, end)
             summaries.append(
                 spectral_summary(std, rho_mode=config.rho_mode, norm_mode=config.norm_mode)
             )
         except DegenerateWindowError as exc:
-            dropped.append(DroppedWindow(end_date=returns.dates[w.end - 1], reason=str(exc)))
+            dropped.append(DroppedWindow(end_date=returns.dates[end - 1], reason=str(exc)))
     return summaries, dropped
 
 
@@ -267,3 +272,53 @@ def ordinal_pattern(x0: float, x1: float, x2: float) -> int:
             raise NumericError(f"ordinal pattern needs finite inputs, got {v!r}")
     perm = sorted(range(3), key=lambda i: ((x0, x1, x2)[i], i))
     return PATTERNS.index(tuple(perm))
+
+
+@dataclass(eq=False)
+class OrdinalDistribution:
+    """Pattern counts and frequencies across the eligible stocks on one date."""
+
+    date: date
+    counts: np.ndarray  # shape (6,), ints
+    probabilities: np.ndarray  # shape (6,), sums to 1
+    n_stocks: int
+
+
+def cross_section_distribution(returns: ReturnPanel, t: int) -> OrdinalDistribution:
+    """Pattern distribution over stocks with complete returns at rows t-2, t-1, t."""
+    if t < 2 or t >= returns.n_dates:
+        raise UsageError(f"date index {t} leaves no room for a 3-day triple")
+    triples = returns.values[t - 2:t + 1]  # (3, N)
+    eligible = np.isfinite(triples).all(axis=0)
+    n = int(np.count_nonzero(eligible))
+    if n == 0:
+        raise DegenerateWindowError(
+            f"no stock has complete returns for the triple ending {returns.dates[t].isoformat()}"
+        )
+    idx = [ordinal_pattern(*triples[:, j]) for j in np.flatnonzero(eligible)]
+    counts = np.bincount(idx, minlength=N_PATTERNS).astype(np.int64)
+    return OrdinalDistribution(
+        date=returns.dates[t],
+        counts=counts,
+        probabilities=counts / n,
+        n_stocks=n,
+    )
+
+
+def ordinal_entropy(probabilities: np.ndarray) -> float:
+    """Shannon entropy in nats; zero-probability patterns contribute nothing."""
+    nz = probabilities[probabilities > 0.0]
+    return float(-(nz * np.log(nz)).sum() + 0.0)
+
+
+def entropy_series(returns: ReturnPanel, length: int, step: int):
+    """(dates, values, n_stocks, probabilities) of the entropy series, one date at a time."""
+    dates, values, n_stocks, probs = [], [], [], []
+    for end in range(length, returns.n_dates + 1, step):
+        dist = cross_section_distribution(returns, end - 1)
+        dates.append(dist.date)
+        values.append(ordinal_entropy(dist.probabilities))
+        n_stocks.append(dist.n_stocks)
+        probs.append(dist.probabilities)
+    return (dates, np.array(values), np.array(n_stocks, dtype=np.int64),
+            np.vstack(probs) if probs else np.zeros((0, N_PATTERNS)))

@@ -134,6 +134,32 @@ def test_gap_by_sector_emits_sector_files(tmp_path, synth_dir):
     assert set(summary["markets"]["SYN"]["sectors"]) == {f"SEC{k}" for k in range(5)}
 
 
+def test_gap_by_sector_checks_every_sector_before_writing(tmp_path, capsys):
+    # Sector S2 holds one ticker: the run fails before it writes any file.
+    dates = weekdays(date(2025, 1, 2), 40)
+    rng = np.random.default_rng(2)
+    rows = ["date,ticker,close"]
+    for ticker in "ABC":
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, len(dates))))
+        rows += [f"{d.isoformat()},{ticker},{p!r}" for d, p in zip(dates, prices.tolist())]
+    (tmp_path / "prices.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "meta.csv").write_text(
+        "ticker,sector,market\nA,S1,M\nB,S1,M\nC,S2,M\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("gap", "--prices", tmp_path / "prices.csv", "--meta", tmp_path / "meta.csv",
+               "--by-sector", "--window", 10, "--out-dir", out) == 3
+    assert ("sector 'S2' in market 'M' has 1 ticker(s); need >= 2 for --by-sector"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["gap", "heatmap", "entropy"])
+def test_window_shorter_than_3_is_exit_2(tmp_path, synth_dir, capsys, command):
+    assert run(command, "--prices", synth_dir / "prices.csv", "--meta", synth_dir / "meta.csv",
+               "--window", 2, "--out-dir", tmp_path / "out") == 2
+    assert "window length must be >= 3, got 2" in capsys.readouterr().err
+
+
 def test_gap_rows_window_subset_invariant(tmp_path, synth_dir):
     # Every row of a --step 3 run is byte-identical to every third row of --step 1.
     daily, coarse = tmp_path / "daily", tmp_path / "coarse"
@@ -372,6 +398,25 @@ def test_rerun_reproduces_bytes(tmp_path, synth_dir):
                "--out-dir", second) == 0
     for name in ("gap_SYN.csv", "gap_SYN.jsonl", "summary.json"):
         assert digest(first / name) == digest(second / name)
+
+
+def test_rerun_from_another_working_directory(tmp_path, synth_dir, monkeypatch):
+    # Relative input paths are recorded resolved, so the manifest reruns anywhere.
+    (tmp_path / "a" / "d").mkdir(parents=True)
+    (tmp_path / "b").mkdir()
+    for name in ("prices.csv", "meta.csv"):
+        (tmp_path / "a" / "d" / name).write_bytes((synth_dir / name).read_bytes())
+    monkeypatch.chdir(tmp_path / "a")
+    assert run("gap", "--prices", "d/prices.csv", "--meta", "d/meta.csv", "--window", 30,
+               "--by-sector", "--out-dir", "g") == 0
+    manifest = json.loads(Path("g/manifest.json").read_text())
+    prices = str(tmp_path / "a" / "d" / "prices.csv")
+    assert manifest["config"]["prices"] == prices and prices in manifest["inputs"]
+    monkeypatch.chdir(tmp_path / "b")
+    assert run("rerun", "--manifest", "../a/g/manifest.json", "--out-dir", "g") == 0
+    for name in manifest["outputs"]:
+        assert (tmp_path / "b" / "g" / name).read_bytes() == \
+            (tmp_path / "a" / "g" / name).read_bytes()
 
 
 def test_rerun_refuses_changed_input(tmp_path, synth_dir, capsys):

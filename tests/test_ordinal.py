@@ -5,18 +5,21 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
 from marketgap.errors import DegenerateWindowError, NumericError, UsageError
 from marketgap.ordinal import (
     MAX_ENTROPY,
     PATTERNS,
     EntropySeries,
-    cross_section_distribution,
     entropy_series,
     ordinal_entropy,
     pattern_indices,
     phase_statistics,
 )
+from marketgap.panel import window_ends
 from marketgap.regimes import PhaseWindows
 from oracle import ordinal_pattern
 
@@ -65,16 +68,31 @@ def test_vectorized_patterns_match_scalar():
     vec = pattern_indices(triples)
     for j in range(triples.shape[1]):
         assert vec[j] == ordinal_pattern(*triples[:, j])
+    # A (W, 3, N) stack gives each block's ids.
+    stack = np.stack([triples[:, :250], triples[:, 250:]])
+    np.testing.assert_array_equal(pattern_indices(stack), [vec[:250], vec[250:]])
+    with pytest.raises(UsageError):
+        pattern_indices(np.zeros((2, 2, 50)))
 
 
 # ---------- Cross-section distributions ----------
 
+# With length=3 and step=1, row k of an entropy series is the cross-section
+# distribution of the triple ending at return row t = k + 2.
+
+def counts_of(series):
+    """Pattern counts per row, recovered exactly from probabilities * n_stocks."""
+    counts = series.probabilities * series.n_stocks[:, np.newaxis]
+    np.testing.assert_allclose(counts, np.rint(counts), rtol=0, atol=1e-9)
+    return np.rint(counts).astype(np.int64)
+
+
 def test_distribution_synchronized_ascending():
     values = np.cumsum(np.full((3, 50), 0.01), axis=0)  # every stock ascending
-    returns = make_returns(values)
-    dist = cross_section_distribution(returns, 2)
-    assert dist.counts[0] == 50 and dist.counts[1:].sum() == 0
-    assert ordinal_entropy(dist) == 0.0
+    series = entropy_series(make_returns(values), length=3)
+    assert series.n_stocks.tolist() == [50]
+    assert counts_of(series).tolist() == [[50, 0, 0, 0, 0, 0]]
+    assert series.values[0] == 0.0
 
 
 def test_distribution_uniform_six_stocks():
@@ -86,18 +104,16 @@ def test_distribution_uniform_six_stocks():
         for rank, pos in enumerate(perm):
             col[pos] = values[rank]
         columns.append(col)
-    returns = make_returns(np.array(columns).T)
-    dist = cross_section_distribution(returns, 2)
-    np.testing.assert_allclose(dist.probabilities, np.full(6, 1 / 6), atol=1e-15)
-    assert ordinal_entropy(dist) == pytest.approx(math.log(6), abs=1e-12)
+    series = entropy_series(make_returns(np.array(columns).T), length=3)
+    np.testing.assert_allclose(series.probabilities[0], np.full(6, 1 / 6), atol=1e-15)
+    assert series.values[0] == pytest.approx(math.log(6), abs=1e-12)
 
 
 def test_distribution_random_walk_near_uniform():
     rng = np.random.default_rng(314)
-    returns = make_returns(rng.standard_normal((5, 120)) * 0.01)
-    dist = cross_section_distribution(returns, 4)
-    assert dist.n_stocks == 120
-    assert np.abs(dist.probabilities - 1 / 6).max() < 0.15
+    series = entropy_series(make_returns(rng.standard_normal((5, 120)) * 0.01), length=3)
+    assert series.n_stocks[-1] == 120
+    assert np.abs(series.probabilities[-1] - 1 / 6).max() < 0.15
 
 
 def test_distribution_excludes_incomplete_stocks():
@@ -106,27 +122,65 @@ def test_distribution_excludes_incomplete_stocks():
         [0.02, 0.01, 0.01],
         [0.03, 0.00, 0.02],
     ])
-    dist = cross_section_distribution(make_returns(values), 2)
-    assert dist.n_stocks == 2
-    assert dist.counts.sum() == 2
+    series = entropy_series(make_returns(values), length=3)
+    assert series.n_stocks.tolist() == [2]
+    assert counts_of(series).sum() == 2
 
 
 def test_distribution_zero_eligible_raises():
     values = np.array([[np.nan, 0.01], [0.02, np.nan], [0.03, 0.02]])
-    with pytest.raises(DegenerateWindowError):
-        cross_section_distribution(make_returns(values), 2)
-
-
-def test_distribution_accepts_date_argument():
-    returns = make_returns(np.cumsum(np.full((4, 3), 0.01), axis=0))
-    dist = cross_section_distribution(returns, returns.dates[3])
-    assert dist.date == returns.dates[3]
+    returns = make_returns(values)
+    with pytest.raises(DegenerateWindowError,
+                       match=f"triple ending {returns.dates[2].isoformat()}"):
+        entropy_series(returns, length=3)
 
 
 def test_distribution_needs_room_for_triple():
     returns = make_returns(np.full((4, 3), 0.01))
     with pytest.raises(UsageError):
-        cross_section_distribution(returns, 1)
+        entropy_series(returns, length=2)
+
+
+@st.composite
+def ordinal_panels(draw):
+    """Tie-rich panels with NaN runs, sometimes a date where no stock is complete."""
+    n_assets = draw(st.integers(1, 12))
+    n_dates = draw(st.integers(3, 40))
+    length = draw(st.integers(3, 15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([
+        np.array([-0.01, 0.0, 0.01]),
+        np.array([-0.0, 0.0, 0.02]),
+        np.linspace(-0.03, 0.03, 61),
+    ]))
+    values = rng.choice(levels, size=(n_dates, n_assets))
+    runs = st.tuples(st.integers(0, n_assets - 1), st.integers(0, n_dates - 1),
+                     st.integers(1, n_dates))
+    for asset, start, run in draw(st.lists(runs, max_size=5)):
+        values[start:start + run, asset] = np.nan
+    if draw(st.booleans()):
+        values[draw(st.integers(0, n_dates - 1))] = np.nan  # no stock complete nearby
+    return make_returns(values), length, draw(st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=ordinal_panels())
+def test_entropy_series_matches_per_date_oracle(case):
+    returns, length, step = case
+    try:
+        want = oracle.entropy_series(returns, length, step)
+    except DegenerateWindowError as exc:
+        with pytest.raises(DegenerateWindowError) as got:
+            entropy_series(returns, length=length, step=step)
+        assert str(got.value) == str(exc)
+        return
+    series = entropy_series(returns, length=length, step=step)
+    dates, values, n_stocks, probabilities = want
+    assert series.dates == dates
+    assert series.values.tobytes() == values.tobytes()
+    np.testing.assert_array_equal(series.n_stocks, n_stocks, strict=True)
+    assert series.probabilities.shape == probabilities.shape
+    assert series.probabilities.tobytes() == probabilities.tobytes()
 
 
 # ---------- Entropy ----------
@@ -164,32 +218,29 @@ def test_entropy_invariant_under_monotone_transform():
     # leaves patterns, hence the distribution and entropy, unchanged.
     rng = np.random.default_rng(17)
     values = rng.normal(0, 0.02, size=(6, 40))
-    base = cross_section_distribution(make_returns(values), 4)
+    base = entropy_series(make_returns(values), length=3)
     for transform in (lambda x: np.exp(x), lambda x: 3.0 * x + 1.0, lambda x: x ** 3):
-        moved = cross_section_distribution(make_returns(transform(values)), 4)
-        np.testing.assert_array_equal(base.counts, moved.counts)
-        assert ordinal_entropy(base) == ordinal_entropy(moved)
+        moved = entropy_series(make_returns(transform(values)), length=3)
+        np.testing.assert_array_equal(base.probabilities, moved.probabilities)
+        np.testing.assert_array_equal(base.values, moved.values)
 
 
 def test_distribution_invariant_under_stock_permutation():
     rng = np.random.default_rng(18)
     values = rng.normal(0, 0.02, size=(5, 30))
-    base = cross_section_distribution(make_returns(values), 3)
+    base = entropy_series(make_returns(values), length=3)
     perm = rng.permutation(30)
-    shuffled = cross_section_distribution(make_returns(values[:, perm]), 3)
-    np.testing.assert_array_equal(base.counts, shuffled.counts)
+    shuffled = entropy_series(make_returns(values[:, perm]), length=3)
+    np.testing.assert_array_equal(counts_of(base), counts_of(shuffled))
 
 
 def test_counts_sum_to_eligible_stocks():
     rng = np.random.default_rng(19)
     values = rng.normal(0, 0.02, size=(8, 25))
     values[5, :4] = np.nan
-    for t in range(2, 8):
-        try:
-            dist = cross_section_distribution(make_returns(values), t)
-        except DegenerateWindowError:
-            continue
-        assert dist.counts.sum() == dist.n_stocks
+    series = entropy_series(make_returns(values), length=3)
+    assert series.n_stocks.tolist() == [25, 25, 25, 21, 21, 21]
+    np.testing.assert_array_equal(counts_of(series).sum(axis=1), series.n_stocks)
 
 
 # ---------- Entropy series ----------
@@ -206,11 +257,11 @@ def test_entropy_series_bookkeeping():
     rng = np.random.default_rng(23)
     returns = make_returns(rng.normal(0, 0.02, size=(100, 10)))
     series = entropy_series(returns, length=60, step=5)
-    from marketgap.panel import rolling_windows
-    windows = rolling_windows(returns, 60, 5)
-    assert len(series.dates) == len(windows)
-    assert series.dates == [returns.dates[w.end - 1] for w in windows]
-    assert series.probabilities.shape == (len(windows), 6)
+    ends = window_ends(returns.n_dates, 60, 5)
+    assert len(series.dates) == len(ends) == 9
+    assert series.dates == [returns.dates[end - 1] for end in ends]
+    assert series.probabilities.shape == (len(ends), 6)
+
 
 
 # ---------- Phase statistics ----------

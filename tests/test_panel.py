@@ -7,12 +7,11 @@ import pytest
 
 from marketgap.errors import DataError, DegenerateWindowError, ParseError, UsageError
 from marketgap.panel import (
-    WindowSpec,
     load_metadata,
     load_price_panel,
     log_returns,
     merge_panels,
-    rolling_windows,
+    window_ends,
     write_price_panel,
 )
 from oracle import REASON_MISSING, REASON_ZERO_VARIANCE, standardize_window
@@ -216,7 +215,7 @@ def test_standardize_1_2_3_under_population_variance():
     # (-a, 0, a) with a = 1 / sqrt(2/3) = sqrt(3/2).
     a = math.sqrt(1.5)
     returns = make_returns(np.column_stack([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0]]))
-    std = standardize_window(returns, WindowSpec(3, 1, 3))
+    std = standardize_window(returns, 0, 3)
     np.testing.assert_allclose(std.values[0], [-a, 0.0, a], atol=1e-12)
     assert abs(std.values[0].mean()) < 1e-12
     assert abs(np.mean(std.values[0] ** 2) - 1.0) < 1e-9
@@ -228,7 +227,7 @@ def test_standardize_drops_constant_asset_with_reason():
         [0.01, -0.02, 0.03, 0.0],
         [0.0, 0.01, -0.01, 0.02],
     ]))
-    std = standardize_window(returns, WindowSpec(4, 1, 4))
+    std = standardize_window(returns, 0, 4)
     assert std.assets == ["T1", "T2"]
     assert ("T0", REASON_ZERO_VARIANCE) in std.dropped
 
@@ -239,7 +238,7 @@ def test_standardize_drops_incomplete_asset_with_reason():
         [0.01, -0.02, 0.03, 0.0],
         [0.0, 0.01, -0.01, 0.02],
     ])
-    std = standardize_window(make_returns(values), WindowSpec(4, 1, 4))
+    std = standardize_window(make_returns(values), 0, 4)
     assert ("T0", REASON_MISSING) in std.dropped
     assert std.n_assets == 2
 
@@ -247,7 +246,7 @@ def test_standardize_drops_incomplete_asset_with_reason():
 def test_standardize_no_drop_keeps_all_assets():
     rng = np.random.default_rng(3)
     returns = make_returns(rng.normal(0, 0.01, size=(10, 6)))
-    std = standardize_window(returns, WindowSpec(10, 1, 10))
+    std = standardize_window(returns, 0, 10)
     assert std.n_assets == 6 and std.dropped == []
 
 
@@ -257,7 +256,7 @@ def test_standardize_degenerate_when_fewer_than_two_survive():
         [0.01, -0.02, 0.03],
     ]))
     with pytest.raises(DegenerateWindowError):
-        standardize_window(returns, WindowSpec(3, 1, 3))
+        standardize_window(returns, 0, 3)
 
 
 def test_standardize_rows_are_zero_mean_unit_variance_random():
@@ -266,7 +265,7 @@ def test_standardize_rows_are_zero_mean_unit_variance_random():
         n_dates = int(rng.integers(5, 80))
         n_assets = int(rng.integers(2, 12))
         returns = make_returns(rng.normal(0, 0.02, size=(n_dates, n_assets)))
-        std = standardize_window(returns, WindowSpec(n_dates, 1, n_dates))
+        std = standardize_window(returns, 0, n_dates)
         means = std.values.mean(axis=1)
         variances = np.mean(std.values ** 2, axis=1)
         assert np.abs(means).max() < 1e-12
@@ -280,27 +279,22 @@ def brute_force_window_ends(n, length, step):
 
 
 def test_rolling_windows_boundary_exactly_one():
-    returns = make_returns(np.zeros((60, 2)))
-    assert len(rolling_windows(returns, 60, 1)) == 1
+    assert window_ends(60, 60, 1).tolist() == [60]
 
 
 def test_rolling_windows_62_days():
-    returns = make_returns(np.zeros((62, 2)))
-    ws = rolling_windows(returns, 60, 1)
-    assert [w.end for w in ws] == [60, 61, 62]
+    assert window_ends(62, 60, 1).tolist() == [60, 61, 62]
 
 
 def test_rolling_windows_200_60_20_brute_force():
-    returns = make_returns(np.zeros((200, 2)))
-    ws = rolling_windows(returns, 60, 20)
-    expected = brute_force_window_ends(200, 60, 20)
-    assert [w.end for w in ws] == expected
-    assert len(ws) == 8
+    ends = window_ends(200, 60, 20)
+    assert ends.tolist() == brute_force_window_ends(200, 60, 20)
+    assert len(ends) == 8
 
 
 def test_rolling_windows_too_short_is_empty():
-    returns = make_returns(np.zeros((10, 2)))
-    assert rolling_windows(returns, 60, 1) == []
+    ends = window_ends(10, 60, 1)
+    assert ends.size == 0 and ends.dtype.kind == "i"
 
 
 def test_rolling_windows_step_spacing_property():
@@ -309,18 +303,14 @@ def test_rolling_windows_step_spacing_property():
         n = int(rng.integers(3, 300))
         length = int(rng.integers(3, 80))
         step = int(rng.integers(1, 25))
-        returns = make_returns(np.zeros((n, 2)))
-        ws = rolling_windows(returns, length, step)
-        assert [w.end for w in ws] == brute_force_window_ends(n, length, step)
-        for a, b in zip(ws, ws[1:]):
-            assert b.end - a.end == step
-        for w in ws:
-            assert 0 <= w.start and w.end <= n
+        ends = window_ends(n, length, step)
+        assert ends.tolist() == brute_force_window_ends(n, length, step)
+        assert np.all(np.diff(ends) == step)
+        assert np.all(ends - length >= 0) and np.all(ends <= n)
 
 
 def test_rolling_windows_validation():
-    returns = make_returns(np.zeros((10, 2)))
-    with pytest.raises(UsageError):
-        rolling_windows(returns, 2, 1)
-    with pytest.raises(UsageError):
-        rolling_windows(returns, 5, 0)
+    with pytest.raises(UsageError, match="window length must be >= 3, got 2"):
+        window_ends(10, 2, 1)
+    with pytest.raises(UsageError, match="window step must be >= 1, got 0"):
+        window_ends(10, 5, 0)
