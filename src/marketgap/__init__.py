@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from . import ordinal, panel, portfolio, regimes, spectral, synth  # noqa: F401
 from .errors import (  # noqa: F401
     DataError,
-    DegeneratePortfolioError,
     DegenerateWindowError,
     MarketGapError,
     NumericError,

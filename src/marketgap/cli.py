@@ -230,10 +230,19 @@ def _out_dir(config: dict) -> Path:
 
 
 # ---------- Commands ----------
+#
+# Each command builds its config objects, which check every argument, before
+# it creates --out-dir or opens an input.
 
 def run_gap(config: dict) -> None:
     if config.get("by_sector") and config.get("meta") is None:
         raise UsageError("--by-sector requires --meta with sector labels")
+    gap_cfg = GapConfig(
+        window=config["window"],
+        step=config["step"],
+        rho_mode=config["rho_mode"],
+        norm_mode=config["norm_mode"],
+    )
     out = _out_dir(config)
     panel = _load_panel(config)
     if config.get("by_sector"):
@@ -245,12 +254,6 @@ def run_gap(config: dict) -> None:
                     f"sector {sector!r} in market {market!r} has {size} "
                     "ticker(s); need >= 2 for --by-sector"
                 )
-    gap_cfg = GapConfig(
-        window=config["window"],
-        step=config["step"],
-        rho_mode=config["rho_mode"],
-        norm_mode=config["norm_mode"],
-    )
     outputs: list[str] = []
     summary: dict = {"config": {
         "window": gap_cfg.window, "step": gap_cfg.step,
@@ -310,13 +313,15 @@ def run_entropy(config: dict) -> None:
         sustain_days=config["sustain_days"],
         stabilized=(date.fromisoformat(start), date.fromisoformat(end)) if start else None,
     )
+    # The entropy series shares the gap series' window grid and its rules.
+    grid = GapConfig(window=config["window"], step=config["step"])
     out = _out_dir(config)
     panel = _load_panel(config)
     outputs: list[str] = []
     for market in panel.markets():
         sub = panel.market_panel(market)
         returns = log_returns(sub)
-        series = entropy_series(returns, length=config["window"], step=config["step"])
+        series = entropy_series(returns, length=grid.window, step=grid.step)
         name = _slug(market)
         _write_table(out / f"entropy_{name}.csv", ENTROPY_CSV_UNITS, ENTROPY_CSV_HEADER, (
             (d, series.n_stocks[i], series.values[i], *series.probabilities[i])
@@ -335,13 +340,13 @@ def run_entropy(config: dict) -> None:
 
 
 def run_heatmap(config: dict) -> None:
-    out = _out_dir(config)
     if config.get("meta") is None:
         raise UsageError("heatmap requires --meta with sector labels")
-    panel = _load_panel(config)
     # lambda_norm does not depend on the rho mode, so the heatmap takes none.
     gap_cfg = GapConfig(window=config["window"], step=config["step"],
                         norm_mode=config["norm_mode"])
+    out = _out_dir(config)
+    panel = _load_panel(config)
     outputs: list[str] = []
     for market in panel.markets():
         sub = panel.market_panel(market)
@@ -356,8 +361,6 @@ def run_heatmap(config: dict) -> None:
 
 
 def run_portfolio(config: dict) -> None:
-    out = _out_dir(config)
-    panel = _load_panel(config)
     study_cfg = StudyConfig(
         formation=config["formation"],
         test=config["test"],
@@ -367,6 +370,8 @@ def run_portfolio(config: dict) -> None:
         step=config.get("study_step"),
     )
     event = date.fromisoformat(config["event_date"]) if config.get("event_date") else None
+    out = _out_dir(config)
+    panel = _load_panel(config)
     results = []
     reports = {}
     for stream, market in enumerate(panel.markets()):

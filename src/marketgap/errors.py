@@ -48,9 +48,5 @@ class DegenerateWindowError(NumericError):
     """A window (or cross-section date) retained too few usable assets."""
 
 
-class DegeneratePortfolioError(NumericError):
-    """Minimum-variance weights are undefined (1'V+1 vanished)."""
-
-
 class UndefinedCorrelationError(NumericError):
     """Rank correlation undefined because one input has zero rank variance."""

@@ -311,14 +311,19 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
     return ReturnPanel(dates=panel.dates[1:], tickers=list(panel.tickers), values=values)
 
 
+def check_window(length: int, step: int = 1) -> None:
+    """The rolling-window rules: a window holds >= 3 return rows, and the step is >= 1."""
+    if length < 3:
+        raise UsageError(f"window length must be >= 3, got {length}")
+    if step < 1:
+        raise UsageError(f"window step must be >= 1, got {step}")
+
+
 def window_ends(n_dates: int, length: int, step: int = 1) -> np.ndarray:
     """The rolling-window grid: 1-based end rows length, length + step, ... <= n_dates.
 
     Window k covers rows [ends[k] - length, ends[k]); no window fits (the
     result is empty) when n_dates < length.
     """
-    if length < 3:
-        raise UsageError(f"window length must be >= 3, got {length}")
-    if step < 1:
-        raise UsageError(f"window step must be >= 1, got {step}")
+    check_window(length, step)
     return np.arange(length, n_dates + 1, step)

@@ -15,14 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DegeneratePortfolioError,
-    UndefinedCorrelationError,
-    UsageError,
-)
+from .errors import DataError, UndefinedCorrelationError, UsageError
 from .panel import ReturnPanel, window_ends
-from .spectral import correlation_spectrum
+from .spectral import correlation_spectra
 
 
 # ---------- Domain types ----------
@@ -109,34 +104,40 @@ class QuintileReport:
 
 
 # ---------- Weight construction ----------
+#
+# Each function takes one portfolio or a stack of them along leading axes; a
+# 2-D input is a stack of one, and every row of a stack has the bits of the
+# call on that row alone.
 
 def covariance_matrix(values: np.ndarray) -> np.ndarray:
-    """Symmetric covariance of raw returns, assets as rows, population (1/T) denominator."""
+    """Symmetric covariance of raw (..., n_assets, n_obs) returns, population (1/T) denominator."""
     x = np.asarray(values, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise UsageError(f"covariance needs a (n_assets >= 2, n_obs) block, got {x.shape}")
+    if x.ndim < 2 or x.shape[-2] < 2:
+        raise UsageError(f"covariance needs (n_assets >= 2, n_obs) blocks, got {x.shape}")
     if np.isnan(x).any():
         raise DataError("covariance input contains missing returns; filter assets first")
-    centered = x - x.mean(axis=1, keepdims=True)
-    v = centered @ centered.T / x.shape[1]
-    return (v + v.T) / 2.0
+    centered = x - x.mean(axis=-1, keepdims=True)
+    v = centered @ centered.swapaxes(-1, -2) / x.shape[-1]
+    return (v + v.swapaxes(-1, -2)) / 2.0
 
 
 def mvp_weights(cov: np.ndarray) -> np.ndarray:
-    """Fully invested minimum-variance weights q = V+ 1 / (1' V+ 1).
+    """Fully invested minimum-variance weights q = V+ 1 / (1' V+ 1) of each covariance.
 
     Uses the Moore-Penrose pseudo-inverse (singular values below 1e-10 * s_max
     are treated as zero), so rank-deficient covariances still yield weights;
-    shorting is allowed. Raises DegeneratePortfolioError when 1'V+1 vanishes.
+    shorting is allowed. Where 1'V+1 is non-finite or below 1e-12 in
+    magnitude the weights are undefined, and that row of the result is NaN.
     """
     v = np.asarray(cov, dtype=float)
     pinv = np.linalg.pinv(v, rcond=1e-10)
-    ones = np.ones(v.shape[0])
+    ones = np.ones(v.shape[-1])
     numer = pinv @ ones
-    denom = float(ones @ numer)
-    if not math.isfinite(denom) or abs(denom) < 1e-12:
-        raise DegeneratePortfolioError(f"1'V+1 = {denom!r}; minimum-variance weights undefined")
-    return numer / denom
+    # A (1, n) @ (n,) product sums like the single dot product 1' numer; a
+    # stacked (..., n) @ (n,) product does not.
+    denom = (numer[..., np.newaxis, :] @ ones)[..., 0]
+    undefined = ~np.isfinite(denom) | (np.abs(denom) < 1e-12)
+    return numer / np.where(undefined, np.nan, denom)[..., np.newaxis]
 
 
 def ew_weights(n: int) -> np.ndarray:
@@ -146,17 +147,23 @@ def ew_weights(n: int) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
-def realized_volatility(weights: np.ndarray, test_returns: np.ndarray, annualization: float = 252.0) -> float:
-    """Annualized percent volatility of q'r over the test window (ddof=1 variance)."""
+def realized_volatility(weights: np.ndarray, test_returns: np.ndarray,
+                        annualization: float = 252.0) -> np.ndarray:
+    """Annualized percent volatility of q'r over the test window (ddof=1 variance).
+
+    `weights` is (..., n) and `test_returns` (..., n, h); the result has their
+    broadcast leading shape, a NumPy float for one portfolio.
+    """
+    q = np.asarray(weights, dtype=float)
     r = np.asarray(test_returns, dtype=float)
-    if r.ndim != 2 or r.shape[0] != len(weights):
-        raise UsageError(f"test block shape {r.shape} does not match {len(weights)} weights")
-    if r.shape[1] < 2:
-        raise UsageError(f"test window needs >= 2 observations, got {r.shape[1]}")
+    if r.ndim < 2 or r.shape[-2] != q.shape[-1]:
+        raise UsageError(f"test block shape {r.shape} does not match {q.shape[-1]} weights")
+    if r.shape[-1] < 2:
+        raise UsageError(f"test window needs >= 2 observations, got {r.shape[-1]}")
     if np.isnan(r).any():
         raise DataError("test window contains missing returns")
-    port = weights @ r
-    return float(np.std(port, ddof=1) * math.sqrt(annualization) * 100.0)
+    port = (q[..., np.newaxis, :] @ r)[..., 0, :]
+    return np.std(port, axis=-1, ddof=1) * math.sqrt(annualization) * 100.0
 
 
 # ---------- The rolling study ----------
@@ -179,48 +186,55 @@ def _window_observations(
     if eligible.size < n:
         return [], 0, f"{eligible.size} eligible stocks (need {n})"
 
+    # Drawing positions in `eligible` takes the same random stream as drawing
+    # from `eligible` itself.
+    draws = np.array([
+        np.random.default_rng([seed, stream, w_idx, p_idx]).choice(eligible.size, n, replace=False)
+        for p_idx in range(config.portfolios)
+    ])
+    picks = eligible[np.sort(draws, axis=1)]  # (P, n)
+    # (P, n, t) formation and (P, n, h) test stacks; each asset's returns are contiguous.
+    x = np.ascontiguousarray(form.T)[picks]
+    y = np.ascontiguousarray(test.T)[picks]
+
+    # Shared population-1/T moments give both the covariance for the weights
+    # and the correlation for the gap of the same subset.
+    cov = covariance_matrix(x)
+    d = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    spectra = correlation_spectra(cov / (d[:, :, np.newaxis] * d[:, np.newaxis, :]))
+    rho_bar = spectra.rho_signed
+    delta = (spectra.lambda_max - 1.0) / (n - 1.0) - rho_bar
+
+    q_mvp = mvp_weights(cov)
+    kept = np.flatnonzero(~np.isnan(q_mvp).any(axis=-1))
+    q_ew = ew_weights(n)
+    # Formation moments stay on the population (1/T) convention.
+    hist = x.swapaxes(-1, -2) @ q_ew
+    hist -= hist.mean(axis=-1, keepdims=True)
+    sigma_hist = np.sqrt(np.mean(hist ** 2, axis=-1)) * math.sqrt(config.annualization) * 100.0
+    sigma_mvp = realized_volatility(q_mvp, y, config.annualization)
+    sigma_ew = realized_volatility(q_ew, y, config.annualization)
+
     end_date = returns.dates[end - 1]
-    observations: list[PortfolioObservation] = []
-    skipped = 0
-    for p_idx in range(config.portfolios):
-        rng = np.random.default_rng([seed, stream, w_idx, p_idx])
-        pick = np.sort(rng.choice(eligible, size=n, replace=False))
-        x = form[:, pick].T  # (n, t) raw formation returns
-        y = test[:, pick].T
-
-        # Shared population-1/T moments give both the covariance for the
-        # weights and the correlation for the gap of the same subset.
-        cov = covariance_matrix(x)
-        d = np.sqrt(np.diag(cov))
-        spectrum = correlation_spectrum(cov / np.outer(d, d))
-        rho_bar = spectrum.rho_signed
-        delta = (spectrum.lambda_max - 1.0) / (n - 1.0) - rho_bar
-
-        try:
-            q_mvp = mvp_weights(cov)
-        except DegeneratePortfolioError:
-            skipped += 1
-            continue
-        q_ew = ew_weights(n)
-        # Formation moments stay on the population (1/T) convention.
-        hist = q_ew @ x
-        sigma_hist = float(
-            np.sqrt(np.mean((hist - hist.mean()) ** 2))
-            * math.sqrt(config.annualization) * 100.0
-        )
-        observations.append(PortfolioObservation(
+    tickers = returns.tickers
+    observations = [
+        PortfolioObservation(
             market=market,
             window_index=w_idx,
             window_end=end_date,
-            tickers=tuple(returns.tickers[j] for j in pick),
-            delta=delta,
-            rho_bar=rho_bar,
-            sigma_hist=sigma_hist,
-            sigma_mvp=realized_volatility(q_mvp, y, config.annualization),
-            sigma_ew=realized_volatility(q_ew, y, config.annualization),
+            tickers=tuple(tickers[j] for j in pick),
+            delta=dl,
+            rho_bar=rb,
+            sigma_hist=sh,
+            sigma_mvp=sm,
+            sigma_ew=se,
             seed_key=(seed, stream, w_idx, p_idx),
-        ))
-    return observations, skipped, None
+        )
+        for p_idx, pick, dl, rb, sh, sm, se in zip(
+            kept.tolist(), picks[kept].tolist(), delta[kept].tolist(), rho_bar[kept].tolist(),
+            sigma_hist[kept].tolist(), sigma_mvp[kept].tolist(), sigma_ew[kept].tolist())
+    ]
+    return observations, config.portfolios - kept.size, None
 
 
 def run_portfolio_study(

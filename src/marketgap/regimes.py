@@ -8,7 +8,7 @@ from datetime import date
 import numpy as np
 
 from .errors import DataError, UsageError
-from .panel import ReturnPanel
+from .panel import ReturnPanel, check_window
 from .spectral import NORM_MODES, RHO_MODES, SpectralSummary, rolling_spectra
 
 logger = logging.getLogger(__name__)
@@ -28,6 +28,7 @@ class GapConfig:
     norm_mode: str = "excess"
 
     def __post_init__(self):
+        check_window(self.window, self.step)
         if self.rho_mode not in RHO_MODES:
             raise UsageError(f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}")
         if self.norm_mode not in NORM_MODES:

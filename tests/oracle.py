@@ -4,11 +4,12 @@ This is the per-window path as it stood before the batched kernel existed:
 a per-asset loop that z-scores one window, an explicit correlation wrapper, a
 full `np.linalg.eigh` eigendecomposition (eigenvectors included), and the
 summary built from those pieces. It also keeps the portfolio study's former
-inline subset gap, the scalar ordinal pattern and the per-date ordinal
-distribution that the entropy series once took one window at a time. The
-windows come from a plain `range(length, n + 1, step)` loop here, not from
-the package's grid. Only the dataclasses, the pattern table and the
-closed-form Marchenko-Pastur band come from the package.
+per-subset loop, with its inline subset gap and its single-matrix
+covariance, weights and volatilities, the scalar ordinal pattern and the
+per-date ordinal distribution that the entropy series once took one window
+at a time. The windows come from plain `range` loops here, not from the
+package's grid. Only the dataclasses, the pattern table and the closed-form
+Marchenko-Pastur band come from the package.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 from marketgap.errors import DegenerateWindowError, NumericError, UsageError
 from marketgap.ordinal import N_PATTERNS, PATTERNS
 from marketgap.panel import ReturnPanel
+from marketgap.portfolio import PortfolioObservation, StudyConfig
 from marketgap.regimes import DroppedWindow, GapConfig
 from marketgap.spectral import NORM_MODES, RHO_MODES, SpectralSummary, mp_bounds
 
@@ -263,6 +265,79 @@ def subset_gap(x: np.ndarray) -> tuple[float, float]:
     lam = float(np.linalg.eigvalsh(corr)[-1])
     rho_bar = float((corr.sum() - n) / (n * (n - 1)))
     return (lam - 1.0) / (n - 1.0) - rho_bar, rho_bar
+
+
+def covariance_matrix(x: np.ndarray) -> np.ndarray:
+    """Symmetric population (1/T) covariance of one subset's raw (n, T) returns."""
+    centered = x - x.mean(axis=1, keepdims=True)
+    v = centered @ centered.T / x.shape[1]
+    return (v + v.T) / 2.0
+
+
+def mvp_weights(cov: np.ndarray) -> np.ndarray | None:
+    """q = V+ 1 / (1' V+ 1) of one covariance; None when 1'V+1 is non-finite or below 1e-12."""
+    pinv = np.linalg.pinv(cov, rcond=1e-10)
+    ones = np.ones(cov.shape[0])
+    numer = pinv @ ones
+    denom = float(ones @ numer)
+    if not math.isfinite(denom) or abs(denom) < 1e-12:
+        return None
+    return numer / denom
+
+
+def realized_volatility(weights: np.ndarray, test_returns: np.ndarray,
+                        annualization: float) -> float:
+    """Annualized percent volatility of q'r over one test window (ddof=1 variance)."""
+    port = weights @ test_returns
+    return float(np.std(port, ddof=1) * math.sqrt(annualization) * 100.0)
+
+
+def portfolio_study(
+    returns: ReturnPanel, config: StudyConfig, seed: int, market: str = "ALL", stream: int = 0
+) -> tuple[list[PortfolioObservation], list[tuple[int, str]], int]:
+    """(observations, skipped windows, skipped portfolios) of the study, one subset at a time."""
+    t, h, n = config.formation, config.test, config.n_stocks
+    observations: list[PortfolioObservation] = []
+    skipped_windows: list[tuple[int, str]] = []
+    skipped = 0
+    for w_idx, end in enumerate(range(t, returns.n_dates - h + 1, config.effective_step)):
+        form = returns.values[end - t:end]
+        test = returns.values[end:end + h]
+        complete = ~(np.isnan(form).any(axis=0) | np.isnan(test).any(axis=0))
+        eligible = np.flatnonzero(complete & (form.std(axis=0) > 0.0))
+        if eligible.size < n:
+            skipped_windows.append((w_idx, f"{eligible.size} eligible stocks (need {n})"))
+            continue
+        end_date = returns.dates[end - 1]
+        for p_idx in range(config.portfolios):
+            rng = np.random.default_rng([seed, stream, w_idx, p_idx])
+            pick = np.sort(rng.choice(eligible, size=n, replace=False))
+            x = form[:, pick].T  # (n, t) raw formation returns
+            y = test[:, pick].T
+            delta, rho_bar = subset_gap(x)
+            q_mvp = mvp_weights(covariance_matrix(x))
+            if q_mvp is None:
+                skipped += 1
+                continue
+            q_ew = np.full(n, 1.0 / n)
+            hist = q_ew @ x
+            sigma_hist = float(
+                np.sqrt(np.mean((hist - hist.mean()) ** 2))
+                * math.sqrt(config.annualization) * 100.0
+            )
+            observations.append(PortfolioObservation(
+                market=market,
+                window_index=w_idx,
+                window_end=end_date,
+                tickers=tuple(returns.tickers[j] for j in pick),
+                delta=delta,
+                rho_bar=rho_bar,
+                sigma_hist=sigma_hist,
+                sigma_mvp=realized_volatility(q_mvp, y, config.annualization),
+                sigma_ew=realized_volatility(q_ew, y, config.annualization),
+                seed_key=(seed, stream, w_idx, p_idx),
+            ))
+    return observations, skipped_windows, skipped
 
 
 def ordinal_pattern(x0: float, x1: float, x2: float) -> int:

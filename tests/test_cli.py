@@ -160,6 +160,36 @@ def test_window_shorter_than_3_is_exit_2(tmp_path, synth_dir, capsys, command):
     assert "window length must be >= 3, got 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("gap", "--window", 2),
+    ("gap", "--window", 1),
+    ("gap", "--by-sector"),
+    ("heatmap", "--meta", "missing-meta.csv", "--window", 2),
+    ("entropy", "--window", 2),
+    ("entropy", "--stabilized-start", "2025-03-03", "--stabilized-end", "2025-04-01"),
+    ("portfolio", "--seed", 1, "--formation", 2),
+    ("portfolio", "--seed", 1, "--test", 1),
+    ("portfolio", "--seed", 1, "--n-stocks", 1),
+])
+def test_usage_errors_exit_2_before_any_io(tmp_path, capsys, argv):
+    # The price file does not exist: reading it would exit 3.
+    out = tmp_path / "out"
+    assert run(*argv, "--prices", tmp_path / "missing.csv", "--out-dir", out) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_heatmap_without_meta_exit_2_before_any_io(tmp_path):
+    # argparse requires --meta, but a manifest's config reaches run_heatmap directly.
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"command": "heatmap", "inputs": {}, "config": {
+        "prices": str(tmp_path / "missing.csv"), "layout": "long", "meta": None,
+        "window": 60, "step": 1, "norm_mode": "excess"}}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("rerun", "--manifest", manifest, "--out-dir", out) == 2
+    assert not out.exists()
+
+
 def test_gap_rows_window_subset_invariant(tmp_path, synth_dir):
     # Every row of a --step 3 run is byte-identical to every third row of --step 1.
     daily, coarse = tmp_path / "daily", tmp_path / "coarse"
@@ -384,6 +414,37 @@ def test_portfolio_report_and_observations(tmp_path, risk_dir):
                         "sigma_mvp,sigma_ew,tickers")
     markets_in_rows = {line.split(",")[0] for line in lines[2:]}
     assert markets_in_rows == {"M1", "M2"}
+
+
+def test_outputs_do_not_depend_on_blas_threads(tmp_path, risk_dir):
+    # Stacked BLAS calls may split work across threads; each output file must
+    # still be byte-identical, and the manifests differ only in --out-dir.
+    src = Path(__file__).resolve().parent.parent / "src"
+    inputs = ("--prices", risk_dir / "prices.csv", "--meta", risk_dir / "meta.csv")
+    commands = {
+        "portfolio": ("portfolio", *inputs, "--seed", 3, "--portfolios", 20),
+        "gap": ("gap", "--by-sector", *inputs),
+    }
+    outs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+        for label, argv in commands.items():
+            out = tmp_path / f"{label}-{threads}"
+            subprocess.run([sys.executable, "-m", "marketgap.cli", *map(str, argv),
+                            "--out-dir", str(out)], env=env, check=True)
+            outs[label, threads] = out
+    for label in commands:
+        one, two = outs[label, "1"], outs[label, "2"]
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir()) and len(names) > 2
+        for name in names:
+            if name == "manifest.json":
+                first, second = (json.loads((d / name).read_text()) for d in (one, two))
+                for manifest in (first, second):
+                    del manifest["config"]["out_dir"]
+                assert first == second
+            else:
+                assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
 # ---------- rerun ----------

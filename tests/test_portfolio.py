@@ -5,14 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from marketgap.errors import (
-    DataError,
-    DegeneratePortfolioError,
-    UndefinedCorrelationError,
-    UsageError,
-)
+from marketgap.errors import DataError, UndefinedCorrelationError, UsageError
 from marketgap.panel import ReturnPanel, log_returns
 from marketgap.portfolio import (
     PortfolioObservation,
@@ -87,8 +84,12 @@ def test_mvp_two_asset_closed_form():
 
 
 def test_mvp_degenerate_raises():
-    with pytest.raises(DegeneratePortfolioError):
-        mvp_weights(np.zeros((3, 3)))
+    # Undefined weights (1'V+1 = 0 here) come back as a NaN row, and only that
+    # row of a stack is NaN.
+    assert np.isnan(mvp_weights(np.zeros((3, 3)))).all()
+    q = mvp_weights(np.stack([np.eye(3), np.zeros((3, 3)), 0.5 * np.eye(3)]))
+    assert np.isnan(q[1]).all()
+    np.testing.assert_array_equal(q[[0, 2]], np.full((2, 3), 1.0 / 3.0))
 
 
 def test_mvp_in_sample_optimality():
@@ -105,6 +106,22 @@ def test_mvp_in_sample_optimality():
         random_q = 1.0 / 10 + g - g.mean(axis=1, keepdims=True)  # sums to 1
         vars_rand = np.einsum("ij,jk,ik->i", random_q, v, random_q)
         assert mvp_var <= vars_rand.min() + 1e-12
+
+
+def test_stacked_calls_match_single_calls_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    x = rng.standard_normal((7, 6, 30)) * 0.01
+    y = rng.standard_normal((7, 6, 12)) * 0.01
+    cov = covariance_matrix(x)
+    q = mvp_weights(cov)
+    vol = realized_volatility(q, y)
+    ew_vol = realized_volatility(ew_weights(6), y)
+    assert cov.shape == (7, 6, 6) and q.shape == (7, 6) and vol.shape == ew_vol.shape == (7,)
+    for k in range(7):
+        assert cov[k].tobytes() == covariance_matrix(x[k]).tobytes()
+        assert q[k].tobytes() == mvp_weights(cov[k]).tobytes()
+        assert vol[k] == realized_volatility(q[k], y[k])
+        assert ew_vol[k] == realized_volatility(ew_weights(6), y[k])
 
 
 def test_ew_weights():
@@ -346,6 +363,70 @@ def test_study_delta_uses_subset_matrix(small_study):
                           values=returns.values[:, cols])
         ref = oracle.spectral_summary(oracle.standardize_window(sub, end_row - 60, end_row))
         assert abs(o.delta - ref.delta) <= 1e-12 and abs(o.rho_bar - ref.rho_signed) <= 1e-12
+
+
+@st.composite
+def study_cases(draw):
+    """Panels with NaN runs and flat stretches, and studies with n_stocks up to past formation."""
+    formation = draw(st.integers(3, 12))
+    test = draw(st.integers(2, 6))
+    n_assets = draw(st.integers(2, 18))
+    n_dates = formation + test + draw(st.integers(0, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    common = rng.standard_normal(n_dates)
+    loadings = rng.uniform(-1.5, 1.5, n_assets) * draw(st.sampled_from([0.0, 0.5, 2.0]))
+    values = 0.01 * (rng.standard_normal((n_dates, n_assets)) + np.outer(common, loadings))
+    if n_assets >= 3 and draw(st.booleans()):
+        values[:, 1] = -values[:, 0]  # pairs holding both have 1'V+1 = 0
+    runs = st.tuples(st.integers(0, n_assets - 1), st.integers(0, n_dates - 1),
+                     st.integers(1, n_dates))
+    for asset, start, length in draw(st.lists(runs, max_size=4)):
+        values[start:start + length, asset] = np.nan
+    for asset, start, length in draw(st.lists(runs, max_size=3)):
+        values[start:start + length, asset] = 0.0
+    config = StudyConfig(
+        formation=formation,
+        test=test,
+        n_stocks=draw(st.integers(2, min(n_assets, formation + 4))),
+        portfolios=draw(st.integers(1, 40)),
+        step=draw(st.none() | st.integers(1, 8)),
+    )
+    return make_returns(values), config, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(case=study_cases())
+def test_study_matches_per_subset_oracle(case):
+    returns, config, seed, stream = case
+    result = run_portfolio_study(returns, config, seed=seed, market="M", stream=stream)
+    observations, skipped_windows, skipped = oracle.portfolio_study(
+        returns, config, seed, market="M", stream=stream)
+    # Dataclass equality compares every float bit for bit (no NaN can occur).
+    assert result.observations == observations
+    assert result.skipped_windows == skipped_windows
+    assert result.skipped_portfolios == skipped
+
+
+def test_study_skips_undefined_weights_and_keeps_the_rest():
+    # Eligible assets x, -x and y: the pair {x, -x} has V proportional to
+    # [[1, -1], [-1, 1]], so 1'V+1 = 0 and its weights are undefined.
+    rng = np.random.default_rng(41)
+    x, y = rng.normal(0, 0.02, size=(2, 120))
+    values = np.column_stack([x, -x, y, np.zeros(120)])  # the flat T3 is never eligible
+    returns = make_returns(values)
+    config = StudyConfig(formation=30, test=10, n_stocks=2, portfolios=30)
+    result = run_portfolio_study(returns, config, seed=4)
+    pairs = {}
+    for o in result.observations:
+        pairs.setdefault(o.window_index, []).append(o.tickers)
+    n_windows = (120 - 30 - 10) // 10 + 1
+    assert sorted(pairs) == list(range(n_windows))
+    for kept in pairs.values():
+        assert ("T0", "T1") not in kept
+        assert set(kept) == {("T0", "T2"), ("T1", "T2")}
+    assert result.skipped_portfolios == n_windows * 30 - len(result.observations) > 0
+    observations, _, skipped = oracle.portfolio_study(returns, config, 4)
+    assert result.observations == observations and result.skipped_portfolios == skipped
 
 
 # ---------- Quintile report ----------
