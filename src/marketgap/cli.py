@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import math
 import os
 import re
@@ -537,6 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rolling spectral market-structure analytics on daily price panels",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
+                        default="warning", help="stderr log threshold (default warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gap", help="spectral gap time series per market")
@@ -600,8 +603,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> dict:
-    """The run config; input paths are made absolute so a manifest reruns from any directory."""
-    config = {k: v for k, v in vars(args).items() if k != "command"}
+    """The run config; input paths are made absolute so a manifest reruns from any directory.
+
+    The log level is left out: it changes what stderr shows, never an output.
+    """
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "log_level")}
     for key in _INPUT_KEYS:
         if config.get(key):
             config[key] = os.path.abspath(config[key])
@@ -612,11 +618,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     runner = {**_RUNNERS, "rerun": run_rerun}[args.command]
+    # One stderr handler on the package logger for this run only, so that
+    # repeated in-process calls do not stack handlers.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter(f"marketgap {args.command}: %(levelname)s: %(message)s"))
+    logger = logging.getLogger(__package__)
+    previous_level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(args.log_level.upper())
     try:
         runner(_config_from_args(args))
     except MarketGapError as exc:
         print(f"marketgap {args.command}: error: {exc}", file=sys.stderr)
         return exc.exit_code
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(previous_level)
     return 0
 
 

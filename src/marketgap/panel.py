@@ -7,6 +7,9 @@ mutated after construction, so they are safe to share across workers.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
+import logging
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -19,6 +22,10 @@ LONG_HEADER = ("date", "ticker", "close")
 META_HEADER = ("ticker", "sector", "market")
 DEFAULT_SECTOR = "UNKNOWN"
 DEFAULT_MARKET = "ALL"
+# The long-layout reader takes the file in blocks of this many bytes.
+_BLOCK_BYTES = 1 << 20
+
+logger = logging.getLogger(__name__)
 
 
 # ---------- Domain types ----------
@@ -221,23 +228,128 @@ def _load_wide(path) -> dict[tuple[date, str], float]:
     return cells
 
 
-def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:
-    """Load a close-price file (long or wide layout) into a PricePanel.
+class _Declined(Exception):
+    """The block reader met something it leaves to the csv path; the text says what."""
 
-    Dates become the sorted union of all observed dates; tickers are
-    deduplicated and sorted; anything unobserved stays NaN. When a metadata
-    path is given every panel ticker must appear in it; otherwise all tickers
-    get placeholder sector/market labels.
+
+def _block_rows(chunk: bytes, text_codes: dict[str, int], date_codes: dict[date, int],
+                ticker_codes: dict[str, int]):
+    """(date codes, ticker codes, prices) of whole lines, each `date,ticker,close`.
+
+    `text_codes` maps each date text seen so far to the code of its date in
+    `date_codes`, and `ticker_codes` each ticker to its code. The dicts grow
+    by the block's new keys.
     """
-    if layout == "long":
-        cells = _load_long(path)
-    elif layout == "wide":
-        cells = _load_wide(path)
-    else:
-        raise UsageError(f"unknown layout {layout!r} (expected 'long' or 'wide')")
-    if not cells:
-        raise DataError(f"{path}: no price observations")
+    if b'"' in chunk:
+        raise _Declined("a quote character")
+    if b"\0" in chunk:
+        raise _Declined("a NUL character")
+    # A CRLF line keeps its \r at the end of the price, which `float` ignores.
+    if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
+        raise _Declined("a carriage return outside a CRLF line end")
+    raw = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(raw == ord("\n"))
+    starts = np.r_[-1, ends[:-1]]  # the newline before each line
+    commas = np.flatnonzero(raw == ord(","))
+    # With 2 commas per line in all, each line holds its own two exactly when
+    # comma 2k follows line k's start and comma 2k + 1 precedes its end. A
+    # blank line has none.
+    if (commas.size != 2 * ends.size or (commas[0::2] < starts).any()
+            or (commas[1::2] > ends).any()):
+        raise _Declined("a blank line or a line without exactly 3 fields")
+    if (ends - starts).max() > csv.field_size_limit():
+        raise _Declined("a line longer than the csv field size limit")
+    try:
+        fields = chunk.decode("utf-8").replace("\n", ",").split(",")
+    except UnicodeDecodeError:
+        raise _Declined("bytes that are not UTF-8") from None
+    date_texts, tickers, price_texts = fields[0:-1:3], fields[1::3], fields[2::3]
 
+    for text in set(date_texts).difference(text_codes):
+        try:
+            d = _parse_date(text, None, None)
+        except ParseError:
+            raise _Declined(f"the date {text!r}") from None
+        text_codes[text] = date_codes.setdefault(d, len(date_codes))
+    for ticker in set(tickers).difference(ticker_codes):
+        if not ticker or ticker != ticker.strip():
+            raise _Declined(f"the empty or padded ticker {ticker!r}")
+        ticker_codes[ticker] = len(ticker_codes)
+    try:
+        prices = np.fromiter(map(float, price_texts), np.float64, len(price_texts))
+    except ValueError:
+        raise _Declined("a price that is not a number") from None
+    if not ((prices > 0.0) & (prices < math.inf)).all():
+        raise _Declined("a non-finite or non-positive price")
+    return (np.fromiter(map(text_codes.__getitem__, date_texts), np.int32, len(date_texts)),
+            np.fromiter(map(ticker_codes.__getitem__, tickers), np.int32, len(tickers)),
+            prices)
+
+
+def _sorted_keys(codes: dict) -> tuple[list, np.ndarray]:
+    """The keys of `codes` sorted, and the sorted position of each code."""
+    ordered = sorted(codes)
+    position = np.empty(len(ordered), dtype=np.intp)
+    position[[codes[k] for k in ordered]] = np.arange(len(ordered))
+    return ordered, position
+
+
+def _line_blocks(fh):
+    """The file's bytes in blocks of whole lines; a last line without a line end gets one."""
+    rest = b""
+    for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
+        chunk = rest + block
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield chunk[:cut]
+        rest = chunk[cut:]
+    if rest:
+        yield rest + b"\n"
+
+
+def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
+    """The long layout read in blocks; raises _Declined, never a package error.
+
+    It takes plain files only: the long header, then `date,ticker,close`
+    lines with LF or CRLF ends, no quoting, no blank line, unpadded tickers,
+    finite positive prices and no repeated (date, ticker) key. Dates go
+    through `_parse_date` once per distinct text and prices through `float`,
+    so a file read here gives what `_load_long` gives.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise _Declined(f"cannot open: {exc.strerror}") from None
+    text_codes: dict[str, int] = {}
+    date_codes: dict[date, int] = {}
+    ticker_codes: dict[str, int] = {}
+    with fh:
+        chunks = _line_blocks(fh)
+        header, _, first = next(chunks, b"").partition(b"\n")
+        header = header[:-1] if header.endswith(b"\r") else header
+        if b'"' in header or b"\r" in header or tuple(
+                h.strip().lower() for h in header.decode("utf-8", "replace").split(",")
+        ) != LONG_HEADER:
+            raise _Declined("not the plain long header")
+        blocks = [_block_rows(chunk, text_codes, date_codes, ticker_codes)
+                  for chunk in itertools.chain([first], chunks) if chunk]
+    if not blocks:
+        return [], [], np.empty((0, 0))
+
+    dates, date_pos = _sorted_keys(date_codes)
+    tickers, ticker_pos = _sorted_keys(ticker_codes)
+    rows = date_pos[np.concatenate([b[0] for b in blocks])]
+    cols = ticker_pos[np.concatenate([b[1] for b in blocks])]
+    close = np.full((len(dates), len(tickers)), np.nan)
+    close[rows, cols] = np.concatenate([b[2] for b in blocks])
+    # Every price is finite, so a repeated key leaves fewer finite cells than rows.
+    if np.count_nonzero(~np.isnan(close)) != rows.size:
+        raise _Declined("a repeated (date, ticker) key")
+    return dates, tickers, close
+
+
+def _cells_matrix(cells: dict[tuple[date, str], float]):
+    """(dates, tickers, close matrix) of the cells the csv path read."""
     dates = sorted({d for d, _ in cells})
     tickers = sorted({t for _, t in cells})
     date_idx = {d: i for i, d in enumerate(dates)}
@@ -245,6 +357,33 @@ def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:
     close = np.full((len(dates), len(tickers)), np.nan)
     for (d, t), price in cells.items():
         close[date_idx[d], tick_idx[t]] = price
+    return dates, tickers, close
+
+
+def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:
+    """Load a close-price file (long or wide layout) into a PricePanel.
+
+    Dates become the sorted union of all observed dates; tickers are
+    deduplicated and sorted; anything unobserved stays NaN. When a metadata
+    path is given every panel ticker must appear in it; otherwise all tickers
+    get placeholder sector/market labels.
+
+    A plain long file is read in blocks. Any other long file, and any file
+    with a fault, goes through the csv parser, which accepts the same files
+    and raises every error.
+    """
+    if layout == "long":
+        try:
+            dates, tickers, close = _read_long_blocks(path)
+        except _Declined as exc:
+            logger.debug("%s: block reader declined (%s); reading with the csv parser", path, exc)
+            dates, tickers, close = _cells_matrix(_load_long(path))
+    elif layout == "wide":
+        dates, tickers, close = _cells_matrix(_load_wide(path))
+    else:
+        raise UsageError(f"unknown layout {layout!r} (expected 'long' or 'wide')")
+    if not dates:
+        raise DataError(f"{path}: no price observations")
 
     if metadata is not None:
         meta = load_metadata(metadata) if not isinstance(metadata, dict) else metadata
@@ -259,17 +398,26 @@ def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:
     return PricePanel(dates, tickers, close, sector_of, market_of)
 
 
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it between two other fields."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(("", text, ""))
+    return buf.getvalue()[1:-3]
+
+
 def write_price_panel(panel: PricePanel, path) -> None:
-    """Write the panel in the long layout; round-trips through load_price_panel."""
+    """Write the panel in the long layout; round-trips through load_price_panel.
+
+    The bytes are those of csv.writer: each ticker quoted as it quotes it,
+    each price as `repr`, `\r\n` line ends and no row for a missing price.
+    """
+    tickers = [_csv_field(t) + "," for t in panel.tickers]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LONG_HEADER)
-        for i, d in enumerate(panel.dates):
-            iso = d.isoformat()
-            for j, t in enumerate(panel.tickers):
-                value = panel.close[i, j]
-                if np.isfinite(value):
-                    writer.writerow([iso, t, repr(float(value))])
+        fh.write(",".join(LONG_HEADER) + "\r\n")
+        for d, row in zip(panel.dates, panel.close):
+            head = d.isoformat() + ","
+            fh.write("".join([f"{head}{t}{v!r}\r\n" for t, v, keep in
+                              zip(tickers, row.tolist(), np.isfinite(row).tolist()) if keep]))
 
 
 def write_metadata(panel: PricePanel, path) -> None:

@@ -181,8 +181,10 @@ def _window_observations(
     form = returns.values[end - t:end]
     test = returns.values[end:end + h]
     complete = ~(np.isnan(form).any(axis=0) | np.isnan(test).any(axis=0))
-    form_std = form.std(axis=0)  # population; only the > 0 check matters here
-    eligible = np.flatnonzero(complete & (form_std > 0.0))
+    # A stock whose formation returns are all equal has no correlation, even
+    # where rounding leaves its std a little above 0.
+    constant = (form == form[:1]).all(axis=0)
+    eligible = np.flatnonzero(complete & ~constant)
     if eligible.size < n:
         return [], 0, f"{eligible.size} eligible stocks (need {n})"
 

@@ -7,12 +7,14 @@ summary built from those pieces. It also keeps the portfolio study's former
 per-subset loop, with its inline subset gap and its single-matrix
 covariance, weights and volatilities, the scalar ordinal pattern and the
 per-date ordinal distribution that the entropy series once took one window
-at a time. The windows come from plain `range` loops here, not from the
-package's grid. Only the dataclasses, the pattern table and the closed-form
-Marchenko-Pastur band come from the package.
+at a time, and the `csv.writer` loop that once wrote price panels. The
+windows come from plain `range` loops here, not from the package's grid.
+Only the dataclasses, the pattern table and the closed-form Marchenko-Pastur
+band come from the package.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date
@@ -21,7 +23,7 @@ import numpy as np
 
 from marketgap.errors import DegenerateWindowError, NumericError, UsageError
 from marketgap.ordinal import N_PATTERNS, PATTERNS
-from marketgap.panel import ReturnPanel
+from marketgap.panel import LONG_HEADER, PricePanel, ReturnPanel
 from marketgap.portfolio import PortfolioObservation, StudyConfig
 from marketgap.regimes import DroppedWindow, GapConfig
 from marketgap.spectral import NORM_MODES, RHO_MODES, SpectralSummary, mp_bounds
@@ -304,7 +306,7 @@ def portfolio_study(
         form = returns.values[end - t:end]
         test = returns.values[end:end + h]
         complete = ~(np.isnan(form).any(axis=0) | np.isnan(test).any(axis=0))
-        eligible = np.flatnonzero(complete & (form.std(axis=0) > 0.0))
+        eligible = np.flatnonzero(complete & ~(form == form[:1]).all(axis=0))
         if eligible.size < n:
             skipped_windows.append((w_idx, f"{eligible.size} eligible stocks (need {n})"))
             continue
@@ -397,3 +399,16 @@ def entropy_series(returns: ReturnPanel, length: int, step: int):
         probs.append(dist.probabilities)
     return (dates, np.array(values), np.array(n_stocks, dtype=np.int64),
             np.vstack(probs) if probs else np.zeros((0, N_PATTERNS)))
+
+
+def write_price_panel(panel: PricePanel, path) -> None:
+    """The long layout through csv.writer, one row per finite price."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(LONG_HEADER)
+        for i, d in enumerate(panel.dates):
+            iso = d.isoformat()
+            for j, t in enumerate(panel.tickers):
+                value = panel.close[i, j]
+                if np.isfinite(value):
+                    writer.writerow([iso, t, repr(float(value))])

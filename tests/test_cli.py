@@ -447,6 +447,40 @@ def test_outputs_do_not_depend_on_blas_threads(tmp_path, risk_dir):
                 assert (one / name).read_bytes() == (two / name).read_bytes(), name
 
 
+def test_log_level_changes_stderr_only(tmp_path, capsys):
+    # A quoted ticker makes the block reader decline the file, and B's missing
+    # day leaves windows with one asset, which the gap series drops.
+    dates = weekdays(date(2025, 1, 2), 30)
+    rng = np.random.default_rng(6)
+    rows = ["date,ticker,close"]
+    for ticker, field in (("A", '"A"'), ("B", "B"), ("C", "C")):
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, len(dates))))
+        rows += [f"{d.isoformat()},{field},{p!r}" for i, (d, p)
+                 in enumerate(zip(dates, prices.tolist())) if not (ticker != "A" and i == 12)]
+    prices = tmp_path / "prices.csv"
+    prices.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    err = {}
+    for level in ("default", "info", "debug"):
+        flags = () if level == "default" else ("--log-level", level)
+        assert run(*flags, "gap", "--prices", prices, "--window", 5,
+                   "--out-dir", tmp_path / level) == 0
+        err[level] = capsys.readouterr().err
+    assert err["default"] == ""
+    decline = "block reader declined (a quote character); reading with the csv parser"
+    dropped = "INFO: gap series dropped 6 degenerate window(s)"
+    assert dropped in err["info"] and decline not in err["info"]
+    assert dropped in err["debug"] and f"marketgap gap: DEBUG: {prices}: {decline}" in err["debug"]
+    names = sorted(p.name for p in (tmp_path / "default").iterdir())
+    assert names == ["gap_ALL.csv", "gap_ALL.jsonl", "manifest.json", "summary.json"]
+    for level in ("info", "debug"):
+        for name in names:
+            ours = (tmp_path / level / name).read_text()
+            theirs = (tmp_path / "default" / name).read_text()
+            if name == "manifest.json":
+                ours = ours.replace(str(tmp_path / level), str(tmp_path / "default"))
+            assert ours == theirs, name
+
+
 # ---------- rerun ----------
 
 def test_rerun_reproduces_bytes(tmp_path, synth_dir):

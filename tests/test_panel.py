@@ -1,10 +1,19 @@
 """Panel ingestion, log returns, reference standardization, and rolling-window tests."""
+import csv
+import logging
 import math
+import tempfile
 from datetime import date
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracle
+from marketgap import panel as panel_module
 from marketgap.errors import DataError, DegenerateWindowError, ParseError, UsageError
 from marketgap.panel import (
     load_metadata,
@@ -142,6 +151,201 @@ def test_long_round_trip_preserves_everything(tmp_path):
     write_price_panel(panel, out)
     reloaded = load_price_panel(out)
     assert reloaded == panel
+
+
+# ---------- The block reader against the csv path ----------
+
+def strict_load(path):
+    """load_price_panel with the block reader declining every file."""
+    declined = panel_module._Declined("forced")
+    with mock.patch.object(panel_module, "_read_long_blocks", side_effect=declined):
+        return load_price_panel(path)
+
+
+def outcome(load, path):
+    """What a load gives: the panel's dates, tickers and bytes, or the exception."""
+    try:
+        p = load(path)
+    except Exception as exc:  # every exception type must match, not only ours
+        return ("raised", type(exc), str(exc))
+    return ("loaded", p.dates, p.tickers, p.close.tobytes())
+
+
+DATES = [date(2025, 1, 2), date(2025, 1, 3), date(2025, 1, 6), date(2025, 1, 7)]
+TICKERS = ["A", "B", "C D", "Ω"]
+# Prices and date texts that both paths take; "20250106" is a date only where
+# date.fromisoformat takes the basic format (Python >= 3.11).
+PRICES = ["100", "100.5", "7.25", "1e2", " 42 ", "1_0", "3.0000000000000004"]
+DATE_FORMS = ["{}", "{}", " {}", "{} ", "{:%Y%m%d}"]
+# Each fault makes a file that the block reader must hand to the csv path.
+FAULTS = {
+    "blank": lambda d, t, p: "",
+    "blank_space": lambda d, t, p: " ",
+    "two_fields": lambda d, t, p: f"{d},{t}",
+    "four_fields": lambda d, t, p: f"{d},{t},{p},x",
+    # "d,t,p,d2" then "t2,p2" splits into 6 fields, as two good rows would.
+    "four_then_two": lambda d, t, p: f"{d},{t},{p},2025-01-08\nE,{p}",
+    "two_then_four": lambda d, t, p: f"{d},{t}\n{p},2025-01-08,E,{p}",
+    "quoted": lambda d, t, p: f'{d},"{t}",{p}',
+    "quoted_comma": lambda d, t, p: f'{d},"a,b",{p}',
+    "quoted_quote": lambda d, t, p: f'{d},"q""x",{p}',
+    "padded_ticker": lambda d, t, p: f"{d}, P,{p}",
+    "empty_ticker": lambda d, t, p: f"{d},,{p}",
+    "bad_date": lambda d, t, p: f"2025-13-01,{t},{p}",
+    "no_date": lambda d, t, p: f"not-a-date,{t},{p}",
+    "lone_cr": lambda d, t, p: f"{d},{t},{p}\r{d},F,{p}",
+    # The csv path ends a line at the \r; the date before it would parse.
+    "cr_after_date": lambda d, t, p: f"{d}\r,{t},{p}",
+    "nan": lambda d, t, p: f"{d},{t},nan",
+    "inf": lambda d, t, p: f"{d},{t},inf",
+    "huge": lambda d, t, p: f"{d},{t},1e400",
+    "zero": lambda d, t, p: f"{d},{t},0",
+    "negative": lambda d, t, p: f"{d},{t},-3",
+    "word": lambda d, t, p: f"{d},{t},abc",
+    "empty_price": lambda d, t, p: f"{d},{t},",
+    "equal_duplicate": lambda d, t, p: f"{d},{t},{p}\n{d},{t},{p}",
+    "conflicting_duplicate": lambda d, t, p: f"{d},{t},{p}\n{d},{t},{p}1",
+}
+
+
+def _date_text(d: date, form: str) -> str:
+    text = form.format(d)
+    try:
+        date.fromisoformat(text.strip())
+    except ValueError:  # the basic format before Python 3.11
+        return d.isoformat()
+    return text
+
+
+@st.composite
+def long_files(draw):
+    """(file text, plain): a random long file, and whether the block reader must take it.
+
+    The rows of a plain file have distinct (date, ticker) keys and values both
+    paths take; a file with faults adds 1 or 2 lines from FAULTS.
+    """
+    header = draw(st.sampled_from(["date,ticker,close", "Date, Ticker ,CLOSE"]))
+    keys = draw(st.lists(st.tuples(st.sampled_from(DATES), st.sampled_from(TICKERS)),
+                         unique=True, max_size=16))
+    lines = [header] + [
+        f"{_date_text(d, draw(st.sampled_from(DATE_FORMS)))},{t},{draw(st.sampled_from(PRICES))}"
+        for d, t in keys]
+    faults = [draw(st.sampled_from(sorted(FAULTS)))
+              for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2])))]
+    for fault in faults:
+        row = FAULTS[fault]("2025-01-09", draw(st.sampled_from(TICKERS)),
+                            draw(st.sampled_from(PRICES)))
+        lines.insert(draw(st.integers(1, len(lines))), row)
+    if draw(st.integers(0, 9)) == 0:
+        lines[0] = draw(st.sampled_from(["day,sym,price", "date\r,ticker,close"]))
+        faults.append("header")
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(line.replace("\n", eol) for line in lines)
+    if draw(st.booleans()):
+        text += eol
+    return text, not faults
+
+
+@settings(max_examples=600, deadline=None, database=None)
+@given(case=long_files(), block=st.sampled_from([1, 2, 7, 29, 64] + [1 << 20] * 5))
+def test_long_loader_matches_csv_path(case, block):
+    text, plain = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(strict_load, path)
+        spy = mock.patch.object(panel_module, "_load_long", wraps=panel_module._load_long)
+        with mock.patch.object(panel_module, "_BLOCK_BYTES", block), spy as load_long:
+            got = outcome(load_price_panel, path)
+    assert got == expected
+    if plain:  # the block reader took the file itself
+        assert load_long.call_count == 0, text
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n"])
+@pytest.mark.parametrize("fault", sorted(FAULTS) + ["header", "header_cr"])
+def test_long_loader_hands_every_fault_to_the_csv_path(tmp_path, fault, eol):
+    header = {"header": "day,sym,price", "header_cr": "date\r,ticker,close"}
+    lines = [header.get(fault, "date,ticker,close"), "2025-01-02,A,100",
+             FAULTS.get(fault, "{},{},{}".format)("2025-01-09", "B", "7.25"),
+             "2025-01-03,A,101"]
+    f = tmp_path / "p.csv"
+    f.write_bytes((eol.join(line.replace("\n", eol) for line in lines) + eol).encode("utf-8"))
+    expected = outcome(strict_load, f)
+    with mock.patch.object(panel_module, "_load_long", wraps=panel_module._load_long) as spy:
+        assert outcome(load_price_panel, f) == expected
+    assert spy.call_count == 1
+
+
+def test_long_loader_reads_multi_block_files_itself(tmp_path):
+    # More than one default block, CRLF ends, and rows cut at block boundaries.
+    rng = np.random.default_rng(8)
+    close = rng.uniform(1, 500, size=(260, 150))
+    close[rng.random(close.shape) < 0.05] = np.nan
+    original = make_panel(close, tickers=[f"S{j:03d}" for j in range(150)])
+    path = tmp_path / "p.csv"
+    write_price_panel(original, path)
+    assert path.stat().st_size > 1 << 20
+    with mock.patch.object(panel_module, "_load_long") as load_long:
+        assert load_price_panel(path) == original
+    assert load_long.call_count == 0
+
+
+def test_long_loader_leaves_fields_beyond_the_csv_limit_to_csv(tmp_path):
+    f = write(tmp_path / "p.csv", f"date,ticker,close\n2025-01-02,{'T' * 140_000},1\n")
+    assert outcome(load_price_panel, f) == outcome(strict_load, f)
+    with pytest.raises(csv.Error, match="field limit"):
+        load_price_panel(f)
+
+
+def test_long_loader_logs_why_it_declines(tmp_path, caplog):
+    f = write(tmp_path / "p.csv", 'date,ticker,close\n2025-01-02,"A",100\n')
+    with caplog.at_level(logging.DEBUG, logger="marketgap"):
+        p = load_price_panel(f)
+    assert p.tickers == ["A"]
+    assert "block reader declined (a quote character)" in caplog.text
+
+
+# ---------- The writer against csv.writer ----------
+
+WRITER_TICKERS = ["A", "B2", "a,b", 'q"x', "C D", " P", ""]
+
+
+@st.composite
+def writer_panels(draw):
+    tickers = draw(st.lists(st.sampled_from(WRITER_TICKERS), min_size=1, max_size=6,
+                            unique=True))
+    n_dates = draw(st.integers(1, 8))
+    values = draw(st.lists(
+        st.one_of(st.floats(1e-6, 1e6), st.just(math.nan), st.sampled_from([0.1, 1.0, 1e-5])),
+        min_size=n_dates * len(tickers), max_size=n_dates * len(tickers)))
+    close = np.array(values).reshape(n_dates, len(tickers))
+    if draw(st.booleans()):
+        close[draw(st.integers(0, n_dates - 1))] = np.nan  # an all-NaN row
+    return make_panel(close, tickers=tickers)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(p=writer_panels())
+def test_writer_matches_csv_writer_and_round_trips(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
+        write_price_panel(p, ours)
+        oracle.write_price_panel(p, theirs)
+        assert ours.read_bytes() == theirs.read_bytes()
+
+        # What loads back: the rows and columns that hold a price, under sorted
+        # tickers. The loader strips padding and refuses an empty ticker.
+        if all(t and t == t.strip() for t in p.tickers) and np.isfinite(p.close).any():
+            order = sorted((t, j) for j, t in enumerate(p.tickers)
+                           if np.isfinite(p.close[:, j]).any())
+            close = p.close[:, [j for _, j in order]]
+            rows = np.isfinite(close).any(axis=1)
+            tickers = [t for t, _ in order]
+            expected = panel_module.PricePanel(
+                [d for d, r in zip(p.dates, rows) if r], tickers, close[rows],
+                {t: "UNKNOWN" for t in tickers}, {t: "ALL" for t in tickers})
+            assert load_price_panel(ours) == expected
 
 
 def test_market_panel_uses_own_calendar():

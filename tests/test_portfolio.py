@@ -429,6 +429,24 @@ def test_study_skips_undefined_weights_and_keeps_the_rest():
     assert result.observations == observations and result.skipped_portfolios == skipped
 
 
+@pytest.mark.parametrize("constant", [0.001, 0.1])
+def test_study_never_draws_a_stock_with_constant_formation_returns(constant):
+    # A constant log return leaves a std of rounding residue: with 0.001 the
+    # subset correlation divides 0 by 0 and the eigensolver fails, and with
+    # 0.1 the stock enters portfolios with a correlation made of rounding noise.
+    rng = np.random.default_rng(12)
+    values = rng.normal(0, 0.01, size=(99, 12))
+    values[:, 0] = constant
+    returns = make_returns(values)
+    config = StudyConfig(formation=60, test=10, n_stocks=4, portfolios=100)
+    result = run_portfolio_study(returns, config, seed=7)
+    assert result.skipped_windows == [] and len(result.observations) == 300
+    assert all("T0" not in o.tickers for o in result.observations)
+    observations, skipped_windows, skipped = oracle.portfolio_study(returns, config, 7)
+    assert result.observations == observations
+    assert (result.skipped_windows, result.skipped_portfolios) == (skipped_windows, skipped)
+
+
 # ---------- Quintile report ----------
 
 def obs(delta, sigma_mvp, end=date(2025, 6, 2), market="X", sigma_ew=None,
