@@ -538,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rolling spectral market-structure analytics on daily price panels",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.add_argument("--log-level", choices=("debug", "info", "warning", "error"),
+    parser.add_argument("--log-level", choices=("debug", "info", "warning"),
                         default="warning", help="stderr log threshold (default warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 

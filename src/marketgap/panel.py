@@ -295,7 +295,12 @@ def _sorted_keys(codes: dict) -> tuple[list, np.ndarray]:
 
 
 def _line_blocks(fh):
-    """The file's bytes in blocks of whole lines; a last line without a line end gets one."""
+    """The file's bytes in blocks of whole lines; a last line without a line end gets one.
+
+    A line longer than the csv field size limit is declined as soon as it is
+    seen, so a file without LF (one ending its lines in lone CRs) is never
+    buffered whole.
+    """
     rest = b""
     for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
         chunk = rest + block
@@ -303,6 +308,8 @@ def _line_blocks(fh):
         if cut:
             yield chunk[:cut]
         rest = chunk[cut:]
+        if len(rest) > csv.field_size_limit():
+            raise _Declined("a line longer than the csv field size limit")
     if rest:
         yield rest + b"\n"
 
@@ -312,9 +319,10 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
 
     It takes plain files only: the long header, then `date,ticker,close`
     lines with LF or CRLF ends, no quoting, no blank line, unpadded tickers,
-    finite positive prices and no repeated (date, ticker) key. Dates go
-    through `_parse_date` once per distinct text and prices through `float`,
-    so a file read here gives what `_load_long` gives.
+    finite positive prices and no conflicting repeat of a (date, ticker) key
+    (an equal repeat loads, as in `_load_long`). Dates go through
+    `_parse_date` once per distinct text and prices through `float`, so a
+    file read here gives what `_load_long` gives.
     """
     try:
         fh = open(path, "rb")
@@ -327,9 +335,9 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
         chunks = _line_blocks(fh)
         header, _, first = next(chunks, b"").partition(b"\n")
         header = header[:-1] if header.endswith(b"\r") else header
-        if b'"' in header or b"\r" in header or tuple(
-                h.strip().lower() for h in header.decode("utf-8", "replace").split(",")
-        ) != LONG_HEADER:
+        names = header.decode("utf-8", "replace").split(",")
+        if (b'"' in header or b"\r" in header or len(header) > csv.field_size_limit()
+                or tuple(h.strip().lower() for h in names) != LONG_HEADER):
             raise _Declined("not the plain long header")
         blocks = [_block_rows(chunk, text_codes, date_codes, ticker_codes)
                   for chunk in itertools.chain([first], chunks) if chunk]
@@ -340,11 +348,13 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
     tickers, ticker_pos = _sorted_keys(ticker_codes)
     rows = date_pos[np.concatenate([b[0] for b in blocks])]
     cols = ticker_pos[np.concatenate([b[1] for b in blocks])]
+    prices = np.concatenate([b[2] for b in blocks])
     close = np.full((len(dates), len(tickers)), np.nan)
-    close[rows, cols] = np.concatenate([b[2] for b in blocks])
-    # Every price is finite, so a repeated key leaves fewer finite cells than rows.
-    if np.count_nonzero(~np.isnan(close)) != rows.size:
-        raise _Declined("a repeated (date, ticker) key")
+    close[rows, cols] = prices
+    # A repeated key keeps one of its prices; another price of it differs
+    # from the kept one exactly when the repeat conflicts.
+    if not (close[rows, cols] == prices).all():
+        raise _Declined("conflicting prices for a repeated (date, ticker) key")
     return dates, tickers, close
 
 

@@ -1,5 +1,6 @@
 """Panel ingestion, log returns, reference standardization, and rolling-window tests."""
 import csv
+import io
 import logging
 import math
 import tempfile
@@ -203,7 +204,6 @@ FAULTS = {
     "negative": lambda d, t, p: f"{d},{t},-3",
     "word": lambda d, t, p: f"{d},{t},abc",
     "empty_price": lambda d, t, p: f"{d},{t},",
-    "equal_duplicate": lambda d, t, p: f"{d},{t},{p}\n{d},{t},{p}",
     "conflicting_duplicate": lambda d, t, p: f"{d},{t},{p}\n{d},{t},{p}1",
 }
 
@@ -221,15 +221,18 @@ def _date_text(d: date, form: str) -> str:
 def long_files(draw):
     """(file text, plain): a random long file, and whether the block reader must take it.
 
-    The rows of a plain file have distinct (date, ticker) keys and values both
-    paths take; a file with faults adds 1 or 2 lines from FAULTS.
+    The rows of a plain file hold values both paths take, and a repeated
+    (date, ticker) key repeats its price, maybe with another date text; a
+    file with faults adds 1 or 2 lines from FAULTS.
     """
     header = draw(st.sampled_from(["date,ticker,close", "Date, Ticker ,CLOSE"]))
     keys = draw(st.lists(st.tuples(st.sampled_from(DATES), st.sampled_from(TICKERS)),
                          unique=True, max_size=16))
+    keys += draw(st.lists(st.sampled_from(keys), max_size=2)) if keys else []
+    price = {key: draw(st.sampled_from(PRICES)) for key in keys}
     lines = [header] + [
-        f"{_date_text(d, draw(st.sampled_from(DATE_FORMS)))},{t},{draw(st.sampled_from(PRICES))}"
-        for d, t in keys]
+        f"{_date_text(d, draw(st.sampled_from(DATE_FORMS)))},{t},{price[d, t]}"
+        for d, t in draw(st.permutations(keys))]
     faults = [draw(st.sampled_from(sorted(FAULTS)))
               for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2])))]
     for fault in faults:
@@ -263,9 +266,12 @@ def test_long_loader_matches_csv_path(case, block):
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
-@pytest.mark.parametrize("fault", sorted(FAULTS) + ["header", "header_cr"])
+@pytest.mark.parametrize("fault", sorted(FAULTS) + ["header", "header_cr", "header_long"])
 def test_long_loader_hands_every_fault_to_the_csv_path(tmp_path, fault, eol):
-    header = {"header": "day,sym,price", "header_cr": "date\r,ticker,close"}
+    # The long header is past the csv field size limit, which the csv path
+    # rejects even though the header strips to the long one.
+    header = {"header": "day,sym,price", "header_cr": "date\r,ticker,close",
+              "header_long": "date" + " " * 140_000 + ",ticker,close"}
     lines = [header.get(fault, "date,ticker,close"), "2025-01-02,A,100",
              FAULTS.get(fault, "{},{},{}".format)("2025-01-09", "B", "7.25"),
              "2025-01-03,A,101"]
@@ -294,8 +300,14 @@ def test_long_loader_reads_multi_block_files_itself(tmp_path):
 def test_long_loader_leaves_fields_beyond_the_csv_limit_to_csv(tmp_path):
     f = write(tmp_path / "p.csv", f"date,ticker,close\n2025-01-02,{'T' * 140_000},1\n")
     assert outcome(load_price_panel, f) == outcome(strict_load, f)
-    with pytest.raises(csv.Error, match="field limit"):
-        load_price_panel(f)
+
+
+def test_line_blocks_decline_a_long_line_before_buffering_the_file():
+    # Lone-CR line ends leave the block reader no LF to cut at.
+    fh = io.BytesIO(b"2025-01-02,A,100\r" * 400_000)
+    with pytest.raises(panel_module._Declined, match="field size limit"):
+        list(panel_module._line_blocks(fh))
+    assert fh.tell() <= csv.field_size_limit() + panel_module._BLOCK_BYTES
 
 
 def test_long_loader_logs_why_it_declines(tmp_path, caplog):
