@@ -129,9 +129,28 @@ def open_input(path):
         raise DataError(f"{path}: cannot open: {exc.strerror}") from exc
 
 
+def _first_undecodable_line(path) -> int | None:
+    with open(path, "rb") as fh:
+        for n, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return n
+    return None
+
+
 def _open_rows(path):
+    """The csv rows of a UTF-8 file; what the csv module rejects, and bytes
+    that are not UTF-8, raise a ParseError naming the file and line."""
     with open_input(path) as fh:
-        yield from csv.reader(fh)
+        reader = csv.reader(fh)
+        try:
+            yield from reader
+        except csv.Error as exc:
+            raise ParseError(str(exc), path, reader.line_num) from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text ({exc.reason})", path,
+                             _first_undecodable_line(path)) from None
 
 
 def _parse_date(text: str, path, line: int) -> date:

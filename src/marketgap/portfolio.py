@@ -166,6 +166,165 @@ def realized_volatility(weights: np.ndarray, test_returns: np.ndarray,
     return np.std(port, axis=-1, ddof=1) * math.sqrt(annualization) * 100.0
 
 
+# ---------- Subset draws ----------
+#
+# `_subsets` gives, for P keys at once, the set that
+# `np.random.default_rng(key).choice(m, n, replace=False)` draws: NumPy's
+# SeedSequence hash of the key, the PCG64 (XSL-RR 128/64) stream it seeds,
+# the buffered 32-bit draws and the no-replacement rule of `Generator.choice`.
+# Each of the P lanes runs the same uint64 arithmetic; 32-bit quantities are
+# masked back to 32 bits and 128-bit ones are (hi, lo) pairs.
+
+_M32 = np.uint64(0xFFFFFFFF)
+_S16, _S32, _S58, _S63, _S64 = (np.uint64(s) for s in (16, 32, 58, 63, 64))
+_ONE = np.uint64(1)
+# SeedSequence hash constants.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+# The PCG64 multiplier, as 64-bit halves and the 32-bit limbs of its low half.
+_PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+_PCG_LO1, _PCG_LO0 = _PCG_LO >> _S32, _PCG_LO & _M32
+
+
+def _key_words(value: int) -> list[int]:
+    """The 32-bit words SeedSequence makes of a key int, least significant first."""
+    if value < 0:
+        raise UsageError(f"seed key values must be non-negative, got {value}")
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix; its 32-bit constant starts at init and is multiplied by mult per call."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint64(const)
+        const = const * mult & 0xFFFFFFFF
+        value = value * np.uint64(const) & _M32
+        return value ^ (value >> _S16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = (_MIX_L * x - _MIX_R * y) & _M32
+    return result ^ (result >> _S16)
+
+
+def _mulhi64(a: np.ndarray) -> np.ndarray:
+    """High 64 bits of each a * _PCG_LO, from 32-bit limbs."""
+    a1, a0 = a >> _S32, a & _M32
+    p01, p10 = a0 * _PCG_LO1, a1 * _PCG_LO0
+    mid = (a0 * _PCG_LO0 >> _S32) + (p01 & _M32) + (p10 & _M32)
+    return a1 * _PCG_LO1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+
+
+class _Lanes:
+    """P PCG64 generators seeded by SeedSequence([*prefix, p]), p = 0..P-1."""
+
+    def __init__(self, prefix: tuple[int, ...], count: int):
+        # Every lane index is one 32-bit key word, as count <= 2**32.
+        entropy = [np.full(count, w, dtype=np.uint64) for k in prefix for w in _key_words(k)]
+        entropy.append(np.arange(count, dtype=np.uint64))
+        # SeedSequence.mix_entropy into a pool of 4 words.
+        hashmix = _hasher(_INIT_A, _MULT_A)
+        pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(count, dtype=np.uint64))
+                for i in range(4)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word in entropy[4:]:
+            for dst in range(4):
+                pool[dst] = _mix(pool[dst], hashmix(word))
+        # SeedSequence.generate_state(4, np.uint64): 8 words from the cycled pool.
+        hashmix = _hasher(_INIT_B, _MULT_B)
+        state = [hashmix(pool[i % 4]) for i in range(8)]
+        s0, s1, s2, s3 = (state[2 * k] | state[2 * k + 1] << _S32 for k in range(4))
+        # PCG64 srandom_r: state s0:s1, increment (s2:s3 << 1) | 1.
+        self.inc_hi = s2 << _ONE | s3 >> _S63
+        self.inc_lo = s3 << _ONE | _ONE
+        self.hi, self.lo = self.inc_hi.copy(), self.inc_lo.copy()  # one step from 0
+        self.lo += s1
+        self.hi += s0 + (self.lo < s1)
+        self._step(np.arange(count))
+        self.has_word = np.zeros(count, dtype=bool)
+        self.word = np.zeros(count, dtype=np.uint64)
+
+    def _step(self, lanes: np.ndarray) -> np.ndarray:
+        """Advance the given lanes one PCG64 step; their 64-bit XSL-RR outputs."""
+        hi, lo = self.hi[lanes], self.lo[lanes]
+        hi = hi * _PCG_LO + lo * _PCG_HI + _mulhi64(lo) + self.inc_hi[lanes]
+        lo = lo * _PCG_LO
+        inc_lo = self.inc_lo[lanes]
+        lo += inc_lo
+        hi += lo < inc_lo
+        self.hi[lanes], self.lo[lanes] = hi, lo
+        x, rot = hi ^ lo, hi >> _S58
+        return x >> rot | x << ((_S64 - rot) & _S63)
+
+    def next_uint32(self, lanes: np.ndarray) -> np.ndarray:
+        """Each lane's next 32-bit draw: the low half of a fresh output, then its high half."""
+        out = self.word[lanes]
+        had = self.has_word[lanes]
+        fresh = lanes[~had]
+        if fresh.size:
+            value = self._step(fresh)
+            out[~had] = value & _M32
+            self.word[fresh] = value >> _S32
+        self.has_word[lanes] = ~had
+        return out
+
+    def bounded(self, j: int) -> np.ndarray:
+        """Each lane's draw on [0, j], 0 < j < 2**32 - 1, by Lemire's rule.
+
+        That is the high word of u * (j + 1) for a 32-bit draw u, redrawn
+        while the low word is below 2**32 mod (j + 1).
+        """
+        every = np.arange(self.hi.size)
+        bound, threshold = np.uint64(j + 1), np.uint64(2**32 % (j + 1))
+        prod = self.next_uint32(every) * bound
+        redo = every[(prod & _M32) < threshold]
+        while redo.size:
+            prod[redo] = self.next_uint32(redo) * bound
+            redo = redo[(prod[redo] & _M32) < threshold]
+        return (prod >> _S32).astype(np.int64)
+
+
+def _subsets(prefix: tuple[int, ...], count: int, m: int, n: int) -> np.ndarray:
+    """Sorted (count, n) sets `default_rng([*prefix, p]).choice(m, n, replace=False)` draws.
+
+    Row p is the draw of key [*prefix, p]; 1 <= n <= m < 2**32 - 1. Like
+    `Generator.choice`, it takes Floyd's algorithm when m <= 10000 or
+    n <= m // 50, and otherwise shuffles the last n places of range(m); both
+    draw by `_Lanes.bounded`. Only the set is kept, so the final shuffle of
+    the Floyd branch is left out.
+    """
+    lanes = _Lanes(prefix, count)
+    if m <= 10000 or n <= m // 50:
+        picks = np.zeros((count, n), dtype=np.int64)
+        for k, j in enumerate(range(m - n, m)):
+            if j == 0:  # a draw on [0, 0] is 0 and takes no random word
+                continue
+            val = lanes.bounded(j)
+            # A value already drawn gives way to j, which none could be.
+            seen = (picks[:, :k] == val[:, np.newaxis]).any(axis=1)
+            picks[:, k] = np.where(seen, j, val)
+    else:
+        perm = np.tile(np.arange(m, dtype=np.int64), (count, 1))
+        rows = np.arange(count)
+        for i in range(m - 1, max(m - n, 1) - 1, -1):
+            j = lanes.bounded(i)
+            perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
+        picks = perm[:, m - n:]
+    return np.sort(picks, axis=1)
+
+
 # ---------- The rolling study ----------
 
 def _window_observations(
@@ -190,11 +349,7 @@ def _window_observations(
 
     # Drawing positions in `eligible` takes the same random stream as drawing
     # from `eligible` itself.
-    draws = np.array([
-        np.random.default_rng([seed, stream, w_idx, p_idx]).choice(eligible.size, n, replace=False)
-        for p_idx in range(config.portfolios)
-    ])
-    picks = eligible[np.sort(draws, axis=1)]  # (P, n)
+    picks = eligible[_subsets((seed, stream, w_idx), config.portfolios, eligible.size, n)]
     # (P, n, t) formation and (P, n, h) test stacks; each asset's returns are contiguous.
     x = np.ascontiguousarray(form.T)[picks]
     y = np.ascontiguousarray(test.T)[picks]

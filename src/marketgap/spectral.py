@@ -144,12 +144,12 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSp
     """Spectral statistics of every rolling window of a (dates x assets) return matrix.
 
     Window k covers rows [ends[k] - length, ends[k]) on the grid of
-    `panel.window_ends`. In each window an asset with a missing return,
-    or with zero or non-finite population variance, is dropped; the others
-    are z-scored with the population (1/T) variance and C = Z Z' / T goes
-    through `correlation_spectra`. Windows are taken in chunks bounded by
-    _CHUNK_BYTES, and each chunk in groups of windows that keep the same
-    assets, so a complete panel forms one group per chunk.
+    `panel.window_ends`. In each window an asset with a missing return, with
+    all-equal returns, or with zero or non-finite population variance, is
+    dropped; the others are z-scored with the population (1/T) variance and
+    C = Z Z' / T goes through `correlation_spectra`. Windows are taken in
+    chunks bounded by _CHUNK_BYTES, and each chunk in groups of windows that
+    keep the same assets, so a complete panel forms one group per chunk.
     """
     n_dates, n_all = values.shape
     ends = window_ends(n_dates, length, step)
@@ -167,9 +167,17 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSp
         return out
     # A (W, N, T) view whose window k starts at row k * step = ends[k] - length.
     windows = sliding_window_view(values, length, axis=0)[::step]
-    nan_seen = np.zeros((n_dates + 1, n_all), dtype=np.int64)
-    np.cumsum(np.isnan(values), axis=0, out=nan_seen[1:])
-    complete = nan_seen[ends] == nan_seen[ends - length]  # (W, N)
+    # Per-asset running counts, built once per panel: of missing returns in
+    # rows [0, k), then, in the same buffer, of changes between consecutive
+    # rows in [0, k). A window keeps an asset with no missing return and at
+    # least one change.
+    seen = np.zeros((n_dates + 1, n_all), dtype=np.int64)
+    np.cumsum(np.isnan(values), axis=0, out=seen[1:])
+    usable = seen[ends] == seen[ends - length]  # (W, N)
+    seen[1] = 0
+    np.cumsum(values[1:] != values[:-1], axis=0, out=seen[2:])
+    usable &= seen[ends] != seen[ends - length + 1]
+    del seen
     chunk = max(1, _CHUNK_BYTES // (8 * max(n_all, 1) * max(n_all, length)))
     for lo in range(0, n_win, chunk):
         # A C-ordered copy: each asset's T returns are contiguous, so the means and
@@ -177,7 +185,7 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSp
         dev = np.array(windows[lo:lo + chunk], order="C")  # (k, N, T)
         dev -= dev.mean(axis=-1, keepdims=True)
         std = np.sqrt(np.mean(dev * dev, axis=-1))
-        keep = complete[lo:lo + chunk] & np.isfinite(std) & (std > 0.0)
+        keep = usable[lo:lo + chunk] & np.isfinite(std) & (std > 0.0)
         groups: dict[bytes, list[int]] = {}
         for i, row in enumerate(keep):
             groups.setdefault(row.tobytes(), []).append(i)

@@ -30,7 +30,7 @@ from marketgap.spectral import NORM_MODES, RHO_MODES, SpectralSummary, mp_bounds
 
 # Reasons recorded when a window drops an asset.
 REASON_MISSING = "missing data"
-REASON_ZERO_VARIANCE = "zero variance"
+REASON_ALL_EQUAL = "all-equal returns"
 
 
 @dataclass(eq=False)
@@ -55,7 +55,8 @@ def standardize_window(returns: ReturnPanel, start: int, end: int) -> Standardiz
     """Z-score each asset over return rows [start, end) with the population (1/T) variance.
 
     Assets with any missing return in the window are dropped with reason
-    "missing data"; assets with zero variance with reason "zero variance".
+    "missing data"; assets whose returns are all equal (or whose variance is
+    not a positive finite number) with reason "all-equal returns".
     Fewer than 2 survivors raises DegenerateWindowError.
     """
     if not 0 <= start < end <= returns.n_dates:
@@ -71,10 +72,11 @@ def standardize_window(returns: ReturnPanel, start: int, end: int) -> Standardiz
         if not complete[j]:
             dropped.append((ticker, REASON_MISSING))
             continue
-        m = block[:, j].mean()
-        s = math.sqrt(float(np.mean((block[:, j] - m) ** 2)))
-        if s <= 0.0 or not math.isfinite(s):
-            dropped.append((ticker, REASON_ZERO_VARIANCE))
+        column = block[:, j]
+        m = column.mean()
+        s = math.sqrt(float(np.mean((column - m) ** 2)))
+        if (column == column[0]).all() or s <= 0.0 or not math.isfinite(s):
+            dropped.append((ticker, REASON_ALL_EQUAL))
             continue
         means[j] = m
         stds[j] = s

@@ -230,6 +230,37 @@ def test_gap_rejects_bad_price_file(tmp_path):
     assert run("gap", "--prices", bad, "--out-dir", tmp_path / "out") == 3
 
 
+GOOD_ROWS = b"".join(b"2025-01-%02d,%s,%d.0\n" % (d, t, 10 + d) for d in range(2, 8)
+                     for t in (b"A", b"B", b"C"))
+
+
+@pytest.mark.parametrize("layout,content,where", [
+    # A ticker longer than the csv field size limit.
+    ("long", b"date,ticker,close\n" + GOOD_ROWS + b"2025-01-08," + b"T" * 140000 + b",1.0\n",
+     ":20:"),
+    # A byte that is not UTF-8.
+    ("long", b"date,ticker,close\n" + GOOD_ROWS + b"2025-01-08,\xff,1.0\n", ":20:"),
+    ("wide", b"date,A,B\n2025-01-02,1.0,2.0\n2025-01-03,\xff,2.0\n", ":3:"),
+    # A NUL byte, which the csv module of Python 3.10 rejects.
+    ("long", b"date,ticker,close\n" + GOOD_ROWS + b"2025-01-08,A,1.0\0\n", ":20:"),
+], ids=["oversized-field", "non-utf8-long", "non-utf8-wide", "nul"])
+def test_undecodable_or_oversized_price_file_is_exit_3(tmp_path, capsys, layout, content, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    assert run("gap", "--prices", bad, "--layout", layout, "--out-dir", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert f"{bad}{where}" in err
+    assert "Traceback" not in err
+
+
+def test_undecodable_metadata_file_is_exit_3(tmp_path, synth_dir, capsys):
+    meta = tmp_path / "meta.csv"
+    meta.write_bytes(b"ticker,sector,market\nA,S\xff,M\n")
+    assert run("gap", "--prices", synth_dir / "prices.csv", "--meta", meta,
+               "--out-dir", tmp_path / "out") == 3
+    assert f"{meta}:2: not UTF-8 text" in capsys.readouterr().err
+
+
 # ---------- entropy ----------
 
 @pytest.mark.parametrize("command,flag,value", [

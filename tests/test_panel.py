@@ -24,7 +24,7 @@ from marketgap.panel import (
     window_ends,
     write_price_panel,
 )
-from oracle import REASON_MISSING, REASON_ZERO_VARIANCE, standardize_window
+from oracle import REASON_ALL_EQUAL, REASON_MISSING, standardize_window
 
 from conftest import make_panel, make_returns
 
@@ -445,7 +445,7 @@ def test_standardize_drops_constant_asset_with_reason():
     ]))
     std = standardize_window(returns, 0, 4)
     assert std.assets == ["T1", "T2"]
-    assert ("T0", REASON_ZERO_VARIANCE) in std.dropped
+    assert ("T0", REASON_ALL_EQUAL) in std.dropped
 
 
 def test_standardize_drops_incomplete_asset_with_reason():

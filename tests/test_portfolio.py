@@ -14,6 +14,7 @@ from marketgap.panel import ReturnPanel, log_returns
 from marketgap.portfolio import (
     PortfolioObservation,
     StudyConfig,
+    _subsets,
     covariance_matrix,
     ew_weights,
     incremental_r2,
@@ -262,6 +263,60 @@ def test_spearman_invariant_under_increasing_transforms():
                    (lambda v: 5 * v + 2, np.exp)):
         rho, _ = spearman(fx(x), fy(y))
         assert rho == pytest.approx(base, abs=1e-12)
+
+
+# ---------- Subset draws ----------
+
+def numpy_subsets(prefix, count, m, n):
+    return np.array([np.sort(np.random.default_rng([*prefix, p]).choice(m, n, replace=False))
+                     for p in range(count)])
+
+
+@st.composite
+def subset_cases(draw):
+    """Keys whose seed spans one to three 32-bit words, and (m, n) on both choice branches."""
+    seed = draw(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**96))
+    prefix = (seed, draw(st.integers(0, 5)), draw(st.integers(0, 2**40)))
+    m = draw(st.integers(1, 10000) | st.integers(10001, 30000))
+    if m > 10000:  # Floyd up to m // 50, the tail shuffle above it
+        n = m // 50 + draw(st.integers(-5, 5))
+    else:
+        n = draw(st.integers(1, min(m, 300)) | st.just(m))
+    return prefix, draw(st.integers(1, 8)), m, n
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(case=subset_cases())
+def test_subsets_match_numpy_choice(case):
+    prefix, count, m, n = case
+    np.testing.assert_array_equal(_subsets(prefix, count, m, n),
+                                  numpy_subsets(prefix, count, m, n), strict=True)
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (7, 7), (10000, 10000), (10001, 10001), (12000, 600)])
+def test_subsets_match_numpy_choice_at_branch_edges(m, n):
+    for seed in (0, 2**32):
+        np.testing.assert_array_equal(_subsets((seed, 1, 2), 3, m, n),
+                                      numpy_subsets((seed, 1, 2), 3, m, n), strict=True)
+
+
+def test_subsets_golden_draws():
+    # Fixed here, so the study's stream stays put whatever a later NumPy does.
+    assert _subsets((3, 0, 0), 3, 60, 10).tolist() == [
+        [2, 4, 5, 9, 12, 33, 41, 44, 49, 54],
+        [2, 10, 13, 14, 22, 34, 35, 40, 47, 54],
+        [1, 6, 16, 23, 33, 39, 50, 53, 55, 56],
+    ]
+    assert _subsets((2**64 + 3, 1, 17), 2, 100, 5).tolist() == [
+        [10, 22, 58, 61, 66], [9, 17, 41, 83, 90]]
+    tail = _subsets((7, 2, 5), 2, 10001, 201)  # the tail-shuffle branch
+    assert tail[:, :6].tolist() == [[80, 93, 130, 141, 221, 224], [1, 46, 48, 75, 116, 250]]
+    assert tail.sum(axis=1).tolist() == [950231, 976971]
+
+
+def test_subsets_reject_negative_key():
+    with pytest.raises(UsageError, match="non-negative"):
+        _subsets((-1, 0, 0), 2, 10, 3)
 
 
 # ---------- Rolling study ----------

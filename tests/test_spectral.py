@@ -364,7 +364,7 @@ def test_summary_matches_oracle_on_acceptance_matrices(rho_mode, norm_mode):
 
 @st.composite
 def return_panels(draw):
-    """Panels with N from 2 to above T, NaN runs, and assets flat over a stretch."""
+    """Panels with N from 2 to above T, NaN runs, and assets constant over a stretch."""
     window = draw(st.integers(3, 15))
     n_assets = draw(st.integers(2, 4) | st.integers(2, 3 * window))
     n_dates = window + draw(st.integers(0, 12))
@@ -377,7 +377,7 @@ def return_panels(draw):
     for asset, start, length in draw(st.lists(runs, max_size=4)):
         values[start:start + length, asset] = np.nan
     for asset, start, length in draw(st.lists(runs, max_size=3)):
-        values[start:start + length, asset] = 0.0
+        values[start:start + length, asset] = draw(st.sampled_from([0.0, 0.001, 0.1]))
     return make_returns(values), window, draw(st.integers(1, 3))
 
 
@@ -411,6 +411,18 @@ def panel_with_gaps(rng, n_dates, n_assets):
     values[5 * sixth:, 2] = np.nan  # delisted early
     values[2 * sixth + 2:2 * sixth + 18, 3] = 0.0  # flat long enough to fill a window
     return values
+
+
+@pytest.mark.parametrize("constant", [0.1, 0.001])
+def test_rolling_spectra_drops_asset_with_all_equal_returns(constant):
+    # A constant 0.1 leaves a population std of rounding residue (~4e-17), not 0.
+    values = np.random.default_rng(5).normal(0.0, 0.01, (80, 6))
+    values[:, 0] = constant
+    spectra = rolling_spectra(values, 60)
+    assert spectra.n_assets.tolist() == [5] * 21
+    np.testing.assert_array_equal(spectra.lambda_max, rolling_spectra(values[:, 1:], 60).lambda_max)
+    values[70:, 0] = 0.02  # the asset changes from row 70 on: windows ending after it keep it
+    assert rolling_spectra(values, 60).n_assets.tolist() == [5] * 11 + [6] * 10
 
 
 def test_rolling_spectra_chunk_boundaries_are_bit_identical(monkeypatch):
