@@ -252,7 +252,8 @@ class _Lanes:
         self.hi, self.lo = self.inc_hi.copy(), self.inc_lo.copy()  # one step from 0
         self.lo += s1
         self.hi += s0 + (self.lo < s1)
-        self._step(np.arange(count))
+        self.every = np.arange(count)
+        self._step(self.every)
         self.has_word = np.zeros(count, dtype=bool)
         self.word = np.zeros(count, dtype=np.uint64)
 
@@ -286,10 +287,9 @@ class _Lanes:
         That is the high word of u * (j + 1) for a 32-bit draw u, redrawn
         while the low word is below 2**32 mod (j + 1).
         """
-        every = np.arange(self.hi.size)
         bound, threshold = np.uint64(j + 1), np.uint64(2**32 % (j + 1))
-        prod = self.next_uint32(every) * bound
-        redo = every[(prod & _M32) < threshold]
+        prod = self.next_uint32(self.every) * bound
+        redo = self.every[(prod & _M32) < threshold]
         while redo.size:
             prod[redo] = self.next_uint32(redo) * bound
             redo = redo[(prod[redo] & _M32) < threshold]
@@ -317,7 +317,7 @@ def _subsets(prefix: tuple[int, ...], count: int, m: int, n: int) -> np.ndarray:
             picks[:, k] = np.where(seen, j, val)
     else:
         perm = np.tile(np.arange(m, dtype=np.int64), (count, 1))
-        rows = np.arange(count)
+        rows = lanes.every
         for i in range(m - 1, max(m - n, 1) - 1, -1):
             j = lanes.bounded(i)
             perm[rows, i], perm[rows, j] = perm[rows, j], perm[rows, i]
