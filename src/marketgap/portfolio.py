@@ -8,6 +8,7 @@ Spearman ranks, quintile sorts, and incremental R-squared.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import DataError, UndefinedCorrelationError, UsageError
 from .panel import ReturnPanel, window_ends
 from .spectral import correlation_spectra
+
+logger = logging.getLogger(__name__)
 
 
 # ---------- Domain types ----------
@@ -121,18 +124,37 @@ def covariance_matrix(values: np.ndarray) -> np.ndarray:
     return (v + v.swapaxes(-1, -2)) / 2.0
 
 
+# A symmetric PSD matrix's singular values are its eigenvalues, and
+# pinv(rcond=1e-10) zeroes only those below 1e-10 * s_max. A covariance whose
+# eigenvalues pass lambda_min > _SOLVE_RCOND * lambda_max clears that cut by a
+# factor of 100, so pinv would truncate nothing and V+ = V^-1: a solve gives
+# the same weights up to rounding, and every row pinv would truncate still
+# goes to pinv.
+_SOLVE_RCOND = 1e-8
+
+
 def mvp_weights(cov: np.ndarray) -> np.ndarray:
-    """Fully invested minimum-variance weights q = V+ 1 / (1' V+ 1) of each covariance.
+    """Fully invested minimum-variance weights q = V+ 1 / (1' V+ 1) of each symmetric covariance.
 
     Uses the Moore-Penrose pseudo-inverse (singular values below 1e-10 * s_max
     are treated as zero), so rank-deficient covariances still yield weights;
-    shorting is allowed. Where 1'V+1 is non-finite or below 1e-12 in
+    shorting is allowed. A well-conditioned covariance is solved for V^-1 1
+    instead (see `_SOLVE_RCOND`). Where 1'V+1 is non-finite or below 1e-12 in
     magnitude the weights are undefined, and that row of the result is NaN.
     """
     v = np.asarray(cov, dtype=float)
-    pinv = np.linalg.pinv(v, rcond=1e-10)
     ones = np.ones(v.shape[-1])
-    numer = pinv @ ones
+    lam = np.linalg.eigvalsh(v)
+    solvable = lam[..., 0] > _SOLVE_RCOND * lam[..., -1]
+    numer = np.empty(v.shape[:-1])
+    # b is an explicit (k, n, 1) stack: NumPy 2 no longer reads a (k, n) b as k vectors.
+    a = v[solvable]
+    numer[solvable] = np.linalg.solve(a, np.ones(a.shape[:-1] + (1,)))[..., 0]
+    rest = ~solvable
+    if rest.any():
+        numer[rest] = np.linalg.pinv(v[rest], rcond=1e-10) @ ones
+        logger.debug("mvp weights: %d of %d covariance(s) took the pseudo-inverse",
+                     np.count_nonzero(rest), solvable.size)
     # A (1, n) @ (n,) product sums like the single dot product 1' numer; a
     # stacked (..., n) @ (n,) product does not.
     denom = (numer[..., np.newaxis, :] @ ones)[..., 0]
@@ -429,6 +451,9 @@ def run_portfolio_study(
             skipped_windows.append((w_idx, reason))
         observations.extend(obs)
         skipped_portfolios += skipped
+    logger.info("portfolio study %s: %d window(s) run, %d skipped; %d observations, "
+                "%d portfolio(s) skipped", market, ends.size - len(skipped_windows),
+                len(skipped_windows), len(observations), skipped_portfolios)
     return StudyResult(
         observations=observations,
         skipped_windows=skipped_windows,
@@ -472,8 +497,9 @@ def spearman(x, y) -> SpearmanResult:
         raise DataError("spearman inputs contain NaN")
     if np.all(xv == xv[0]) or np.all(yv == yv[0]):
         raise UndefinedCorrelationError("zero rank variance: correlation undefined")
-    # Imported here: scipy.special costs ~0.3 s of start-up, and only the
-    # portfolio report needs it.
+    # Imported here: scipy.special costs 0.15-0.2 s of start-up after NumPy (its
+    # array-API shim walks NumPy's namespace and imports numpy.f2py), and
+    # only the portfolio report needs it.
     from scipy.special import stdtr
 
     rx = _average_ranks(xv)

@@ -5,13 +5,14 @@ a per-asset loop that z-scores one window, an explicit correlation wrapper, a
 full `np.linalg.eigh` eigendecomposition (eigenvectors included), and the
 summary built from those pieces. It also keeps the portfolio study's former
 per-subset loop, with its inline subset gap and its single-matrix
-covariance, weights and volatilities, the scalar ordinal pattern and the
-per-date ordinal distribution that the entropy series once took one window
-at a time, and the `csv.writer` loop that once wrote price panels, and the
-stacked correlation kernel as it stood before it cleaned its input in
-place. The windows come from plain `range` loops here, not from the
-package's grid. Only the dataclasses, the pattern table and the closed-form
-Marchenko-Pastur band come from the package.
+covariance, weights and volatilities, the stacked pseudo-inverse weights the
+package took before it solved well-conditioned covariances, the scalar
+ordinal pattern and the per-date ordinal distribution that the entropy
+series once took one window at a time, and the `csv.writer` loop that once
+wrote price panels, and the stacked correlation kernel as it stood before it
+cleaned its input in place. The windows come from plain `range` loops here,
+not from the package's grid. Only the dataclasses, the pattern table and the
+closed-form Marchenko-Pastur band come from the package.
 """
 from __future__ import annotations
 
@@ -311,11 +312,32 @@ def covariance_matrix(x: np.ndarray) -> np.ndarray:
     return (v + v.T) / 2.0
 
 
-def mvp_weights(cov: np.ndarray) -> np.ndarray | None:
-    """q = V+ 1 / (1' V+ 1) of one covariance; None when 1'V+1 is non-finite or below 1e-12."""
-    pinv = np.linalg.pinv(cov, rcond=1e-10)
-    ones = np.ones(cov.shape[0])
+def pinv_mvp_weights(cov: np.ndarray) -> np.ndarray:
+    """q = V+ 1 / (1' V+ 1) of each covariance of a stack, by pseudo-inverse alone.
+
+    Where 1'V+1 is non-finite or below 1e-12 in magnitude, that row is NaN.
+    """
+    v = np.asarray(cov, dtype=float)
+    pinv = np.linalg.pinv(v, rcond=1e-10)
+    ones = np.ones(v.shape[-1])
     numer = pinv @ ones
+    denom = (numer[..., np.newaxis, :] @ ones)[..., 0]
+    undefined = ~np.isfinite(denom) | (np.abs(denom) < 1e-12)
+    return numer / np.where(undefined, np.nan, denom)[..., np.newaxis]
+
+
+def mvp_weights(cov: np.ndarray) -> np.ndarray | None:
+    """q = V+ 1 / (1' V+ 1) of one covariance; None when 1'V+1 is non-finite or below 1e-12.
+
+    V+ 1 is solved for when lambda_min > 1e-8 * lambda_max, where pinv would
+    truncate nothing, and taken from pinv otherwise.
+    """
+    ones = np.ones(cov.shape[0])
+    lam = np.linalg.eigvalsh(cov)
+    if lam[0] > 1e-8 * lam[-1]:
+        numer = np.linalg.solve(cov, ones[:, np.newaxis])[:, 0]
+    else:
+        numer = np.linalg.pinv(cov, rcond=1e-10) @ ones
     denom = float(ones @ numer)
     if not math.isfinite(denom) or abs(denom) < 1e-12:
         return None

@@ -637,3 +637,23 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         "assert 'scipy.stats' not in sys.modules",
     ])
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_commands_without_a_portfolio_report_leave_scipy_unloaded(tmp_path):
+    # Only the portfolio report's Spearman p-values import SciPy (scipy.special);
+    # every other command runs on NumPy alone.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "\n".join([
+        "import sys",
+        "from marketgap.cli import main",
+        "s = sys.argv[1] + '/synth'",
+        "inputs = ['--prices', s + '/prices.csv', '--meta', s + '/meta.csv']",
+        "for argv in (['synth', '--preset', 'one-factor'], ['gap', '--by-sector', *inputs],",
+        "             ['heatmap', *inputs], ['entropy', *inputs]):",
+        "    out = s if argv[0] == 'synth' else sys.argv[1] + '/' + argv[0]",
+        "    assert main([*argv, '--out-dir', out]) == 0, argv",
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))",
+        "assert not loaded, loaded",
+    ])
+    subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)

@@ -1,4 +1,5 @@
 """Portfolio construction, rolling study, Spearman, and quintile-report tests."""
+import logging
 import math
 from datetime import date
 from fractions import Fraction
@@ -124,6 +125,59 @@ def test_stacked_calls_match_single_calls_bit_for_bit():
         assert q[k].tobytes() == mvp_weights(cov[k]).tobytes()
         assert vol[k] == realized_volatility(q[k], y[k])
         assert ew_vol[k] == realized_volatility(ew_weights(6), y[k])
+
+
+@st.composite
+def covariance_stacks(draw):
+    """Stacks of symmetric n x n covariances, well-conditioned to rank-deficient.
+
+    A "spectrum" member is Q diag(lambda) Q' with log10 cond from 0 to 13; the
+    others are the zero matrix, a covariance with a duplicated column, one with
+    an x / -x pair of columns, and a scaled identity.
+    """
+    n = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["spectrum", "zero", "duplicate", "opposite", "identity"])
+    members = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
+        scale = 10.0 ** rng.uniform(-6.0, 2.0)
+        if kind == "spectrum":
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            spread = np.r_[0.0, rng.uniform(0.0, 1.0, n - 2), 1.0]
+            v = (q * scale * 10.0 ** (-draw(st.floats(0.0, 13.0)) * spread)) @ q.T
+        elif kind == "zero":
+            v = np.zeros((n, n))
+        elif kind == "identity":
+            v = scale * np.eye(n)
+        else:
+            x = rng.standard_normal((n, n + 20))
+            i, j = rng.choice(n, size=2, replace=False)
+            x[j] = x[i] if kind == "duplicate" else -x[i]
+            v = covariance_matrix(np.sqrt(scale) * x)
+        members.append((v + v.T) / 2.0)
+    return np.stack(members)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(cov=covariance_stacks())
+def test_mvp_weights_match_the_pseudo_inverse(cov):
+    q = mvp_weights(cov)
+    ref = oracle.pinv_mvp_weights(cov)
+    assert np.array_equal(np.isnan(q), np.isnan(ref))
+    lam = np.linalg.eigvalsh(cov)
+    n, eps = cov.shape[-1], np.finfo(float).eps
+    for k in range(len(cov)):
+        assert q[k].tobytes() == mvp_weights(cov[k]).tobytes()
+        if np.isnan(q[k]).all():
+            continue
+        assert abs(q[k].sum() - 1.0) <= 1e-10
+        if lam[k, 0] <= 1e-8 * lam[k, -1]:
+            # Every covariance pinv could truncate keeps the pinv weights.
+            assert q[k].tobytes() == ref[k].tobytes()
+        else:
+            cond = lam[k, -1] / lam[k, 0]
+            bound = (64 + n * cond) * eps * np.abs(ref[k]).max()
+            assert np.abs(q[k] - ref[k]).max() <= bound
 
 
 def test_ew_weights():
@@ -502,6 +556,26 @@ def test_study_skips_undefined_weights_and_keeps_the_rest():
     assert result.skipped_portfolios == n_windows * 30 - len(result.observations) > 0
     observations, _, skipped = oracle.portfolio_study(returns, config, 4)
     assert result.observations == observations and result.skipped_portfolios == skipped
+
+
+def test_study_logs_its_counts_and_the_pseudo_inverse_rows(caplog):
+    # As above, the pair {x, -x} is singular, so its weights take the pseudo-
+    # inverse and are undefined; the first window has too few eligible stocks.
+    rng = np.random.default_rng(41)
+    x, y = rng.normal(0, 0.02, size=(2, 120))
+    values = np.column_stack([x, -x, y])
+    values[:10, 1:] = np.nan
+    config = StudyConfig(formation=30, test=10, n_stocks=2, portfolios=30)
+    with caplog.at_level(logging.DEBUG, logger="marketgap"):
+        result = run_portfolio_study(make_returns(values), config, seed=4, market="M")
+    assert [w for w, _ in result.skipped_windows] == [0]
+    assert result.skipped_portfolios > 0
+    assert (f"portfolio study M: 8 window(s) run, 1 skipped; {len(result.observations)} "
+            f"observations, {result.skipped_portfolios} portfolio(s) skipped") in caplog.text
+    pinv_rows = [r.args[0] for r in caplog.records if "pseudo-inverse" in r.getMessage()]
+    assert sum(pinv_rows) == result.skipped_portfolios
+    assert all(r.levelno == logging.DEBUG for r in caplog.records
+               if "pseudo-inverse" in r.getMessage())
 
 
 @pytest.mark.parametrize("constant", [0.001, 0.1])
