@@ -316,26 +316,29 @@ def run_entropy(config: dict) -> None:
     )
     # The entropy series shares the gap series' window grid and its rules.
     grid = GapConfig(window=config["window"], step=config["step"])
+    event = date.fromisoformat(config["event_date"]) if config.get("event_date") else None
     out = _out_dir(config)
     panel = _load_panel(config)
-    outputs: list[str] = []
+    # Every market is computed before the first file is written, so a failed
+    # run leaves --out-dir empty.
+    results = []
     for market in panel.markets():
-        sub = panel.market_panel(market)
-        returns = log_returns(sub)
-        series = entropy_series(returns, length=grid.window, step=grid.step)
-        name = _slug(market)
+        series = entropy_series(log_returns(panel.market_panel(market)),
+                                length=grid.window, step=grid.step)
+        phase_doc = None
+        if event is not None:
+            phases = phase_segmentation(series.dates, series.values, event, params=params)
+            phase_doc = {"phases": _phases_dict(phases),
+                         "statistics": _phase_stats_dict(phase_statistics(series, phases))}
+        results.append((_slug(market), series, phase_doc))
+    outputs: list[str] = []
+    for name, series, phase_doc in results:
         _write_table(out / f"entropy_{name}.csv", ENTROPY_CSV_UNITS, ENTROPY_CSV_HEADER, (
             (d, series.n_stocks[i], series.values[i], *series.probabilities[i])
             for i, d in enumerate(series.dates)))
         outputs.append(f"entropy_{name}.csv")
-        if config.get("event_date"):
-            event = date.fromisoformat(config["event_date"])
-            phases = phase_segmentation(series.dates, series.values, event, params=params)
-            stats = phase_statistics(series, phases)
-            _write_json(
-                {"phases": _phases_dict(phases), "statistics": _phase_stats_dict(stats)},
-                out / f"phases_{name}.json",
-            )
+        if phase_doc is not None:
+            _write_json(phase_doc, out / f"phases_{name}.json")
             outputs.append(f"phases_{name}.json")
     _write_manifest(out, "entropy", config, _input_paths(config), outputs)
 
@@ -348,11 +351,14 @@ def run_heatmap(config: dict) -> None:
                         norm_mode=config["norm_mode"])
     out = _out_dir(config)
     panel = _load_panel(config)
-    outputs: list[str] = []
+    # Every market is computed before the first file is written.
+    grids = []
     for market in panel.markets():
         sub = panel.market_panel(market)
         grid = monthly_sector_heatmap(log_returns(sub), sub.sector_of, gap_cfg)
-        name = _slug(market)
+        grids.append((_slug(market), grid))
+    outputs: list[str] = []
+    for name, grid in grids:
         _write_table(out / f"heatmap_{name}.csv", HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER, (
             (sector, month, grid.mean_lambda_norm[sector, month], grid.window_count[sector, month])
             for sector in grid.sectors for month in grid.months

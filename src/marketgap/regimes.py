@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from datetime import date
 
@@ -90,17 +91,24 @@ def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeri
 class SegmentationParams:
     """Parameters for phase_segmentation.
 
-    threshold_based mode uses shock_halfwidth around the event date plus the
-    sustained-threshold rule (strictly above `threshold` for at least
-    `sustain_days` consecutive trading days). fixed mode expects the four
-    intervals spelled out explicitly.
+    The shock spans shock_halfwidth >= 0 trading days on each side of the event
+    date; the sustained-threshold rule asks for values strictly above a finite
+    `threshold` for at least `sustain_days` >= 1 consecutive trading days.
     """
 
     shock_halfwidth: int = 2
     threshold: float = 1.0
     sustain_days: int = 20
     stabilized: Interval | None = None
-    fixed_intervals: dict[str, Interval] | None = None
+
+    def __post_init__(self):
+        if self.shock_halfwidth < 0:
+            raise UsageError(f"shock half-width must be >= 0, got {self.shock_halfwidth}")
+        # A NaN threshold is never exceeded, which would read as "threshold never met".
+        if not math.isfinite(self.threshold):
+            raise UsageError(f"segmentation threshold must be finite, got {self.threshold}")
+        if self.sustain_days < 1:
+            raise UsageError(f"sustain days must be >= 1, got {self.sustain_days}")
 
 
 @dataclass(frozen=True)
@@ -140,49 +148,23 @@ def phase_segmentation(
     dates: list[date],
     values: np.ndarray,
     event_date: date,
-    rule: str = "threshold_based",
     params: SegmentationParams = SegmentationParams(),
 ) -> PhaseWindows:
     """Segment a dated scalar series into pre-shock / shock / false-recovery / stabilized.
 
     Applies to any dated scalar series; the reference usage runs it on the
-    cross-sectional ordinal-entropy series. In threshold_based mode the shock
-    spans event_date +- shock_halfwidth trading days; false recovery runs from
-    the first post-shock day until the day before the series first stays
-    strictly above the threshold for sustain_days consecutive days (to the
-    series end, with threshold_met=False, if that never happens); stabilized
-    defaults to [sustained-run start, series end] unless configured.
+    cross-sectional ordinal-entropy series. The shock spans event_date +-
+    shock_halfwidth trading days; false recovery runs from the first
+    post-shock day until the day before the series first stays strictly above
+    the threshold for sustain_days consecutive days (to the series end, with
+    threshold_met=False, if that never happens); stabilized defaults to
+    [sustained-run start, series end] unless configured.
     """
     n = len(dates)
     if n == 0 or len(values) != n:
         raise UsageError("segmentation needs equally long dates and values")
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise DataError("segmentation dates must be strictly increasing")
-
-    if rule == "fixed_calendar":
-        if not params.fixed_intervals:
-            raise UsageError("fixed_calendar rule needs params.fixed_intervals")
-        try:
-            intervals = {k: params.fixed_intervals[k] for k in
-                         ("pre_shock", "shock", "false_recovery", "stabilized")}
-        except KeyError as exc:
-            raise UsageError(f"fixed_intervals missing phase {exc.args[0]!r}") from None
-        for name, iv in intervals.items():
-            _check_interval(name, iv)
-        if not intervals["shock"][0] <= event_date <= intervals["shock"][1]:
-            raise DataError(f"shock interval does not contain event date {event_date}")
-        phases = PhaseWindows(
-            pre_shock=intervals["pre_shock"],
-            shock=intervals["shock"],
-            false_recovery=intervals["false_recovery"],
-            stabilized=intervals["stabilized"],
-            event_date=event_date,
-        )
-        _validate_order(phases)
-        return phases
-
-    if rule != "threshold_based":
-        raise UsageError(f"unknown segmentation rule {rule!r}")
     if params.stabilized is not None:
         _check_interval("stabilized", params.stabilized)
 

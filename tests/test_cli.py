@@ -1,6 +1,7 @@
 """End-to-end CLI tests: commands, manifests, determinism, exit codes."""
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -388,6 +389,32 @@ def test_heatmap_single_sector_single_row(tmp_path):
     assert {r[0] for r in rows} == {"ONE"}
 
 
+@pytest.mark.parametrize("command", ["entropy", "heatmap"])
+def test_failed_run_leaves_out_dir_empty(tmp_path, synth_dir, capsys, command):
+    # Every market is computed before the first file is written.
+    if command == "entropy":
+        # The series is computed, then the event date fails segmentation.
+        argv = ("entropy", "--prices", synth_dir / "prices.csv", "--event-date", "1990-01-01")
+    else:
+        # Market A is fine; market B, computed after it, holds a one-ticker sector.
+        dates = weekdays(date(2025, 1, 2), 40)
+        rng = np.random.default_rng(3)
+        rows = ["date,ticker,close"]
+        for ticker in ("A1", "A2", "B1", "B2", "B3"):
+            prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, len(dates))))
+            rows += [f"{d.isoformat()},{ticker},{p!r}" for d, p in zip(dates, prices.tolist())]
+        (tmp_path / "prices.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+        (tmp_path / "meta.csv").write_text(
+            "ticker,sector,market\nA1,S,A\nA2,S,A\nB1,S,B\nB2,S,B\nB3,T,B\n",
+            encoding="utf-8")
+        argv = ("heatmap", "--prices", tmp_path / "prices.csv", "--meta", tmp_path / "meta.csv",
+                "--window", 10)
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", out) == 3
+    assert "error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 # ---------- portfolio ----------
 
 def test_portfolio_requires_seed(tmp_path, risk_dir, capsys):
@@ -597,6 +624,32 @@ def test_rerun_accepts_heatmap_manifest_with_rho_mode(tmp_path, synth_dir):
         assert digest(first / name) == digest(second / name)
 
 
+@pytest.mark.parametrize("command,key,value,message", [
+    ("entropy", "entropy_threshold", math.nan, "must be finite"),
+    ("portfolio", "annualization", math.nan, "must be finite"),
+    ("portfolio", "annualization", math.inf, "must be finite"),
+    ("entropy", "shock_halfwidth", -1, "must be >= 0"),
+    ("entropy", "sustain_days", 0, "must be >= 1"),
+])
+def test_rerun_checks_settings_before_any_io(tmp_path, synth_dir, capsys,
+                                             command, key, value, message):
+    # The checks live in the config types, so an edited manifest meets them as
+    # the flags do: exit 2 before --out-dir is created. Before, a NaN threshold
+    # or a half-width of -1 ran and exited 0.
+    extra = ("--seed", 1, "--portfolios", 5) if command == "portfolio" else ()
+    first = tmp_path / "first"
+    assert run(command, "--prices", synth_dir / "prices.csv", *extra, "--out-dir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"][key] = value
+    edited = tmp_path / "edited_manifest.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")  # NaN / Infinity literals
+    capsys.readouterr()
+    second = tmp_path / "second"
+    assert run("rerun", "--manifest", edited, "--out-dir", second) == 2
+    assert message in capsys.readouterr().err
+    assert not second.exists()
+
+
 def test_manifest_contents(tmp_path, synth_dir):
     out = tmp_path / "gap"
     assert run("gap", "--prices", synth_dir / "prices.csv", "--window", 30,
@@ -640,8 +693,8 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 
 def test_commands_without_a_portfolio_report_leave_scipy_unloaded(tmp_path):
-    # Only the portfolio report's Spearman p-values import SciPy (scipy.special);
-    # every other command runs on NumPy alone.
+    # No command imports SciPy: these run on NumPy alone, and so does the
+    # portfolio report (see the next test).
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "\n".join([
@@ -657,3 +710,31 @@ def test_commands_without_a_portfolio_report_leave_scipy_unloaded(tmp_path):
         "assert not loaded, loaded",
     ])
     subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["unloaded", "unimportable"])
+def test_portfolio_report_runs_without_scipy(tmp_path, blocked):
+    # The Spearman p-values come from an in-tree Student-t tail, so a portfolio
+    # run loads no SciPy module, and runs where SciPy cannot be imported.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "\n".join([
+        "import json, sys",
+        "if sys.argv[2] == 'blocked':",
+        "    sys.modules['scipy'] = None  # import scipy now raises ImportError",
+        "from marketgap.cli import main",
+        "s = sys.argv[1] + '/synth'",
+        "assert main(['synth', '--preset', 'risk-study', '--out-dir', s]) == 0",
+        "event = json.load(open(s + '/truth.json'))['event_date']",
+        "assert main(['portfolio', '--prices', s + '/prices.csv', '--meta', s + '/meta.csv',",
+        "             '--seed', '1', '--event-date', event,",
+        "             '--out-dir', sys.argv[1] + '/portfolio']) == 0",
+        "if sys.argv[2] != 'blocked':",
+        "    loaded = sorted(m for m in sys.modules if m.startswith('scipy'))",
+        "    assert not loaded, loaded",
+    ])
+    subprocess.run([sys.executable, "-c", code, str(tmp_path), "blocked" if blocked else "-"],
+                   env=env, check=True)
+    report = json.loads((tmp_path / "portfolio" / "report.json").read_text())
+    assert all(0.0 <= m["spearman_delta_mvp"]["p_value"] <= 1.0
+               for m in report["markets"].values())

@@ -1,6 +1,7 @@
 """Portfolio construction, rolling study, Spearman, and quintile-report tests."""
 import logging
 import math
+import sys
 from datetime import date
 from fractions import Fraction
 
@@ -298,6 +299,141 @@ def test_spearman_p_value_t_approximation():
     from scipy import stats as sstats
     t = rho * math.sqrt((30 - 2) / (1 - rho * rho))
     assert p == pytest.approx(2 * sstats.t.sf(abs(t), 28), abs=1e-15)
+
+
+def _reference_tail(nu, t):
+    """2 stdtr(nu, -|t|); at nu = 1 the Cauchy tail 2/pi atan(1/|t|) instead.
+
+    SciPy 1.17.1's stdtr is off by up to 3e-9 relative at nu = 1 near |t| = 1e-8
+    (checked against mpmath), so it cannot judge that column.
+    """
+    if nu == 1:
+        return 2.0 / math.pi * math.atan2(1.0, abs(t))
+    from scipy.special import stdtr
+    return 2.0 * float(stdtr(nu, -abs(t)))
+
+
+@st.composite
+def tail_cases(draw):
+    nu = draw(st.integers(1, 20_000))
+    # Up to |t| = 1e8 sqrt(nu), past the largest t a float |rho| < 1 gives;
+    # for large nu that runs p from 1 down past the smallest subnormal.
+    log_t = draw(st.floats(-10.0, 8.0 + 0.5 * math.log10(nu)))
+    return nu, 10.0 ** log_t * draw(st.sampled_from([1.0, -1.0]))
+
+
+@settings(max_examples=1500, deadline=None, database=None)
+@given(case=tail_cases())
+def test_t_tail_matches_scipy_stdtr(case):
+    nu, t = case
+    p = portfolio._t_two_sided(nu, t)
+    ref = _reference_tail(nu, t)
+    assert 0.0 <= p <= 1.0
+    if ref >= 1e-300:
+        assert abs(p - ref) <= 1e-12 * ref, (nu, t, p, ref)
+    else:
+        assert p <= 1e-300 * (1.0 + 1e-12), (nu, t, p, ref)
+
+
+@pytest.mark.parametrize("nu", [2, 3, 10, 100, 1000, 16954, 20000])
+def test_t_tail_across_the_fraction_switch(nu):
+    # The two branches meet near t^2 = 3, where p is about 0.08. A fraction
+    # that lost digits to x near 1 missed SciPy by 1.5e-12 at nu = 16954.
+    from scipy.special import stdtr
+    for t in [1.9208800523804646, *np.sqrt(np.linspace(0.5, 12.0, 200))]:
+        ref = 2.0 * float(stdtr(nu, -t))
+        assert abs(portfolio._t_two_sided(nu, float(t)) - ref) <= 1e-12 * ref, t
+
+
+def test_t_tail_closed_forms_at_one_and_two_degrees_of_freedom():
+    for t in 10.0 ** np.linspace(-12, 15, 300):
+        cauchy = 2.0 / math.pi * math.atan2(1.0, t)
+        s = math.sqrt(2.0 + t * t)
+        nu2 = 2.0 / ((s + t) * s)  # 1 - t / sqrt(2 + t^2) without the cancellation
+        assert abs(portfolio._t_two_sided(1, t) - cauchy) <= 1e-12 * cauchy, t
+        assert abs(portfolio._t_two_sided(2, -t) - nu2) <= 1e-12 * nu2, t
+
+
+def test_t_tail_is_one_at_zero_t():
+    for nu in (1, 2, 3, 17998):
+        assert portfolio._t_two_sided(nu, 0.0) == 1.0
+        assert portfolio._t_two_sided(nu, -0.0) == 1.0
+    # Centered ranks (-2..2) and (-1, 2, 0, -2, 1) are exactly orthogonal.
+    assert spearman([1, 2, 3, 4, 5], [2, 5, 3, 1, 4]) == (0.0, 1.0)
+
+
+# SciPy 1.17.1's stdtr on each side of the point where it returns 0.0: the
+# last nonzero tail and the next t, where it gives 0.0 although the tail is a
+# subnormal number (1.48e-308 at nu = 3, 3.1e-311 at nu = 17998). nu = 3 to
+# 1000 sum Boost's power series, nu = 5000 and 17998 its BGRAT.
+SCIPY_LAST_NONZERO = [
+    (3, 5.2975e102, 5.29753e102, 1.4833985489260195e-308),
+    (10, 1.88049e31, 1.8805e31, 4.450310380146887e-309),
+    (100, 12092.7, 12092.8, 4.4515550881228e-310),
+    (1000, 56.0786, 56.079, 5.1211552124917e-311),
+    (5000, 40.5621, 40.5624, 3.1365976343677e-311),
+    (17998, 38.4701, 38.4704, 3.1425755926593e-311),
+]
+
+
+@pytest.mark.parametrize("nu,t_last,t_zero,p_last", SCIPY_LAST_NONZERO)
+def test_t_tail_underflows_where_scipy_does(nu, t_last, t_zero, p_last):
+    p = portfolio._t_two_sided(nu, t_last)
+    assert 0.0 < p < sys.float_info.min
+    assert abs(p - p_last) <= 1e-12 * p_last
+    assert portfolio._t_two_sided(nu, t_zero) == 0.0
+    assert portfolio._t_two_sided(nu, 10.0 * t_zero) == 0.0
+
+
+def test_t_tail_subnormal_and_vanishing_values():
+    from scipy.special import stdtr
+    # Subnormal tails SciPy 1.17.1 returns too, against mpmath (40 digits).
+    for nu, t, exact in [(2, 1e154, 1e-308), (3, 5.2959e102, 1.4847434505374704e-308),
+                         (200, 492.43, 2.23538916515777e-310),
+                         (17998, 38.4698, 3.1762905124005e-311)]:
+        p = portfolio._t_two_sided(nu, t)
+        assert 0.0 < p < sys.float_info.min
+        assert abs(p - exact) <= 1e-12 * exact, (nu, t)
+    # Tails below half the smallest subnormal: 0.0 on both sides. The last t is
+    # the largest a float |rho| < 1 gives at that nu.
+    for nu, t in [(17998, 39.32), (30, 4e11), (3, 1e110), (17998, 1e8 * math.sqrt(17998))]:
+        assert 2.0 * float(stdtr(nu, -t)) == 0.0
+        assert portfolio._t_two_sided(nu, t) == 0.0
+    # Past |t| ~ 1e154, t^2 leaves the float range: 0.0, as in SciPy 1.17.1.
+    assert portfolio._t_two_sided(1, 1e160) == portfolio._t_two_sided(2, -1e160) == 0.0
+
+
+@pytest.mark.parametrize("gap", [1e-12, 1e-14, 2.0 ** -53])
+@pytest.mark.parametrize("nu", [1, 2, 3, 10, 30, 100])
+def test_t_tail_for_rho_within_1e12_of_one(nu, gap):
+    for rho in (1.0 - gap, gap - 1.0):
+        t = rho * math.sqrt(nu / (1.0 - rho * rho))
+        p = portfolio._t_two_sided(nu, t)
+        ref = _reference_tail(nu, t)
+        if ref >= 1e-300:
+            assert abs(p - ref) <= 1e-12 * ref, (rho, p, ref)
+        else:
+            assert p == ref == 0.0, (rho, p, ref)
+
+
+def test_spearman_p_value_for_rho_within_1e12_of_one():
+    # One adjacent swap in 30000 ranks: rho = 1 - 12 / (n (n^2 - 1)) ~ 1 - 4.4e-13.
+    n = 30_000
+    x = np.arange(n, dtype=float)
+    y = x.copy()
+    y[[100, 101]] = y[[101, 100]]
+    rho, p = spearman(x, y)
+    assert 0.0 < 1.0 - rho <= 1e-12
+    assert rho == pytest.approx(1.0 - 12.0 / (n * (n * n - 1.0)), abs=1e-15)
+    assert p == 0.0
+    rho, p = spearman(x, y[::-1])
+    assert 0.0 < 1.0 + rho <= 1e-12 and p == 0.0
+
+
+def test_study_config_annualization_must_be_finite_and_positive():
+    for value in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(UsageError, match="annualization"):
+            StudyConfig(annualization=value)
 
 
 def test_spearman_errors():

@@ -1,5 +1,6 @@
 """Gap-series, phase-segmentation, and heatmap tests."""
 import logging
+import math
 from datetime import date
 
 import numpy as np
@@ -197,27 +198,15 @@ def test_segmentation_idempotent_and_non_overlapping():
         assert a[1] < b[0]
 
 
-def test_segmentation_fixed_calendar_mode():
-    dates, values = entropy_like([1.2] * 120)
-    intervals = {
-        "pre_shock": (dates[0], dates[39]),
-        "shock": (dates[40], dates[44]),
-        "false_recovery": (dates[45], dates[79]),
-        "stabilized": (dates[80], dates[119]),
-    }
-    phases = phase_segmentation(dates, values, dates[42], rule="fixed_calendar",
-                                params=SegmentationParams(fixed_intervals=intervals))
-    assert phases.shock == intervals["shock"]
-    assert phases.stabilized == intervals["stabilized"]
-
-    bad = dict(intervals, shock=(dates[50], dates[54]))  # event outside shock
-    with pytest.raises(DataError):
-        phase_segmentation(dates, values, dates[42], rule="fixed_calendar",
-                           params=SegmentationParams(fixed_intervals=bad))
+@pytest.mark.parametrize("kwargs", [
+    {"threshold": math.nan}, {"threshold": math.inf}, {"threshold": -math.inf},
+    {"shock_halfwidth": -1}, {"sustain_days": 0},
+])
+def test_segmentation_params_are_checked(kwargs):
+    # A NaN threshold is never exceeded and would read as "threshold never met";
+    # a half-width of -1 gave a reversed shock interval.
     with pytest.raises(UsageError):
-        phase_segmentation(dates, values, dates[42], rule="fixed_calendar")
-    with pytest.raises(UsageError):
-        phase_segmentation(dates, values, dates[42], rule="bayesian")
+        SegmentationParams(**kwargs)
 
 
 def test_segmentation_matches_scripted_scenario(three_phase):
