@@ -17,7 +17,6 @@ import math
 import os
 import re
 import sys
-from collections import Counter
 from datetime import date
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .regimes import (
     gap_series,
     monthly_sector_heatmap,
     phase_segmentation,
+    sector_gap_series,
 )
 from .synth import (
     generate_factor_panel,
@@ -224,6 +224,18 @@ def _input_paths(config: dict) -> list:
     return [config[key] for key in _INPUT_KEYS if config.get(key)]
 
 
+def _config_date(config: dict, key: str) -> date | None:
+    """The date under `key`, or None; a flag or manifest value that is no ISO date exits 2."""
+    text = config.get(key)
+    if not text:
+        return None
+    try:
+        return date.fromisoformat(text)
+    except (TypeError, ValueError):
+        flag = "--" + key.replace("_", "-")
+        raise UsageError(f"{flag} {text!r} is not an ISO date (YYYY-MM-DD)") from None
+
+
 def _out_dir(config: dict) -> Path:
     out = Path(config["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
@@ -233,10 +245,12 @@ def _out_dir(config: dict) -> Path:
 # ---------- Commands ----------
 #
 # Each command builds its config objects, which check every argument, before
-# it creates --out-dir or opens an input.
+# it creates --out-dir or opens an input. It then computes every market before
+# it writes the first file, so a failed run leaves --out-dir empty.
 
 def run_gap(config: dict) -> None:
-    if config.get("by_sector") and config.get("meta") is None:
+    by_sector = config.get("by_sector")
+    if by_sector and config.get("meta") is None:
         raise UsageError("--by-sector requires --meta with sector labels")
     gap_cfg = GapConfig(
         window=config["window"],
@@ -246,24 +260,19 @@ def run_gap(config: dict) -> None:
     )
     out = _out_dir(config)
     panel = _load_panel(config)
-    if config.get("by_sector"):
-        # Every sector of every market is checked before any file is written.
-        sizes = Counter((panel.market_of[t], panel.sector_of[t]) for t in panel.tickers)
-        for (market, sector), size in sorted(sizes.items()):
-            if size < 2:
-                raise DataError(
-                    f"sector {sector!r} in market {market!r} has {size} "
-                    "ticker(s); need >= 2 for --by-sector"
-                )
+    results = []
+    for market in panel.markets():
+        sub = panel.market_panel(market)
+        returns = log_returns(sub)
+        series = gap_series(returns, gap_cfg)
+        sectors = sector_gap_series(returns, sub.sector_of, gap_cfg) if by_sector else None
+        results.append((market, series, sectors))
     outputs: list[str] = []
     summary: dict = {"config": {
         "window": gap_cfg.window, "step": gap_cfg.step,
         "rho_mode": gap_cfg.rho_mode, "norm_mode": gap_cfg.norm_mode,
     }, "markets": {}}
-    for market in panel.markets():
-        sub = panel.market_panel(market)
-        returns = log_returns(sub)
-        series = gap_series(returns, gap_cfg)
+    for market, series, sectors in results:
         name = _slug(market)
         _write_table(out / f"gap_{name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
                      map(_gap_row, series.summaries))
@@ -280,47 +289,42 @@ def run_gap(config: dict) -> None:
             if deltas.size else None,
             "lambda_norm_mean": _json_value(series.lambda_norms.mean()) if deltas.size else None,
         }
-        if config.get("by_sector"):
-            sectors_summary = {}
-            for sector in sub.sectors():
-                members = [t for t in sub.tickers if sub.sector_of[t] == sector]
-                sector_series = gap_series(log_returns(sub.restrict(members)), gap_cfg)
-                sec_name = f"{name}_{_slug(sector)}"
-                _write_table(out / f"gap_{sec_name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
-                             map(_gap_row, sector_series.summaries))
-                outputs.append(f"gap_{sec_name}.csv")
-                sectors_summary[sector] = {
-                    "n_windows": len(sector_series.summaries),
-                    "delta_mean": _json_value(sector_series.deltas.mean())
-                    if sector_series.summaries else None,
-                }
-            summary["markets"][market]["sectors"] = sectors_summary
+        if sectors is None:
+            continue
+        for sector, sector_series in sectors.items():
+            sec_name = f"{name}_{_slug(sector)}"
+            _write_table(out / f"gap_{sec_name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
+                         map(_gap_row, sector_series.summaries))
+            outputs.append(f"gap_{sec_name}.csv")
+        summary["markets"][market]["sectors"] = {sector: {
+            "n_windows": len(s.summaries),
+            "delta_mean": _json_value(s.deltas.mean()) if s.summaries else None,
+        } for sector, s in sectors.items()}
     _write_json(summary, out / "summary.json")
     outputs.append("summary.json")
     _write_manifest(out, "gap", config, _input_paths(config), outputs)
 
 
 def run_entropy(config: dict) -> None:
-    start, end = config.get("stabilized_start"), config.get("stabilized_end")
-    if (start or end) and not config.get("event_date"):
+    event = _config_date(config, "event_date")
+    start = _config_date(config, "stabilized_start")
+    end = _config_date(config, "stabilized_end")
+    if (start or end) and event is None:
         raise UsageError("--stabilized-start and --stabilized-end need --event-date")
     if bool(start) != bool(end):
         raise UsageError("--stabilized-start and --stabilized-end go together")
-    if start and date.fromisoformat(start) > date.fromisoformat(end):
+    if start and start > end:
         raise UsageError(f"--stabilized-start {start} is after --stabilized-end {end}")
     params = SegmentationParams(
         shock_halfwidth=config["shock_halfwidth"],
         threshold=config["entropy_threshold"],
         sustain_days=config["sustain_days"],
-        stabilized=(date.fromisoformat(start), date.fromisoformat(end)) if start else None,
+        stabilized=(start, end) if start else None,
     )
     # The entropy series shares the gap series' window grid and its rules.
     grid = GapConfig(window=config["window"], step=config["step"])
-    event = date.fromisoformat(config["event_date"]) if config.get("event_date") else None
     out = _out_dir(config)
     panel = _load_panel(config)
-    # Every market is computed before the first file is written, so a failed
-    # run leaves --out-dir empty.
     results = []
     for market in panel.markets():
         series = entropy_series(log_returns(panel.market_panel(market)),
@@ -351,7 +355,6 @@ def run_heatmap(config: dict) -> None:
                         norm_mode=config["norm_mode"])
     out = _out_dir(config)
     panel = _load_panel(config)
-    # Every market is computed before the first file is written.
     grids = []
     for market in panel.markets():
         sub = panel.market_panel(market)
@@ -376,7 +379,7 @@ def run_portfolio(config: dict) -> None:
         annualization=config["annualization"],
         step=config.get("study_step"),
     )
-    event = date.fromisoformat(config["event_date"]) if config.get("event_date") else None
+    event = _config_date(config, "event_date")
     out = _out_dir(config)
     panel = _load_panel(config)
     results = []
@@ -482,14 +485,6 @@ def run_rerun(config: dict) -> None:
 
 # ---------- Argument parsing ----------
 
-def _iso_date(text: str) -> str:
-    try:
-        date.fromisoformat(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an ISO date (YYYY-MM-DD): {text!r}")
-    return text
-
-
 def _nonneg_int(text: str) -> int:
     try:
         value = int(text)
@@ -561,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="cross-sectional ordinal entropy series")
     _add_common_inputs(p)
     _add_window_flags(p)
-    p.add_argument("--event-date", type=_iso_date, default=None,
+    p.add_argument("--event-date", default=None,
                    help="shock announcement date (enables phase segmentation)")
     p.add_argument("--shock-halfwidth", type=_nonneg_int, default=2,
                    help="trading days on each side of the event (default 2)")
@@ -569,8 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sustained-restoration threshold in nats (default 1.0)")
     p.add_argument("--sustain-days", type=_positive_int, default=20,
                    help="consecutive days above threshold (default 20)")
-    p.add_argument("--stabilized-start", type=_iso_date, default=None)
-    p.add_argument("--stabilized-end", type=_iso_date, default=None)
+    p.add_argument("--stabilized-start", default=None)
+    p.add_argument("--stabilized-end", default=None)
 
     p = sub.add_parser("heatmap", help="monthly sector heatmap of lambda_norm")
     _add_common_inputs(p, need_meta=True)
@@ -589,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="days between windows (default: test length)")
     p.add_argument("--seed", type=_nonneg_int, required=True,
                    help="RNG seed (required for reproducibility)")
-    p.add_argument("--event-date", type=_iso_date, default=None,
+    p.add_argument("--event-date", default=None,
                    help="split subperiod statistics at this date")
 
     p = sub.add_parser("synth", help="generate a synthetic factor-model panel")

@@ -66,25 +66,22 @@ class PricePanel:
     def sectors(self) -> list[str]:
         return sorted({self.sector_of[t] for t in self.tickers})
 
-    def restrict(self, tickers: list[str]) -> "PricePanel":
-        """Column subset (given order), dropping dates with no data left."""
-        column = {t: j for j, t in enumerate(self.tickers)}
-        close = self.close[:, [column[t] for t in tickers]]
+    def market_panel(self, market: str) -> "PricePanel":
+        """Sub-panel for one market on its own trading calendar: the market's
+        tickers in panel order, on the dates where any of them has a price."""
+        cols = [j for j, t in enumerate(self.tickers) if self.market_of[t] == market]
+        if not cols:
+            raise DataError(f"no tickers labeled with market {market!r}")
+        members = [self.tickers[j] for j in cols]
+        close = self.close[:, cols]
         keep = np.isfinite(close).any(axis=1)
         return PricePanel(
             dates=[d for d, k in zip(self.dates, keep) if k],
-            tickers=list(tickers),
+            tickers=members,
             close=close[keep],
-            sector_of={t: self.sector_of[t] for t in tickers},
-            market_of={t: self.market_of[t] for t in tickers},
+            sector_of={t: self.sector_of[t] for t in members},
+            market_of={t: market for t in members},
         )
-
-    def market_panel(self, market: str) -> "PricePanel":
-        """Sub-panel for one market on that market's own trading calendar."""
-        members = [t for t in self.tickers if self.market_of[t] == market]
-        if not members:
-            raise DataError(f"no tickers labeled with market {market!r}")
-        return self.restrict(members)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PricePanel):

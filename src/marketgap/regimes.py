@@ -85,6 +85,32 @@ def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeri
     return GapSeries(summaries=summaries, config=config, dropped=dropped)
 
 
+def sector_gap_series(returns: ReturnPanel, sector_of: dict[str, str],
+                      config: GapConfig = GapConfig()) -> dict[str, GapSeries]:
+    """The gap series of each sector's columns of a market's returns, in sorted sector order.
+
+    Each series keeps the market's calendar, so a date on which a whole sector
+    is missing is never bridged into a multi-day return: the sector's windows
+    that hold it are dropped and reported. Every ticker needs a sector label
+    and every sector at least two tickers.
+    """
+    missing = [t for t in returns.tickers if t not in sector_of]
+    if missing:
+        raise DataError(f"no sector label for tickers: {', '.join(missing[:5])}")
+    columns: dict[str, list[int]] = {}
+    for j, t in enumerate(returns.tickers):
+        columns.setdefault(sector_of[t], []).append(j)
+    columns = dict(sorted(columns.items()))
+    for sector, cols in columns.items():
+        if len(cols) < 2:
+            members = ", ".join(returns.tickers[j] for j in cols)
+            raise DataError(f"sector {sector!r} has {len(cols)} ticker(s) ({members}); need >= 2")
+    return {sector: gap_series(ReturnPanel(dates=returns.dates,
+                                           tickers=[returns.tickers[j] for j in cols],
+                                           values=returns.values[:, cols]), config)
+            for sector, cols in columns.items()}
+
+
 # ---------- Phase segmentation ----------
 
 @dataclass(frozen=True)
@@ -244,36 +270,17 @@ def monthly_sector_heatmap(
     sector_of: dict[str, str],
     config: GapConfig = GapConfig(),
 ) -> HeatmapGrid:
-    """Intra-sector gap series bucketed into monthly means of lambda_norm.
+    """Each sector's gap series (`sector_gap_series`) bucketed into monthly means of lambda_norm.
 
     Windows are bucketed by the calendar month of their end date (the date on
-    which the window's information is available). Sectors need at least two
-    tickers; windows a sector cannot support are omitted and counted.
+    which the window's information is available); the windows a sector's
+    series drops are counted per sector.
     """
-    missing = [t for t in returns.tickers if t not in sector_of]
-    if missing:
-        raise DataError(f"no sector label for tickers: {', '.join(missing[:5])}")
-    by_sector: dict[str, list[str]] = {}
-    for t in returns.tickers:
-        by_sector.setdefault(sector_of[t], []).append(t)
-    for sector, members in sorted(by_sector.items()):
-        if len(members) < 2:
-            raise DataError(f"sector {sector!r} has {len(members)} ticker(s); need >= 2")
-
+    series_of = sector_gap_series(returns, sector_of, config)
     mean_cell: dict[tuple[str, str], float] = {}
     count_cell: dict[tuple[str, str], int] = {}
-    omitted: dict[str, int] = {}
     months: set[str] = set()
-    column = {t: j for j, t in enumerate(returns.tickers)}
-    for sector in sorted(by_sector):
-        cols = [column[t] for t in by_sector[sector]]
-        sub = ReturnPanel(
-            dates=list(returns.dates),
-            tickers=list(by_sector[sector]),
-            values=returns.values[:, cols],
-        )
-        series = gap_series(sub, config)
-        omitted[sector] = len(series.dropped)
+    for sector, series in series_of.items():
         buckets: dict[str, list[float]] = {}
         for s in series.summaries:
             buckets.setdefault(_month_key(s.end_date), []).append(s.lambda_norm)
@@ -282,10 +289,9 @@ def monthly_sector_heatmap(
             mean_cell[(sector, month)] = float(np.mean(vals))
             count_cell[(sector, month)] = len(vals)
     return HeatmapGrid(
-        sectors=sorted(by_sector),
+        sectors=list(series_of),
         months=sorted(months),
         mean_lambda_norm=mean_cell,
         window_count=count_cell,
-        omitted_windows=omitted,
+        omitted_windows={sector: len(series.dropped) for sector, series in series_of.items()},
     )
-

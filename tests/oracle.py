@@ -12,7 +12,9 @@ series once took one window at a time, and the `csv.writer` loop that once
 wrote price panels, and the stacked correlation kernel as it stood before it
 cleaned its input in place. The windows come from plain `range` loops here,
 not from the package's grid. Only the dataclasses, the pattern table and the
-closed-form Marchenko-Pastur band come from the package.
+closed-form Marchenko-Pastur band come from the package, except in the
+sector series `gap --by-sector` once took, which checks the calendar a sector
+runs on and so takes the package's log returns and gap series.
 """
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ import numpy as np
 
 from marketgap.errors import DegenerateWindowError, NumericError, UsageError
 from marketgap.ordinal import N_PATTERNS, PATTERNS
-from marketgap.panel import LONG_HEADER, PricePanel, ReturnPanel
+from marketgap import regimes
+from marketgap.panel import LONG_HEADER, PricePanel, ReturnPanel, log_returns
 from marketgap.portfolio import PortfolioObservation, StudyConfig
 from marketgap.regimes import DroppedWindow, GapConfig
 from marketgap.spectral import (
@@ -469,3 +472,24 @@ def write_price_panel(panel: PricePanel, path) -> None:
                 value = panel.close[i, j]
                 if np.isfinite(value):
                     writer.writerow([iso, t, repr(float(value))])
+
+
+def restricted_sector_gap_series(panel: PricePanel, config: GapConfig) -> dict:
+    """{sector: gap series} as `gap --by-sector` once formed them: each sector's
+    prices cut to the dates on which one of its tickers has a price, then the
+    log returns of that panel."""
+    out = {}
+    for sector in panel.sectors():
+        cols = [j for j, t in enumerate(panel.tickers) if panel.sector_of[t] == sector]
+        members = [panel.tickers[j] for j in cols]
+        close = panel.close[:, cols]
+        keep = np.isfinite(close).any(axis=1)
+        sub = PricePanel(
+            dates=[d for d, k in zip(panel.dates, keep) if k],
+            tickers=members,
+            close=close[keep],
+            sector_of={t: sector for t in members},
+            market_of={t: panel.market_of[t] for t in members},
+        )
+        out[sector] = regimes.gap_series(log_returns(sub), config)
+    return out

@@ -149,8 +149,7 @@ def test_gap_by_sector_checks_every_sector_before_writing(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("gap", "--prices", tmp_path / "prices.csv", "--meta", tmp_path / "meta.csv",
                "--by-sector", "--window", 10, "--out-dir", out) == 3
-    assert ("sector 'S2' in market 'M' has 1 ticker(s); need >= 2 for --by-sector"
-            in capsys.readouterr().err)
+    assert "sector 'S2' has 1 ticker(s) (C); need >= 2" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 
@@ -171,6 +170,8 @@ def test_window_shorter_than_3_is_exit_2(tmp_path, synth_dir, capsys, command):
     ("portfolio", "--seed", 1, "--formation", 2),
     ("portfolio", "--seed", 1, "--test", 1),
     ("portfolio", "--seed", 1, "--n-stocks", 1),
+    ("entropy", "--event-date", "2025-13-45"),
+    ("portfolio", "--seed", 1, "--event-date", "2025-02-30"),
 ])
 def test_usage_errors_exit_2_before_any_io(tmp_path, capsys, argv):
     # The price file does not exist: reading it would exit 3.
@@ -415,6 +416,65 @@ def test_failed_run_leaves_out_dir_empty(tmp_path, synth_dir, capsys, command):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["gap", "heatmap", "entropy", "portfolio"])
+def test_failed_last_market_leaves_out_dir_empty(tmp_path, capsys, command):
+    # Market A computes; market B, computed after it, has one trading date, so
+    # its log returns fail. Nothing of market A may be left behind.
+    dates = weekdays(date(2025, 1, 2), 40)
+    rng = np.random.default_rng(4)
+    rows = ["date,ticker,close"]
+    for ticker in ("A1", "A2", "A3", "A4"):
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, len(dates))))
+        rows += [f"{d.isoformat()},{ticker},{p!r}" for d, p in zip(dates, prices.tolist())]
+    (tmp_path / "a.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    rows += [f"{dates[0].isoformat()},{ticker},100.0" for ticker in ("B1", "B2")]
+    (tmp_path / "ab.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    (tmp_path / "meta.csv").write_text(
+        "ticker,sector,market\nA1,S,A\nA2,S,A\nA3,T,A\nA4,T,A\nB1,S,B\nB2,S,B\n",
+        encoding="utf-8")
+    argv = {
+        "gap": ("gap", "--by-sector", "--window", 10),
+        "heatmap": ("heatmap", "--window", 10),
+        "entropy": ("entropy", "--window", 10, "--event-date", dates[20].isoformat()),
+        "portfolio": ("portfolio", "--seed", 1, "--formation", 10, "--test", 5,
+                      "--n-stocks", 2, "--portfolios", 3),
+    }[command]
+    meta = ("--meta", tmp_path / "meta.csv")
+    assert run(*argv, "--prices", tmp_path / "a.csv", *meta, "--out-dir", tmp_path / "a") == 0
+    out = tmp_path / "out"
+    assert run(*argv, "--prices", tmp_path / "ab.csv", *meta, "--out-dir", out) == 3
+    assert "log returns need at least 2 dates" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_sector_wide_hole_drops_the_windows_that_hold_it(tmp_path, synth_dir):
+    # One date is blanked for every SEC0 stock. `gap --by-sector` and `heatmap`
+    # both run on the market's calendar: SEC0 loses exactly the windows whose
+    # span holds that date, and every other sector keeps them all.
+    sector = dict(line.split(",")[:2]
+                  for line in (synth_dir / "meta.csv").read_text().splitlines()[1:])
+    lines = (synth_dir / "prices.csv").read_text().splitlines()
+    dates = sorted({line.split(",")[0] for line in lines[1:]})
+    hole = dates[len(dates) // 2]
+    (tmp_path / "prices.csv").write_text("\n".join(
+        [lines[0]] + [line for line in lines[1:] if not (
+            line.startswith(hole) and sector[line.split(",")[1]] == "SEC0")]) + "\n")
+    inputs = ("--prices", tmp_path / "prices.csv", "--meta", synth_dir / "meta.csv",
+              "--window", 60)
+    assert run("gap", "--by-sector", *inputs, "--out-dir", tmp_path / "gap") == 0
+    assert run("heatmap", *inputs, "--out-dir", tmp_path / "heat") == 0
+
+    # Window k spans the prices on dates[k .. k + 60], the last of which ends it.
+    spans = [dates[k:k + 61] for k in range(len(dates) - 60)]
+    heat = [r.split(",") for r in (tmp_path / "heat" / "heatmap_SYN.csv").read_text()
+            .splitlines()[2:]]
+    for name in sorted(set(sector.values())):
+        rows = (tmp_path / "gap" / f"gap_SYN_{name}.csv").read_text().splitlines()[2:]
+        expected = sum(1 for span in spans if name != "SEC0" or hole not in span)
+        assert len(rows) == sum(int(r[3]) for r in heat if r[0] == name) == expected
+    assert 0 < sum(1 for span in spans if hole in span) < len(spans)
+
+
 # ---------- portfolio ----------
 
 def test_portfolio_requires_seed(tmp_path, risk_dir, capsys):
@@ -647,6 +707,31 @@ def test_rerun_checks_settings_before_any_io(tmp_path, synth_dir, capsys,
     second = tmp_path / "second"
     assert run("rerun", "--manifest", edited, "--out-dir", second) == 2
     assert message in capsys.readouterr().err
+    assert not second.exists()
+
+
+@pytest.mark.parametrize("command,key", [
+    ("entropy", "event_date"),
+    ("entropy", "stabilized_start"),
+    ("portfolio", "event_date"),
+])
+def test_rerun_bad_date_is_exit_2_before_any_io(tmp_path, synth_dir, capsys, command, key):
+    # A manifest run with an event date, then edited: before, the bad date ended
+    # in a ValueError traceback and exit 1.
+    event = json.loads((synth_dir / "truth.json").read_text())["event_date"]
+    extra = ("--seed", 1, "--portfolios", 5) if command == "portfolio" else ()
+    first = tmp_path / "first"
+    assert run(command, "--prices", synth_dir / "prices.csv", "--event-date", event, *extra,
+               "--out-dir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    manifest["config"][key] = "2025-13-45"
+    if key == "stabilized_start":
+        manifest["config"]["stabilized_end"] = "2025-12-31"
+    edited = tmp_path / "edited_manifest.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")
+    second = tmp_path / "second"
+    assert run("rerun", "--manifest", edited, "--out-dir", second) == 2
+    assert "'2025-13-45' is not an ISO date (YYYY-MM-DD)" in capsys.readouterr().err
     assert not second.exists()
 
 

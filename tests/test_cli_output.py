@@ -34,14 +34,17 @@ def _summary(day, n, lam, lam_norm, rho_signed, rho_abs, delta, lower, upper, ab
     )
 
 
+def fake_sector_gap_series(returns, sector_of, config):
+    summaries = [
+        _summary(DAYS[6], 2, 1.99999999951, 0.99999999951, 0.9999999996, 1.0,
+                 np.float64(-4.5e-11), 0.0, 2.91421356237, 0),
+        _summary(DAYS[7], 2, 1.0, 0.0, -0.0, 0.0, 0.0, 0.0, 2.91421356237, 0),
+    ]
+    return {sector: GapSeries(summaries=summaries, config=config)
+            for sector in sorted({sector_of[t] for t in returns.tickers})}
+
+
 def fake_gap_series(returns, config):
-    if len(returns.tickers) == 2:  # one sector
-        summaries = [
-            _summary(DAYS[6], 2, 1.99999999951, 0.99999999951, 0.9999999996, 1.0,
-                     np.float64(-4.5e-11), 0.0, 2.91421356237, 0),
-            _summary(DAYS[7], 2, 1.0, 0.0, -0.0, 0.0, 0.0, 0.0, 2.91421356237, 0),
-        ]
-        return GapSeries(summaries=summaries, config=config)
     summaries = [
         _summary(DAYS[5], 4, 1.23456789012, 0.0781892967066, -0.000123456789123,
                  0.3333333333333333, np.float64(0.0783127534957), 0.0101020514,
@@ -132,7 +135,9 @@ def fake_quintile_report(observations, event_date):
 
 def write_all(tmp_path, monkeypatch):
     """Run gap, entropy, heatmap and portfolio on the fakes; {relative path: text}."""
-    for name, fake in (("gap_series", fake_gap_series), ("entropy_series", fake_entropy_series),
+    for name, fake in (("gap_series", fake_gap_series),
+                       ("sector_gap_series", fake_sector_gap_series),
+                       ("entropy_series", fake_entropy_series),
                        ("phase_segmentation", fake_phase_segmentation),
                        ("phase_statistics", fake_phase_statistics),
                        ("monthly_sector_heatmap", fake_heatmap),

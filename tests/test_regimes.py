@@ -6,6 +6,8 @@ from datetime import date
 import numpy as np
 import pytest
 
+import oracle
+from marketgap.cli import _gap_row
 from marketgap.errors import DataError, UsageError
 from marketgap.ordinal import entropy_series
 from marketgap.panel import log_returns
@@ -15,10 +17,11 @@ from marketgap.regimes import (
     gap_series,
     monthly_sector_heatmap,
     phase_segmentation,
+    sector_gap_series,
 )
 from marketgap.synth import RegimeSpec, SynthConfig, generate_factor_panel, one_factor_config
 
-from conftest import make_returns, weekdays
+from conftest import make_panel, make_returns, weekdays
 
 
 # ---------- Gap series ----------
@@ -107,6 +110,47 @@ def test_gap_config_validation():
         GapConfig(rho_mode="median")
     with pytest.raises(UsageError):
         GapConfig(norm_mode="other")
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sector_gap_series_matches_the_restricted_sector_panels(seed):
+    # Without a date on which a whole sector is missing, a sector's columns of
+    # the market's returns are the returns of its own prices, window for window.
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 6, size=3)
+    sector = [str(s) for s in rng.permutation(
+        [f"S{k}" for k, size in enumerate(sizes) for _ in range(size)])]
+    n_dates, n_assets = 90, len(sector)
+    close = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (n_dates, n_assets)), axis=0))
+    close[:, rng.integers(n_assets)] = 50.0  # a flat asset
+    close[rng.random((n_dates, n_assets)) < 0.08] = np.nan
+    for k in range(len(sizes)):
+        cols = [j for j, s in enumerate(sector) if s == f"S{k}"]
+        for i in np.flatnonzero(np.isnan(close[:, cols]).all(axis=1)):
+            close[i, cols[0]] = 100.0
+    tickers = [f"T{j}" for j in range(n_assets)]
+    panel = make_panel(close, tickers, sector=dict(zip(tickers, sector)))
+    config = GapConfig(window=int(rng.integers(5, 25)), step=int(rng.integers(1, 4)),
+                       rho_mode=("signed", "abs")[seed % 2])
+
+    got = sector_gap_series(log_returns(panel), panel.sector_of, config)
+    want = oracle.restricted_sector_gap_series(panel, config)
+    assert list(got) == list(want) == ["S0", "S1", "S2"]
+    for name in want:
+        assert ([_gap_row(s) for s in got[name].summaries]
+                == [_gap_row(s) for s in want[name].summaries])
+        assert ([w.end_date for w in got[name].dropped]
+                == [w.end_date for w in want[name].dropped])
+    assert any(series.dropped for series in got.values())  # the holes leave windows short
+
+
+def test_sector_gap_series_checks_every_sector_first():
+    returns = make_returns(np.random.default_rng(1).normal(0, 0.01, (30, 4)))
+    with pytest.raises(DataError, match=r"^sector 'B' has 1 ticker\(s\) \(T2\); need >= 2$"):
+        sector_gap_series(returns, {"T0": "A", "T1": "A", "T2": "B", "T3": "C"},
+                          GapConfig(window=10))
+    with pytest.raises(DataError, match="no sector label for tickers: T3"):
+        sector_gap_series(returns, {"T0": "A", "T1": "A", "T2": "B"}, GapConfig(window=10))
 
 
 # ---------- Phase segmentation ----------
