@@ -103,18 +103,19 @@ def _write_table(path, units: str, header: str, rows) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _gap_row(s) -> tuple:
-    """The GAP_CSV_HEADER fields of one spectral summary."""
-    return (s.end_date, s.n_assets, s.lambda_max, s.lambda_norm, s.rho_signed, s.rho_abs,
-            s.delta, s.mp.lower, s.mp.upper, s.n_above_mp)
+def _gap_rows(series) -> list[tuple]:
+    """The GAP_CSV_HEADER fields of each window of a gap series; its columns after the
+    end date share their names, and `.tolist()` makes their entries Python numbers."""
+    columns = (getattr(series, key).tolist() for key in GAP_CSV_HEADER.split(",")[1:])
+    return list(zip(series.dates, *columns))
 
 
 def _write_gap_jsonl(series, path) -> None:
     keys = GAP_CSV_HEADER.split(",")
+    modes = {"rho_mode": series.config.rho_mode, "norm_mode": series.config.norm_mode}
     with open(path, "w", encoding="utf-8") as fh:
-        for s in series.summaries:
-            record = dict(zip(keys, map(_json_value, _gap_row(s))),
-                          rho_mode=s.rho_mode, norm_mode=s.norm_mode)
+        for row in _gap_rows(series):
+            record = dict(zip(keys, map(_json_value, row)), **modes)
             fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
@@ -274,31 +275,30 @@ def run_gap(config: dict) -> None:
     }, "markets": {}}
     for market, series, sectors in results:
         name = _slug(market)
-        _write_table(out / f"gap_{name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
-                     map(_gap_row, series.summaries))
+        _write_table(out / f"gap_{name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER, _gap_rows(series))
         _write_gap_jsonl(series, out / f"gap_{name}.jsonl")
         outputs += [f"gap_{name}.csv", f"gap_{name}.jsonl"]
-        deltas = series.deltas
+        delta = series.delta
         summary["markets"][market] = {
-            "n_windows": len(series.summaries),
+            "n_windows": delta.size,
             "n_dropped_windows": len(series.dropped),
-            "delta_mean": _json_value(deltas.mean()) if deltas.size else None,
-            "delta_min": _json_value(deltas.min()) if deltas.size else None,
-            "delta_max": _json_value(deltas.max()) if deltas.size else None,
-            "max_abs_delta": _json_value(max(abs(deltas.min()), abs(deltas.max())))
-            if deltas.size else None,
-            "lambda_norm_mean": _json_value(series.lambda_norms.mean()) if deltas.size else None,
+            "delta_mean": _json_value(delta.mean()) if delta.size else None,
+            "delta_min": _json_value(delta.min()) if delta.size else None,
+            "delta_max": _json_value(delta.max()) if delta.size else None,
+            "max_abs_delta": _json_value(max(abs(delta.min()), abs(delta.max())))
+            if delta.size else None,
+            "lambda_norm_mean": _json_value(series.lambda_norm.mean()) if delta.size else None,
         }
         if sectors is None:
             continue
         for sector, sector_series in sectors.items():
             sec_name = f"{name}_{_slug(sector)}"
             _write_table(out / f"gap_{sec_name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
-                         map(_gap_row, sector_series.summaries))
+                         _gap_rows(sector_series))
             outputs.append(f"gap_{sec_name}.csv")
         summary["markets"][market]["sectors"] = {sector: {
-            "n_windows": len(s.summaries),
-            "delta_mean": _json_value(s.deltas.mean()) if s.summaries else None,
+            "n_windows": s.delta.size,
+            "delta_mean": _json_value(s.delta.mean()) if s.delta.size else None,
         } for sector, s in sectors.items()}
     _write_json(summary, out / "summary.json")
     outputs.append("summary.json")

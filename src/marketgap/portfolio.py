@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DataError, NumericError, UndefinedCorrelationError, UsageError
 from .panel import ReturnPanel, window_ends
-from .spectral import correlation_spectra
+from .spectral import correlation_spectra, normalized_lambda
 
 logger = logging.getLogger(__name__)
 
@@ -384,7 +384,7 @@ def _window_observations(
     d = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
     spectra = correlation_spectra(cov / (d[:, :, np.newaxis] * d[:, np.newaxis, :]))
     rho_bar = spectra.rho_signed
-    delta = (spectra.lambda_max - 1.0) / (n - 1.0) - rho_bar
+    delta = normalized_lambda(spectra.lambda_max, n) - rho_bar
 
     q_mvp = mvp_weights(cov)
     kept = np.flatnonzero(~np.isnan(q_mvp).any(axis=-1))

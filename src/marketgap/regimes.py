@@ -5,12 +5,13 @@ import logging
 import math
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import groupby
 
 import numpy as np
 
 from .errors import DataError, UsageError
 from .panel import ReturnPanel, check_window
-from .spectral import NORM_MODES, RHO_MODES, SpectralSummary, rolling_spectra
+from .spectral import NORM_MODES, RHO_MODES, mp_bounds, normalized_lambda, rolling_spectra
 
 logger = logging.getLogger(__name__)
 
@@ -44,45 +45,65 @@ class DroppedWindow:
 
 @dataclass(eq=False)
 class GapSeries:
-    """Per-window spectral summaries in date order, plus any degenerate windows."""
+    """The gap series as columns, one entry per kept window (n_assets >= 2) in date order.
 
-    summaries: list[SpectralSummary]
+    The columns are those of the gap table; the windows that keep fewer than
+    two assets are listed in `dropped` instead.
+    """
+
+    dates: list[date]  # end date of each window
+    n_assets: np.ndarray
+    lambda_max: np.ndarray
+    lambda_norm: np.ndarray
+    rho_signed: np.ndarray
+    rho_abs: np.ndarray
+    delta: np.ndarray
+    mp_lower: np.ndarray
+    mp_upper: np.ndarray
+    n_above_mp: np.ndarray
     config: GapConfig
     dropped: list[DroppedWindow] = field(default_factory=list)
 
-    @property
-    def dates(self) -> list[date]:
-        return [s.end_date for s in self.summaries]
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([s.delta for s in self.summaries])
-
-    @property
-    def lambda_norms(self) -> np.ndarray:
-        return np.array([s.lambda_norm for s in self.summaries])
-
 
 def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeries:
-    """One spectral summary per rolling window; degenerate windows are reported."""
+    """The rolling windows' statistics and gap as columns; degenerate windows are reported."""
     spectra = rolling_spectra(returns.values, config.window, config.step)
-    summaries: list[SpectralSummary] = []
+    dates: list[date] = []
     dropped: list[DroppedWindow] = []
-    for k, end in enumerate(spectra.ends):
+    for end, count in zip(spectra.ends.tolist(), spectra.n_assets.tolist()):
         end_date = returns.dates[end - 1]
-        if spectra.n_assets[k] < 2:
-            dropped.append(DroppedWindow(end_date=end_date, reason=(
-                f"window ending {end_date.isoformat()} retained "
-                f"{spectra.n_assets[k]} assets (need >= 2)")))
+        if count >= 2:
+            dates.append(end_date)
         else:
-            summaries.append(spectra.summary(k, end_date, config.rho_mode, config.norm_mode))
+            dropped.append(DroppedWindow(end_date=end_date, reason=(
+                f"window ending {end_date.isoformat()} retained {count} assets (need >= 2)")))
     logger.info("gap series dropped assets from its windows: %d for missing data, "
                 "%d for all-equal returns", spectra.dropped_missing.sum(),
                 spectra.dropped_all_equal.sum())
     if dropped:
         logger.info("gap series dropped %d degenerate window(s), first: %s",
                     len(dropped), dropped[0].reason)
-    return GapSeries(summaries=summaries, config=config, dropped=dropped)
+    kept = spectra.n_assets >= 2
+    n, lambda_max = spectra.n_assets[kept], spectra.lambda_max[kept]
+    rho_signed, rho_abs = spectra.rho_signed[kept], spectra.rho_abs[kept]
+    lambda_norm = normalized_lambda(lambda_max, n, config.norm_mode)
+    # The band from the scalar `mp_bounds`, once per distinct asset count.
+    counts, which = np.unique(n, return_inverse=True)
+    bands = [mp_bounds(config.window, c) for c in counts.tolist()]
+    return GapSeries(
+        dates=dates,
+        n_assets=n,
+        lambda_max=lambda_max,
+        lambda_norm=lambda_norm,
+        rho_signed=rho_signed,
+        rho_abs=rho_abs,
+        delta=lambda_norm - (rho_abs if config.rho_mode == "abs" else rho_signed),
+        mp_lower=np.array([b.lower for b in bands])[which],
+        mp_upper=np.array([b.upper for b in bands])[which],
+        n_above_mp=spectra.n_above_mp[kept],
+        config=config,
+        dropped=dropped,
+    )
 
 
 def sector_gap_series(returns: ReturnPanel, sector_of: dict[str, str],
@@ -281,13 +302,13 @@ def monthly_sector_heatmap(
     count_cell: dict[tuple[str, str], int] = {}
     months: set[str] = set()
     for sector, series in series_of.items():
-        buckets: dict[str, list[float]] = {}
-        for s in series.summaries:
-            buckets.setdefault(_month_key(s.end_date), []).append(s.lambda_norm)
-        for month, vals in buckets.items():
+        lo = 0  # the dates increase, so each month is one run of the columns
+        for month, run in groupby(map(_month_key, series.dates)):
+            hi = lo + sum(1 for _ in run)
             months.add(month)
-            mean_cell[(sector, month)] = float(np.mean(vals))
-            count_cell[(sector, month)] = len(vals)
+            mean_cell[(sector, month)] = float(np.mean(series.lambda_norm[lo:hi]))
+            count_cell[(sector, month)] = hi - lo
+            lo = hi
     return HeatmapGrid(
         sectors=list(series_of),
         months=sorted(months),

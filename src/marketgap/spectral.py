@@ -1,22 +1,21 @@
-"""Correlation eigenvalues, random-matrix bounds, and per-window summaries.
+"""Correlation eigenvalues, random-matrix bounds, and the normalized leading eigenvalue.
 
-The per-window summary couples the normalized leading eigenvalue
-lambda_norm = (lambda_max - 1) / (N - 1) with the mean off-diagonal
-correlation rho; their difference delta is the structure gap tracked by the
-regimes module. The signed gap is never negative (Rayleigh bound: the leading
-eigenvalue dominates the uniform-vector quotient 1 + (N-1)*rho_signed).
+The gap series of the regimes module couples the normalized leading
+eigenvalue lambda_norm = (lambda_max - 1) / (N - 1) with the mean
+off-diagonal correlation rho; their difference delta is the structure gap.
+The signed gap is never negative (Rayleigh bound: the leading eigenvalue
+dominates the uniform-vector quotient 1 + (N-1)*rho_signed).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DegenerateWindowError, NumericError, UsageError
+from .errors import NumericError, UsageError
 from .panel import window_ends
 
 RHO_MODES = ("signed", "abs")
@@ -39,34 +38,16 @@ class MPBounds:
     q: float
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
-    """One rolling window's spectral statistics."""
-
-    end_date: date
-    n_assets: int
-    lambda_max: float
-    lambda_norm: float
-    rho_signed: float
-    rho_abs: float
-    delta: float
-    rho_mode: str
-    norm_mode: str
-    mp: MPBounds
-    n_above_mp: int
-
-
 class CorrelationSpectrum(NamedTuple):
     """Cleaned correlation matrices, their ascending eigenvalues, lambda_max and rho_signed.
 
-    From `correlation_spectra` on a stack every field is stacked along the
-    leading axes; from `correlation_spectrum` it describes one matrix.
+    Every field is stacked along the leading axes of the kernel's input.
     """
 
     values: np.ndarray
     eigenvalues: np.ndarray
-    lambda_max: np.ndarray | float
-    rho_signed: np.ndarray | float
+    lambda_max: np.ndarray
+    rho_signed: np.ndarray
 
 
 class RollingSpectra(NamedTuple):
@@ -77,7 +58,6 @@ class RollingSpectra(NamedTuple):
     counted in one of the two drop reasons.
     """
 
-    length: int  # observations per window; sets the Marchenko-Pastur band
     ends: np.ndarray  # 1-based end row of each window, from `panel.window_ends`
     n_assets: np.ndarray
     lambda_max: np.ndarray
@@ -86,13 +66,6 @@ class RollingSpectra(NamedTuple):
     n_above_mp: np.ndarray
     dropped_missing: np.ndarray  # assets with a missing return in the window
     dropped_all_equal: np.ndarray  # complete assets with all-equal returns or no usable variance
-
-    def summary(self, k: int, end_date: date, rho_mode: str = "signed",
-                norm_mode: str = "excess") -> SpectralSummary:
-        """Window k's summary under the given rho and normalization modes."""
-        return _summary(end_date, int(self.n_assets[k]), self.length,
-                        float(self.lambda_max[k]), float(self.rho_signed[k]),
-                        float(self.rho_abs[k]), int(self.n_above_mp[k]), rho_mode, norm_mode)
 
 
 # ---------- Operations ----------
@@ -137,18 +110,6 @@ def correlation_spectra(raw: np.ndarray, z: np.ndarray | None = None) -> Correla
     )
 
 
-def correlation_spectrum(raw: np.ndarray) -> CorrelationSpectrum:
-    """`correlation_spectra` of one raw N x N estimate, N >= 2, with float statistics.
-
-    The kernel works on a symmetrized copy, (raw + raw') / 2, so `raw` is left
-    as it is and need not be symmetric.
-    """
-    c = np.add(raw, raw.T)
-    c /= 2.0
-    c, w, lam, rho = correlation_spectra(c)
-    return CorrelationSpectrum(c, w, float(lam), float(rho))
-
-
 def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSpectra:
     """Spectral statistics of every rolling window of a (dates x assets) return matrix.
 
@@ -167,7 +128,6 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSp
     ends = window_ends(n_dates, length, step)
     n_win = ends.size
     out = RollingSpectra(
-        length=length,
         ends=ends,
         n_assets=np.zeros(n_win, dtype=np.int64),
         lambda_max=np.full(n_win, np.nan),
@@ -229,7 +189,12 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSp
 
 
 def mp_bounds(t_obs: int, n_assets: int) -> MPBounds:
-    """Closed-form noise band (1 +- sqrt(1/q))^2 with q = T / N."""
+    """Closed-form noise band (1 +- sqrt(1/q))^2 with q = T / N.
+
+    The squares are Python float powers; NumPy's array `** 2` differs from
+    them in the last bit for some (T, N), so array callers take the band from
+    here once per distinct N.
+    """
     if t_obs < 1:
         raise UsageError(f"window length must be >= 1, got {t_obs}")
     if n_assets < 2:
@@ -239,66 +204,7 @@ def mp_bounds(t_obs: int, n_assets: int) -> MPBounds:
     return MPBounds(lower=(1.0 - root) ** 2, upper=(1.0 + root) ** 2, q=q)
 
 
-def mean_offdiagonal(values: np.ndarray, absolute: bool = False) -> float:
-    """Arithmetic mean of the off-diagonal entries (optionally of their magnitudes)."""
-    n = values.shape[0]
-    m = np.abs(values) if absolute else values
-    return float((m.sum() - np.trace(m)) / (n * (n - 1)))
-
-
-def _summary(end_date: date, n: int, n_obs: int, lam: float, rho_signed: float,
-             rho_abs: float, n_above_mp: int, rho_mode: str, norm_mode: str) -> SpectralSummary:
-    lam_norm = lam / n if norm_mode == "plain" else (lam - 1.0) / (n - 1.0)
-    rho = rho_abs if rho_mode == "abs" else rho_signed
-    return SpectralSummary(
-        end_date=end_date,
-        n_assets=n,
-        lambda_max=lam,
-        lambda_norm=lam_norm,
-        rho_signed=rho_signed,
-        rho_abs=rho_abs,
-        delta=lam_norm - rho,
-        rho_mode=rho_mode,
-        norm_mode=norm_mode,
-        mp=mp_bounds(n_obs, n),
-        n_above_mp=n_above_mp,
-    )
-
-
-def summary_from_correlation(
-    values: np.ndarray,
-    *,
-    end_date: date,
-    n_obs: int,
-    rho_mode: str = "signed",
-    norm_mode: str = "excess",
-) -> SpectralSummary:
-    """Spectral summary of a raw correlation estimate (n_obs sets the MP band)."""
-    if rho_mode not in RHO_MODES:
-        raise UsageError(f"rho_mode must be one of {RHO_MODES}, got {rho_mode!r}")
-    if norm_mode not in NORM_MODES:
-        raise UsageError(f"norm_mode must be one of {NORM_MODES}, got {norm_mode!r}")
-    values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    if n < 2:
-        raise DegenerateWindowError(f"summary needs >= 2 assets, got {n}")
-    spectrum = correlation_spectrum(values)
-    n_above_mp = int(np.count_nonzero(spectrum.eigenvalues > mp_bounds(n_obs, n).upper))
-    return _summary(end_date, n, n_obs, spectrum.lambda_max, spectrum.rho_signed,
-                    mean_offdiagonal(spectrum.values, absolute=True), n_above_mp,
-                    rho_mode, norm_mode)
-
-
-def equicorrelation(n: int, c: float) -> np.ndarray:
-    """Matrix with unit diagonal and constant off-diagonal c.
-
-    Spectrum is {1 + (n-1)c} plus (n-1) copies of (1-c); handy as an analytic
-    reference in tests and docs.
-    """
-    if n < 2:
-        raise UsageError(f"equicorrelation needs n >= 2, got {n}")
-    if not -1.0 / (n - 1) <= c <= 1.0:
-        raise UsageError(f"equicorrelation with c={c} is not PSD for n={n}")
-    m = np.full((n, n), float(c))
-    np.fill_diagonal(m, 1.0)
-    return m
+def normalized_lambda(lambda_max, n, norm_mode: str = "excess"):
+    """lambda_max of an n-asset correlation matrix scaled to [0, 1]: (lambda - 1) / (n - 1)
+    under "excess", lambda / n under "plain"; scalars and arrays alike."""
+    return lambda_max / n if norm_mode == "plain" else (lambda_max - 1.0) / (n - 1.0)

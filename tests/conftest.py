@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from marketgap.panel import PricePanel, ReturnPanel
+from marketgap.spectral import correlation_spectra
 from marketgap.synth import DEFAULT_SEED, risk_study_scenario, three_phase_scenario
 
 
@@ -70,6 +71,26 @@ def random_correlation(rng, n, t=None, factors=None):
         x += load * rng.standard_normal((1, t))
     c = np.corrcoef(x)
     return (c + c.T) / 2.0
+
+
+def equicorrelation(n, c):
+    """Matrix with unit diagonal and constant off-diagonal c.
+
+    Its spectrum is {1 + (n-1)c} plus (n-1) copies of (1-c), an analytic reference.
+    """
+    m = np.full((n, n), float(c))
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+def correlation_spectrum(raw):
+    """The package kernel `correlation_spectra` on a symmetrized copy of one N x N estimate.
+
+    `raw` is left as it is and need not be symmetric.
+    """
+    c = np.add(raw, raw.T)
+    c /= 2.0
+    return correlation_spectra(c)
 
 
 @pytest.fixture(scope="session")

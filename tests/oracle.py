@@ -2,8 +2,9 @@
 
 This is the per-window path as it stood before the batched kernel existed:
 a per-asset loop that z-scores one window, an explicit correlation wrapper, a
-full `np.linalg.eigh` eigendecomposition (eigenvectors included), and the
-summary built from those pieces. It also keeps the portfolio study's former
+full `np.linalg.eigh` eigendecomposition (eigenvectors included), and one
+`WindowSummary` record per window built from those pieces, where the package
+keeps the gap series as columns. It also keeps the portfolio study's former
 per-subset loop, with its inline subset gap and its single-matrix
 covariance, weights and volatilities, the stacked pseudo-inverse weights the
 package took before it solved well-conditioned covariances, the scalar
@@ -35,13 +36,30 @@ from marketgap.spectral import (
     NORM_MODES,
     RHO_MODES,
     CorrelationSpectrum,
-    SpectralSummary,
+    MPBounds,
     mp_bounds,
 )
 
 # Reasons recorded when a window drops an asset.
 REASON_MISSING = "missing data"
 REASON_ALL_EQUAL = "all-equal returns"
+
+
+@dataclass(frozen=True)
+class WindowSummary:
+    """One rolling window's spectral statistics."""
+
+    end_date: date
+    n_assets: int
+    lambda_max: float
+    lambda_norm: float
+    rho_signed: float
+    rho_abs: float
+    delta: float
+    rho_mode: str
+    norm_mode: str
+    mp: MPBounds
+    n_above_mp: int
 
 
 @dataclass(eq=False)
@@ -229,7 +247,7 @@ def summary_from_correlation(
     n_obs: int,
     rho_mode: str = "signed",
     norm_mode: str = "excess",
-) -> SpectralSummary:
+) -> WindowSummary:
     """Spectral summary of an explicit correlation matrix (n_obs sets the MP band)."""
     if rho_mode not in RHO_MODES:
         raise UsageError(f"rho_mode must be one of {RHO_MODES}, got {rho_mode!r}")
@@ -245,7 +263,7 @@ def summary_from_correlation(
     rho_abs = mean_offdiagonal(corr.values, absolute=True)
     rho = rho_abs if rho_mode == "abs" else rho_signed
     bounds = mp_bounds(n_obs, n)
-    return SpectralSummary(
+    return WindowSummary(
         end_date=end_date,
         n_assets=n,
         lambda_max=lam,
@@ -264,7 +282,7 @@ def spectral_summary(
     window: StandardizedWindow,
     rho_mode: str = "signed",
     norm_mode: str = "excess",
-) -> SpectralSummary:
+) -> WindowSummary:
     """Correlation, eigen-spectrum, MP band, and the gap for one window."""
     corr = correlation_matrix(window)
     return summary_from_correlation(
@@ -278,7 +296,7 @@ def spectral_summary(
 
 def gap_series(
     returns: ReturnPanel, config: GapConfig
-) -> tuple[list[SpectralSummary], list[DroppedWindow]]:
+) -> tuple[list[WindowSummary], list[DroppedWindow]]:
     """Per-window summaries and dropped windows, one window at a time."""
     summaries, dropped = [], []
     for end in range(config.window, returns.n_dates + 1, config.step):

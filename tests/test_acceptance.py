@@ -26,14 +26,11 @@ from marketgap.portfolio import (
     spearman,
 )
 from marketgap.regimes import GapConfig, gap_series, phase_segmentation
-from marketgap.spectral import equicorrelation, mp_bounds, summary_from_correlation
+from marketgap.spectral import correlation_spectra, mp_bounds, normalized_lambda
 from marketgap.synth import risk_study_scenario, three_phase_scenario
 
-from conftest import random_correlation
+from conftest import equicorrelation, random_correlation, zscore_rows
 from test_portfolio import oracle_rho
-
-EPOCH = date(2025, 1, 2)
-
 
 def check(num, label, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -41,12 +38,12 @@ def check(num, label, ok, detail=""):
     assert ok, f"criterion {num} ({label}): {detail}"
 
 
-def summarize(values):
-    return summary_from_correlation(
-        values,
-        end_date=EPOCH,
-        n_obs=60,
-    )
+def gap(raw, z=None):
+    """(lambda_norm, signed delta) of one exactly symmetric estimate, through the shipped
+    kernel `correlation_spectra` (which cleans `raw` in place) and `normalized_lambda`."""
+    spectrum = correlation_spectra(raw, z)
+    lambda_norm = float(normalized_lambda(spectrum.lambda_max, raw.shape[-1]))
+    return lambda_norm, lambda_norm - float(spectrum.rho_signed)
 
 
 def test_criterion_01_rayleigh_bound_never_negative():
@@ -57,13 +54,25 @@ def test_criterion_01_rayleigh_bound_never_negative():
     for n, reps in ((5, 500), (25, 400), (120, 150)):
         for _ in range(reps):
             c = random_correlation(rng, n)
-            s = summarize(c)
-            worst = min(worst, s.delta)
+            worst = min(worst, gap(c)[1])
             count += 1
+    # The T x T dual: z-scored (n, T) rows with n > T, decomposed through Z'Z / T.
+    dual = 0
+    for n, t, reps in ((25, 12, 100), (120, 40, 50)):
+        for _ in range(reps):
+            x = rng.standard_normal((n, t))
+            x += rng.uniform(-1.5, 1.5, (n, 1)) * rng.standard_normal((1, t))
+            z = zscore_rows(x)
+            raw = z @ z.T
+            raw /= t
+            worst = min(worst, gap(raw, z)[1])
+            dual += 1
+    count += dual
     elapsed = time.perf_counter() - start
     check(1, "Rayleigh bound",
           count >= 1000 and worst >= -1e-10 and elapsed < 10.0,
-          f"min signed gap {worst:.3e} over {count} matrices in {elapsed:.1f}s")
+          f"min signed gap {worst:.3e} over {count} matrices ({dual} through the dual) "
+          f"in {elapsed:.1f}s")
 
 
 def test_criterion_02_equicorrelation_identity():
@@ -72,9 +81,9 @@ def test_criterion_02_equicorrelation_identity():
     worst_delta = 0.0
     for c in np.arange(0.0, 0.95, 0.1):
         for n in (3, 5, 25, 120):
-            s = summarize(equicorrelation(n, float(c)))
-            worst_lambda = max(worst_lambda, abs(s.lambda_norm - c))
-            worst_delta = max(worst_delta, abs(s.delta))
+            lambda_norm, delta = gap(equicorrelation(n, float(c)))
+            worst_lambda = max(worst_lambda, abs(lambda_norm - c))
+            worst_delta = max(worst_delta, abs(delta))
     elapsed = time.perf_counter() - start
     check(2, "equicorrelation identity",
           worst_lambda <= 1e-10 and worst_delta <= 1e-10 and elapsed < 1.0,
@@ -82,12 +91,11 @@ def test_criterion_02_equicorrelation_identity():
 
 
 def test_criterion_03_uncorrelated_and_synchronized_limits():
-    ident = summarize(np.eye(50))
-    ones = summarize(equicorrelation(10, 1.0))
+    ident, _ = gap(np.eye(50))
+    ones, _ = gap(equicorrelation(10, 1.0))
     check(3, "spectral limits",
-          abs(ident.lambda_norm) <= 1e-12 and abs(ones.lambda_norm - 1.0) <= 1e-12,
-          f"identity lambda_norm={ident.lambda_norm:.2e}, "
-          f"all-ones lambda_norm={ones.lambda_norm:.15f}")
+          abs(ident) <= 1e-12 and abs(ones - 1.0) <= 1e-12,
+          f"identity lambda_norm={ident:.2e}, all-ones lambda_norm={ones:.15f}")
 
 
 def test_criterion_04_marchenko_pastur_closed_form():
@@ -175,11 +183,11 @@ def test_criterion_08_three_phase_detection():
 
     def regime_mean(series, window, interval):
         deltas = []
-        for s in series.summaries:
-            end_idx = returns.dates.index(s.end_date)
+        for end_date, delta in zip(series.dates, series.delta.tolist()):
+            end_idx = returns.dates.index(end_date)
             if (returns.dates[end_idx - window + 1] >= interval[0]
-                    and s.end_date <= interval[1]):
-                deltas.append(s.delta)
+                    and end_date <= interval[1]):
+                deltas.append(delta)
         return float(np.mean(deltas)), len(deltas)
 
     ratios = {}

@@ -19,43 +19,43 @@ from marketgap.portfolio import (
     StudyResult,
 )
 from marketgap.regimes import DroppedWindow, GapSeries, HeatmapGrid, PhaseWindows
-from marketgap.spectral import MPBounds, SpectralSummary
 
 from conftest import weekdays
 
 DAYS = weekdays(date(2025, 1, 2), 12)
 
 
-def _summary(day, n, lam, lam_norm, rho_signed, rho_abs, delta, lower, upper, above):
-    return SpectralSummary(
-        end_date=day, n_assets=n, lambda_max=lam, lambda_norm=lam_norm,
-        rho_signed=rho_signed, rho_abs=rho_abs, delta=delta, rho_mode="signed",
-        norm_mode="excess", mp=MPBounds(lower=lower, upper=upper, q=0.5), n_above_mp=above,
-    )
+def _series(config, rows, dropped=()):
+    """A GapSeries of hand-set gap-table rows; the columns after the end date are NumPy
+    arrays named as in the table header."""
+    dates, *columns = zip(*rows)
+    keys = cli.GAP_CSV_HEADER.split(",")[1:]
+    return GapSeries(dates=list(dates), **dict(zip(keys, map(np.array, columns))),
+                     config=config, dropped=list(dropped))
 
 
 def fake_sector_gap_series(returns, sector_of, config):
-    summaries = [
-        _summary(DAYS[6], 2, 1.99999999951, 0.99999999951, 0.9999999996, 1.0,
-                 np.float64(-4.5e-11), 0.0, 2.91421356237, 0),
-        _summary(DAYS[7], 2, 1.0, 0.0, -0.0, 0.0, 0.0, 0.0, 2.91421356237, 0),
+    rows = [
+        (DAYS[6], 2, 1.99999999951, 0.99999999951, 0.9999999996, 1.0,
+         np.float64(-4.5e-11), 0.0, 2.91421356237, 0),
+        (DAYS[7], 2, 1.0, 0.0, -0.0, 0.0, 0.0, 0.0, 2.91421356237, 0),
     ]
-    return {sector: GapSeries(summaries=summaries, config=config)
+    return {sector: _series(config, rows)
             for sector in sorted({sector_of[t] for t in returns.tickers})}
 
 
 def fake_gap_series(returns, config):
-    summaries = [
-        _summary(DAYS[5], 4, 1.23456789012, 0.0781892967066, -0.000123456789123,
-                 0.3333333333333333, np.float64(0.0783127534957), 0.0101020514,
-                 3.97979589711, 1),
-        _summary(DAYS[6], 4, np.float64(123456789.7), 41152262.9, 1e-05, 1e-05,
-                 41152262.89999, np.float64(1.5e-10), 2.5, 0),
-        _summary(DAYS[8], 3, np.float64(0.1) + np.float64(0.2), -0.35, 0.25, 0.75,
-                 -0.6, 0.25, 2.25, 2),
+    rows = [
+        (DAYS[5], 4, 1.23456789012, 0.0781892967066, -0.000123456789123,
+         0.3333333333333333, np.float64(0.0783127534957), 0.0101020514,
+         3.97979589711, 1),
+        (DAYS[6], 4, np.float64(123456789.7), 41152262.9, 1e-05, 1e-05,
+         41152262.89999, np.float64(1.5e-10), 2.5, 0),
+        (DAYS[8], 3, np.float64(0.1) + np.float64(0.2), -0.35, 0.25, 0.75,
+         -0.6, 0.25, 2.25, 2),
     ]
     dropped = [DroppedWindow(end_date=DAYS[7], reason="window retained 1 assets (need >= 2)")]
-    return GapSeries(summaries=summaries, config=config, dropped=dropped)
+    return _series(config, rows, dropped)
 
 
 def fake_entropy_series(returns, length, step):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracle
-from marketgap.cli import _gap_row
+from marketgap.cli import _gap_rows
 from marketgap.errors import DataError, UsageError
 from marketgap.ordinal import entropy_series
 from marketgap.panel import log_returns
@@ -32,8 +32,8 @@ def test_gap_series_equicorrelated_panel_small_delta():
     # 10,000-window simulation (max |delta| = 0.0204).
     panel = generate_factor_panel(one_factor_config(n_assets=30, n_days=320))
     series = gap_series(log_returns(panel), GapConfig(window=60, step=1))
-    assert len(series.summaries) > 200
-    assert np.abs(series.deltas).max() < 0.05
+    assert len(series.dates) > 200
+    assert np.abs(series.delta).max() < 0.05
 
 
 def test_gap_series_two_regime_ordering():
@@ -54,15 +54,17 @@ def test_gap_series_two_regime_ordering():
     panel = generate_factor_panel(cfg)
     returns = log_returns(panel)
     series = gap_series(returns, GapConfig(window=60, step=1))
-    weak = [s.delta for s in series.summaries if s.end_date <= panel.dates[199]]
-    strong = [s.delta for s in series.summaries if s.end_date >= panel.dates[260]]
+    end = np.array(series.dates)
+    weak = series.delta[end <= panel.dates[199]]
+    strong = series.delta[end >= panel.dates[260]]
     assert np.mean(strong) < np.mean(weak)
 
 
 def test_gap_series_window_larger_than_panel_is_empty():
     returns = make_returns(np.random.default_rng(0).normal(0, 0.01, size=(30, 5)))
     series = gap_series(returns, GapConfig(window=60))
-    assert series.summaries == [] and series.dropped == []
+    assert series.dates == [] and series.dropped == []
+    assert all(getattr(series, key).size == 0 for key in ("n_assets", "delta", "mp_lower"))
 
 
 def test_gap_series_reports_dropped_windows():
@@ -72,7 +74,7 @@ def test_gap_series_reports_dropped_windows():
     series = gap_series(make_returns(values), GapConfig(window=10, step=1))
     assert len(series.dropped) > 0
     assert all("assets" in d.reason for d in series.dropped)
-    assert len(series.summaries) + len(series.dropped) == 40 - 10 + 1
+    assert len(series.dates) + len(series.dropped) == 40 - 10 + 1
 
 
 def test_gap_series_logs_asset_drop_totals(caplog):
@@ -86,15 +88,15 @@ def test_gap_series_logs_asset_drop_totals(caplog):
 
 
 def test_gap_series_window_subset_invariant():
-    # Each window's summary depends on its own rows only: a coarser step
-    # reproduces every k-th summary of the daily series exactly.
+    # Each window's statistics depend on its own rows only: a coarser step
+    # reproduces every k-th row of the daily series exactly.
     panel = generate_factor_panel(one_factor_config(n_assets=15, n_days=150))
     returns = log_returns(panel)
     daily = gap_series(returns, GapConfig(window=30, step=1))
     assert not daily.dropped
     for k in (2, 3, 7):
         coarse = gap_series(returns, GapConfig(window=30, step=k))
-        assert coarse.summaries == daily.summaries[::k]
+        assert _gap_rows(coarse) == _gap_rows(daily)[::k]
 
 
 def test_gap_series_dates_strictly_increasing_uniform_step():
@@ -137,8 +139,7 @@ def test_sector_gap_series_matches_the_restricted_sector_panels(seed):
     want = oracle.restricted_sector_gap_series(panel, config)
     assert list(got) == list(want) == ["S0", "S1", "S2"]
     for name in want:
-        assert ([_gap_row(s) for s in got[name].summaries]
-                == [_gap_row(s) for s in want[name].summaries])
+        assert _gap_rows(got[name]) == _gap_rows(want[name])
         assert ([w.end_date for w in got[name].dropped]
                 == [w.end_date for w in want[name].dropped])
     assert any(series.dropped for series in got.values())  # the holes leave windows short
@@ -270,13 +271,13 @@ def test_robustness_pre_gap_exceeds_shock_gap_for_all_window_lengths(three_phase
     for window in (30, 60, 90):
         series = gap_series(returns, GapConfig(window=window, step=1))
         pre, shock = [], []
-        for s in series.summaries:
-            end_idx = returns.dates.index(s.end_date)
+        for end_date, delta in zip(series.dates, series.delta.tolist()):
+            end_idx = returns.dates.index(end_date)
             start_date = returns.dates[end_idx - window + 1]
-            if start_date >= truth.pre[0] and s.end_date <= truth.pre[1]:
-                pre.append(s.delta)
-            elif start_date >= truth.shock[0] and s.end_date <= truth.shock[1]:
-                shock.append(s.delta)
+            if start_date >= truth.pre[0] and end_date <= truth.pre[1]:
+                pre.append(delta)
+            elif start_date >= truth.shock[0] and end_date <= truth.shock[1]:
+                shock.append(delta)
         assert np.mean(pre) > np.mean(shock)
 
 
@@ -292,10 +293,8 @@ def test_heatmap_cells_are_monthly_means():
 
     series = gap_series(returns, cfg)
     by_month = {}
-    for s in series.summaries:
-        by_month.setdefault(f"{s.end_date.year:04d}-{s.end_date.month:02d}", []).append(
-            s.lambda_norm
-        )
+    for end_date, lambda_norm in zip(series.dates, series.lambda_norm.tolist()):
+        by_month.setdefault(f"{end_date.year:04d}-{end_date.month:02d}", []).append(lambda_norm)
     assert set(grid.months) == set(by_month)
     for month, vals in by_month.items():
         cell = grid.mean_lambda_norm[("ONLY", month)]

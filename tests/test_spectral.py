@@ -1,4 +1,4 @@
-"""Correlation kernel, eigenvalue, MP-bound, and gap-summary tests."""
+"""Correlation kernel, eigenvalue, MP-bound, and gap-column tests."""
 import math
 import tracemalloc
 from collections import Counter
@@ -10,19 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
-from marketgap.errors import DegenerateWindowError, NumericError, UsageError
+from marketgap.errors import NumericError, UsageError
 from marketgap.regimes import GapConfig, gap_series
 from marketgap import spectral
-from marketgap.spectral import (
+from marketgap.spectral import mp_bounds, normalized_lambda, rolling_spectra
+
+from conftest import (
     correlation_spectrum,
     equicorrelation,
-    mean_offdiagonal,
-    mp_bounds,
-    rolling_spectra,
-    summary_from_correlation,
+    make_returns,
+    random_correlation,
+    symmetry_spy,
+    zscore_rows,
 )
 
-from conftest import make_returns, random_correlation, symmetry_spy, zscore_rows
+EPOCH = date(2025, 1, 2)
 
 
 def window_corr(z):
@@ -59,8 +61,6 @@ def test_correlation_preconditions():
     spectra = rolling_spectra(values, 50)
     assert spectra.n_assets.tolist() == [1]
     assert np.isnan(spectra.lambda_max[0]) and spectra.n_above_mp[0] == 0
-    with pytest.raises(DegenerateWindowError, match="2 assets"):
-        summary_from_correlation(np.ones((1, 1)), end_date=date(2025, 1, 2), n_obs=50)
 
 
 def test_correlation_invariants_on_random_windows():
@@ -210,25 +210,39 @@ def test_mp_bounds_validation():
         mp_bounds(60, 1)
 
 
-# ---------- Summaries ----------
+# ---------- Window statistics from the kernel ----------
+
+def summarize(c, n_obs=60, rho_mode="signed", norm_mode="excess"):
+    """One correlation matrix's window record, from the package's pieces: the
+    kernel, the shared lambda normalization and the scalar Marchenko-Pastur band."""
+    n = c.shape[0]
+    spectrum = correlation_spectrum(np.asarray(c, dtype=float))
+    lam, rho_signed = float(spectrum.lambda_max), float(spectrum.rho_signed)
+    rho_abs = float((np.abs(spectrum.values).sum() - n) / (n * (n - 1)))
+    lam_norm = normalized_lambda(lam, n, norm_mode)
+    bounds = mp_bounds(n_obs, n)
+    return oracle.WindowSummary(
+        end_date=EPOCH, n_assets=n, lambda_max=lam, lambda_norm=lam_norm,
+        rho_signed=rho_signed, rho_abs=rho_abs,
+        delta=lam_norm - (rho_abs if rho_mode == "abs" else rho_signed),
+        rho_mode=rho_mode, norm_mode=norm_mode, mp=bounds,
+        n_above_mp=int(np.count_nonzero(spectrum.eigenvalues > bounds.upper)),
+    )
+
 
 def test_summary_equicorrelation_identity():
     for c in (0.0, 0.2, 0.5, 0.9):
         for n in (3, 25, 120):
-            s = summary_from_correlation(
-                equicorrelation(n, c), end_date=date(2025, 1, 2), n_obs=60
-            )
+            s = summarize(equicorrelation(n, c))
             assert s.lambda_norm == pytest.approx(c, abs=1e-10)
             assert s.rho_signed == pytest.approx(c, abs=1e-12)
             assert s.delta == pytest.approx(0.0, abs=1e-10)
 
 
 def test_summary_identity_and_all_ones_limits():
-    s = summary_from_correlation(np.eye(8), end_date=date(2025, 1, 2), n_obs=60)
+    s = summarize(np.eye(8))
     assert abs(s.lambda_norm) < 1e-12 and abs(s.delta) < 1e-12
-    s = summary_from_correlation(
-        equicorrelation(10, 1.0), end_date=date(2025, 1, 2), n_obs=60
-    )
+    s = summarize(equicorrelation(10, 1.0))
     assert s.lambda_norm == pytest.approx(1.0, abs=1e-12)
     assert s.rho_signed == pytest.approx(1.0, abs=1e-12)
     assert s.delta == pytest.approx(0.0, abs=1e-12)
@@ -236,20 +250,30 @@ def test_summary_identity_and_all_ones_limits():
 
 def test_summary_modes():
     c = equicorrelation(5, 0.4)
-    plain = summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=60,
-                                     norm_mode="plain")
+    plain = summarize(c, norm_mode="plain")
     assert plain.lambda_norm == pytest.approx((1 + 4 * 0.4) / 5, abs=1e-12)
 
     mixed = np.array([[1.0, -0.5, 0.2], [-0.5, 1.0, -0.1], [0.2, -0.1, 1.0]])
-    s_abs = summary_from_correlation(mixed, end_date=date(2025, 1, 2),
-                                     n_obs=60, rho_mode="abs")
+    s_abs = summarize(mixed, rho_mode="abs")
     assert s_abs.rho_abs == pytest.approx((0.5 + 0.2 + 0.1) / 3, abs=1e-12)
     assert s_abs.rho_abs >= s_abs.rho_signed
     assert s_abs.delta == pytest.approx(s_abs.lambda_norm - s_abs.rho_abs, abs=1e-15)
+    # A gap series takes its modes from a GapConfig, which refuses unknown ones.
     with pytest.raises(UsageError):
-        summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=60, rho_mode="mean")
+        GapConfig(rho_mode="mean")
     with pytest.raises(UsageError):
-        summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=60, norm_mode="raw")
+        GapConfig(norm_mode="raw")
+
+
+def test_normalized_lambda_is_one_formula_for_scalars_and_columns():
+    lam = np.array([1.0, 2.5, 7.0, 10.0])
+    n = np.array([2, 5, 8, 10], dtype=np.int64)
+    for mode in ("excess", "plain"):
+        column = normalized_lambda(lam, n, mode)
+        scalars = [normalized_lambda(float(x), int(k), mode) for x, k in zip(lam, n)]
+        assert column.tolist() == scalars
+    assert normalized_lambda(10.0, 10) == 1.0 and normalized_lambda(1.0, 10) == 0.0
+    assert normalized_lambda(10.0, 10, "plain") == 1.0
 
 
 def test_rayleigh_bound_on_random_matrices():
@@ -258,7 +282,7 @@ def test_rayleigh_bound_on_random_matrices():
     for _ in range(300):
         n = int(rng.choice([5, 25, 60]))
         c = random_correlation(rng, n)
-        s = summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=60)
+        s = summarize(c)
         assert s.delta >= -1e-10
 
 
@@ -266,9 +290,8 @@ def test_lambda_norm_and_rho_invariant_under_permutation():
     rng = np.random.default_rng(55)
     c = random_correlation(rng, 12)
     perm = rng.permutation(12)
-    s1 = summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=60)
-    s2 = summary_from_correlation(c[np.ix_(perm, perm)],
-                                  end_date=date(2025, 1, 2), n_obs=60)
+    s1 = summarize(c)
+    s2 = summarize(c[np.ix_(perm, perm)])
     assert s1.lambda_norm == pytest.approx(s2.lambda_norm, abs=1e-10)
     assert s1.rho_signed == pytest.approx(s2.rho_signed, abs=1e-12)
 
@@ -276,27 +299,27 @@ def test_lambda_norm_and_rho_invariant_under_permutation():
 def test_n_above_mp_counts_strictly_above():
     # Strong one-factor matrix: exactly the leading eigenvalue escapes the band.
     c = equicorrelation(50, 0.6)
-    s = summary_from_correlation(c, end_date=date(2025, 1, 2), n_obs=100)
+    s = summarize(c, n_obs=100)
     assert s.lambda_max > s.mp.upper
     assert s.n_above_mp == 1
 
 
 def test_rank_deficient_q_below_one_is_supported():
-    # T < N: the sample correlation is rank deficient but the summary holds up.
+    # T < N: the sample correlation is rank deficient but the gap holds up.
     rng = np.random.default_rng(66)
     z = zscore_rows(rng.standard_normal((120, 60)))
-    s = rolling_spectra(z.T, 60).summary(0, date(2025, 1, 2))
-    assert s.n_assets == 120
-    assert 0.0 <= s.lambda_norm <= 1.0
-    assert s.delta >= -1e-10
+    series = gap_series(make_returns(z.T), GapConfig(window=60))
+    assert series.n_assets.tolist() == [120]
+    assert 0.0 <= series.lambda_norm[0] <= 1.0
+    assert series.delta[0] >= -1e-10
     eigenvalues = correlation_spectrum(z @ z.T / 60).eigenvalues
     assert np.sum(eigenvalues < 1e-10) >= 120 - 60  # null space present
 
 
 def test_mean_offdiagonal_signed_vs_abs():
     m = np.array([[1.0, -0.4], [-0.4, 1.0]])
-    assert mean_offdiagonal(m) == pytest.approx(-0.4)
-    assert mean_offdiagonal(m, absolute=True) == pytest.approx(0.4)
+    assert oracle.mean_offdiagonal(m) == pytest.approx(-0.4)
+    assert oracle.mean_offdiagonal(m, absolute=True) == pytest.approx(0.4)
 
 
 def test_correlation_validate_rejects_bad_matrices():
@@ -312,8 +335,13 @@ def test_correlation_validate_rejects_bad_matrices():
 
 
 def test_summary_rejects_single_asset():
-    with pytest.raises(DegenerateWindowError, match="2 assets"):
-        summary_from_correlation(np.ones((1, 1)), end_date=date(2025, 1, 2), n_obs=60)
+    # A one-asset window has no correlation: the gap series keeps no row for it
+    # and reports it as dropped.
+    returns = make_returns(np.random.default_rng(0).standard_normal((60, 1)))
+    series = gap_series(returns, GapConfig(window=60))
+    assert series.dates == [] and series.delta.size == 0 and series.n_assets.size == 0
+    assert [w.reason for w in series.dropped] == [
+        f"window ending {returns.dates[-1].isoformat()} retained 1 assets (need >= 2)"]
 
 
 # ---------- Oracle equivalence: kernel vs the eigh reference chain ----------
@@ -329,6 +357,24 @@ def assert_matches_oracle(got, want):
     assert got.n_assets == want.n_assets
     assert got.end_date == want.end_date
     assert (got.rho_mode, got.norm_mode, got.mp) == (want.rho_mode, want.norm_mode, want.mp)
+
+
+def assert_columns_match_oracle(series, want, relative=False):
+    """A gap series' columns against the oracle's per-window records: floats within
+    1e-12 (relative to max(1, |value|) if asked), counts, dates, modes and the bits
+    of the Marchenko-Pastur band equal."""
+    assert series.dates == [w.end_date for w in want]
+    for field in FLOAT_FIELDS:
+        got = getattr(series, field)
+        ref = np.array([getattr(w, field) for w in want], dtype=float)
+        tol = 1e-12 * (np.maximum(1.0, np.abs(ref)) if relative else 1.0)
+        assert np.all(np.abs(got - ref) <= tol), field
+    assert series.n_assets.tolist() == [w.n_assets for w in want]
+    assert series.n_above_mp.tolist() == [w.n_above_mp for w in want]
+    assert series.mp_lower.tolist() == [w.mp.lower for w in want]
+    assert series.mp_upper.tolist() == [w.mp.upper for w in want]
+    modes = (series.config.rho_mode, series.config.norm_mode)
+    assert all((w.rho_mode, w.norm_mode) == modes for w in want)
 
 
 def block_correlation(sizes, within, between):
@@ -358,10 +404,10 @@ def test_summary_matches_oracle_on_acceptance_matrices(rho_mode, norm_mode):
     randoms = [random_correlation(rng, n) for n in (5, 25, 120) for _ in range(3)]
     for c in ACCEPTANCE_MATRICES + randoms:
         for n_obs in (20, 60, 250):
-            kwargs = dict(end_date=date(2025, 1, 2), n_obs=n_obs,
-                          rho_mode=rho_mode, norm_mode=norm_mode)
-            assert_matches_oracle(summary_from_correlation(c, **kwargs),
-                                  oracle.summary_from_correlation(oracle.named(c), **kwargs))
+            kwargs = dict(n_obs=n_obs, rho_mode=rho_mode, norm_mode=norm_mode)
+            assert_matches_oracle(summarize(c, **kwargs),
+                                  oracle.summary_from_correlation(oracle.named(c),
+                                                                  end_date=EPOCH, **kwargs))
 
 
 @st.composite
@@ -390,9 +436,7 @@ def test_gap_series_matches_oracle_on_random_panels(case, modes):
     config = GapConfig(window=window, step=step, rho_mode=modes[0], norm_mode=modes[1])
     series = gap_series(returns, config)
     want, want_dropped = oracle.gap_series(returns, config)
-    assert len(series.summaries) == len(want)
-    for got, ref in zip(series.summaries, want):
-        assert_matches_oracle(got, ref)
+    assert_columns_match_oracle(series, want)
     assert series.dropped == want_dropped
 
 
@@ -495,14 +539,6 @@ def test_rolling_spectra_drop_counts_match_oracle_reasons(case):
         assert spectra.dropped_all_equal[k] == reasons[oracle.REASON_ALL_EQUAL]
 
 
-def assert_close_relative(got, want):
-    for field in FLOAT_FIELDS:
-        g, w = getattr(got, field), getattr(want, field)
-        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), field
-    assert got.n_above_mp == want.n_above_mp
-    assert (got.n_assets, got.end_date, got.mp) == (want.n_assets, want.end_date, want.mp)
-
-
 @pytest.mark.parametrize("n_assets", [11, 12, 13, 96])  # T - 1, T, T + 1 and N >> T
 @pytest.mark.parametrize("rho_mode,norm_mode", MODES)
 def test_dual_branch_matches_oracle(monkeypatch, n_assets, rho_mode, norm_mode):
@@ -521,13 +557,33 @@ def test_dual_branch_matches_oracle(monkeypatch, n_assets, rho_mode, norm_mode):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     want, want_dropped = oracle.gap_series(returns, config)
     assert series.dropped == want_dropped
-    assert len(series.summaries) == len(want) > 0
-    for got, ref in zip(series.summaries, want):
-        assert_close_relative(got, ref)
-        # Both build C from the same z-scores, so rho agrees to the last bit.
-        assert (got.rho_signed, got.rho_abs) == (ref.rho_signed, ref.rho_abs)
+    assert len(want) > 0
+    assert_columns_match_oracle(series, want, relative=True)
+    # Both build C from the same z-scores, so rho agrees to the last bit.
+    assert series.rho_signed.tolist() == [ref.rho_signed for ref in want]
+    assert series.rho_abs.tolist() == [ref.rho_abs for ref in want]
     # Survivor counts straddle T, so both sides of the branch run: the
     # decomposed matrix is n x n for n <= T and the T x T dual above it.
-    kept = {s.n_assets for s in series.summaries}
+    kept = set(series.n_assets.tolist())
     assert max(kept) == n_assets and len(kept) > 1
     assert set(sizes) == {min(n, length) for n in kept}
+
+
+# ---------- The Marchenko-Pastur columns keep the scalar band's bits ----------
+
+def test_mp_columns_are_the_scalar_band_bit_for_bit():
+    # For T = 37, N = 48 NumPy's array (1 - root) ** 2 is x * x and ends 1 ULP
+    # below the Python float power of `mp_bounds` (0.019318107491299672 against
+    # ...676), so the columns must come from the scalar band.
+    window, n_assets = 37, 48
+    root = np.sqrt(1.0 / (window / np.array([n_assets])))  # mp_bounds' root, as an array
+    assert ((1.0 - root) ** 2).tolist() != [mp_bounds(window, n_assets).lower]
+    values = np.random.default_rng(48).standard_normal((80, n_assets))
+    values[50:55, 0] = np.nan  # the windows that hold rows 50-54 keep 47 assets
+    series = gap_series(make_returns(values), GapConfig(window=window, step=3))
+    assert set(series.n_assets.tolist()) == {n_assets - 1, n_assets}
+    for n, lower, upper in zip(series.n_assets.tolist(), series.mp_lower.tolist(),
+                               series.mp_upper.tolist()):
+        band = mp_bounds(window, n)
+        assert (lower, upper) == (band.lower, band.upper)
+    assert series.mp_lower[series.n_assets == n_assets][0] == 0.019318107491299676

@@ -87,7 +87,7 @@ def test_zero_factor_vols_give_near_zero_correlation():
 def test_one_factor_uniform_loadings_small_gap():
     panel = generate_factor_panel(one_factor_config(n_assets=30, n_days=300))
     series = gap_series(log_returns(panel), GapConfig(window=60))
-    assert np.abs(series.deltas).max() < 0.05
+    assert np.abs(series.delta).max() < 0.05
 
 
 def test_sector_factors_widen_gap_over_one_factor():
@@ -109,7 +109,7 @@ def test_sector_factors_widen_gap_over_one_factor():
         log_returns(generate_factor_panel(one_factor_config(n_assets=n, n_days=300))),
         GapConfig(window=60),
     )
-    assert multi.deltas.mean() > 2.0 * single.deltas.mean()
+    assert multi.delta.mean() > 2.0 * single.delta.mean()
 
 
 # ---------- Config validation ----------
@@ -166,14 +166,14 @@ def test_three_phase_gap_contrast(three_phase):
     returns = log_returns(three_phase.panel)
     truth = three_phase.truth
     series = gap_series(returns, GapConfig(window=60))
-    pre = [s.delta for s in series.summaries
-           if truth.pre[0] <= s.end_date <= truth.pre[1]]
+    rows = list(zip(series.dates, series.delta.tolist()))
+    pre = [delta for end_date, delta in rows if truth.pre[0] <= end_date <= truth.pre[1]]
     shock_contained = []
-    for s in series.summaries:
-        end_idx = returns.dates.index(s.end_date)
+    for end_date, delta in rows:
+        end_idx = returns.dates.index(end_date)
         if (returns.dates[end_idx - 59] >= truth.shock[0]
-                and s.end_date <= truth.shock[1]):
-            shock_contained.append(s.delta)
+                and end_date <= truth.shock[1]):
+            shock_contained.append(delta)
     assert np.mean(shock_contained) < 0.2 * np.mean(pre)
 
 
@@ -194,10 +194,9 @@ def test_degenerate_scenario_has_no_contrast():
     returns = log_returns(result.panel)
     series = gap_series(returns, GapConfig(window=60))
     truth = result.truth
-    pre = [s.delta for s in series.summaries
-           if truth.pre[0] <= s.end_date <= truth.pre[1]]
-    shock = [s.delta for s in series.summaries
-             if truth.shock[0] <= s.end_date <= truth.shock[1]]
+    rows = list(zip(series.dates, series.delta.tolist()))
+    pre = [delta for end_date, delta in rows if truth.pre[0] <= end_date <= truth.pre[1]]
+    shock = [delta for end_date, delta in rows if truth.shock[0] <= end_date <= truth.shock[1]]
     assert np.mean(shock) > 0.5 * np.mean(pre)  # the detection contrast is absent
 
 
