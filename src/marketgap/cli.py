@@ -98,9 +98,20 @@ def _json_value(x):
 
 
 def _write_table(path, units: str, header: str, rows) -> None:
-    lines = [units, header, *(",".join(map(_cell, row)) for row in rows)]
+    _write_lines(path, [units, header, *(",".join(map(_cell, row)) for row in rows)])
+
+
+def _write_lines(path, lines) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _observation_lines(obs):
+    """The OBS_CSV_HEADER line of each observation, by the _cell rule (str(date) is ISO)."""
+    tickers = (";".join(map(obs.tickers.__getitem__, row)) for row in obs.picks.tolist())
+    columns = (getattr(obs, key).tolist() for key in OBS_CSV_HEADER.split(",")[1:-1])
+    for end, delta, rho_bar, hist, mvp, ew, names in zip(*columns, tickers):
+        yield f"{obs.market},{end},{delta:.9g},{rho_bar:.9g},{hist:.9g},{mvp:.9g},{ew:.9g},{names}"
 
 
 def _gap_rows(series) -> list[tuple]:
@@ -298,6 +309,7 @@ def run_gap(config: dict) -> None:
             outputs.append(f"gap_{sec_name}.csv")
         summary["markets"][market]["sectors"] = {sector: {
             "n_windows": s.delta.size,
+            "n_dropped_windows": len(s.dropped),
             "delta_mean": _json_value(s.delta.mean()) if s.delta.size else None,
         } for sector, s in sectors.items()}
     _write_json(summary, out / "summary.json")
@@ -395,10 +407,8 @@ def run_portfolio(config: dict) -> None:
             {"window_index": w, "reason": reason} for w, reason in result.skipped_windows
         ]
         reports[market]["skipped_portfolios"] = result.skipped_portfolios
-    _write_table(out / "observations.csv", OBS_CSV_UNITS, OBS_CSV_HEADER, (
-        (o.market, o.window_end, o.delta, o.rho_bar, o.sigma_hist, o.sigma_mvp, o.sigma_ew,
-         ";".join(o.tickers))
-        for result in results for o in result.observations))
+    lines = (line for result in results for line in _observation_lines(result.observations))
+    _write_lines(out / "observations.csv", [OBS_CSV_UNITS, OBS_CSV_HEADER, *lines])
     report = {
         "study": {
             "formation": study_cfg.formation,

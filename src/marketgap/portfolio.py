@@ -62,31 +62,31 @@ class StudyConfig:
         return self.test if self.step is None else self.step
 
 
-@dataclass(frozen=True)
-class PortfolioObservation:
-    """One (window, sampled subset) outcome of the rolling study."""
+@dataclass(eq=False)
+class Observations:
+    """The study's kept (window, subset) outcomes as columns, in window then draw order;
+    `picks` holds each subset's ascending column positions in `tickers`."""
 
     market: str
-    window_index: int
-    window_end: date  # formation-window end date
     tickers: tuple[str, ...]
-    delta: float
-    rho_bar: float
-    sigma_hist: float  # formation-window EW volatility, % annualized
-    sigma_mvp: float  # test-window MVP volatility, % annualized
-    sigma_ew: float  # test-window EW volatility, % annualized
-    seed_key: tuple[int, ...]
+    window_index: np.ndarray  # (k,) int64
+    window_end: np.ndarray  # (k,) datetime64[D], formation-window end date
+    picks: np.ndarray  # (k, n_stocks) int64
+    delta: np.ndarray
+    rho_bar: np.ndarray
+    sigma_hist: np.ndarray  # formation-window EW volatility, % annualized
+    sigma_mvp: np.ndarray  # test-window MVP volatility, % annualized
+    sigma_ew: np.ndarray  # test-window EW volatility, % annualized
+
+    def __len__(self) -> int:
+        return self.delta.size
 
 
 @dataclass(eq=False)
 class StudyResult:
-    observations: list[PortfolioObservation]
+    observations: Observations
     skipped_windows: list[tuple[int, str]]
     skipped_portfolios: int
-    config: StudyConfig
-    seed: int
-    stream: int
-    market: str
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,11 @@ def covariance_matrix(values: np.ndarray) -> np.ndarray:
         raise UsageError(f"covariance needs (n_assets >= 2, n_obs) blocks, got {x.shape}")
     if np.isnan(x).any():
         raise DataError("covariance input contains missing returns; filter assets first")
-    centered = x - x.mean(axis=-1, keepdims=True)
-    v = centered @ centered.swapaxes(-1, -2) / x.shape[-1]
+    return _centered_covariance(x - x.mean(axis=-1, keepdims=True))
+
+
+def _centered_covariance(centered: np.ndarray) -> np.ndarray:
+    v = centered @ centered.swapaxes(-1, -2) / centered.shape[-1]
     return (v + v.swapaxes(-1, -2)) / 2.0
 
 
@@ -134,20 +137,49 @@ def covariance_matrix(values: np.ndarray) -> np.ndarray:
 # goes to pinv.
 _SOLVE_RCOND = 1e-8
 
+# A certified covariance is sure to pass that rule, as its correlation
+# spectrum shows without a second eigvalsh. For V = D C D, D = diag(d),
+# lambda_min(V) >= lambda_min(C) d_min^2 and lambda_max(V) <= lambda_max(C) d_max^2.
+# By Weyl, the computed spectrum of C is within delta = 64 n^2 eps of that of
+# D^-1 V D^-1: cleaning leaves a few roundings per entry of size <= 1 (<= 4 n
+# eps in the 2-norm), and LAPACK's eigenvalues are exact for a matrix within
+# c n eps ||C|| of it, c a modest constant (60 here) and ||C|| <= n. A row
+# whose bound (lambda_max + delta) / (lambda_min - delta) * (d_max / d_min)^2
+# is <= 1e6 has cond(V) <= 1e6, 100 times inside the rule; that margin dwarfs
+# eigvalsh(V)'s own ~n^2 eps error, and a delta too small by orders of
+# magnitude, as a certified lambda_min(C) is >= 1e-6. NaN never certifies.
+_CERTIFIED_COND = 1e6
 
-def mvp_weights(cov: np.ndarray) -> np.ndarray:
+
+def _certified(corr_eigenvalues: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Which V = D C D, D = diag(scales), pass the solve rule, from C's ascending eigenvalues."""
+    n = scales.shape[-1]
+    delta = 64.0 * n * n * np.finfo(float).eps
+    lo, hi = corr_eigenvalues[..., 0] - delta, corr_eigenvalues[..., -1] + delta
+    d_min, d_max = scales.min(axis=-1), scales.max(axis=-1)
+    # The bound without a division: a zero scale fails it instead of warning.
+    return (lo > 0.0) & (hi * (d_max * d_max) <= _CERTIFIED_COND * lo * (d_min * d_min))
+
+
+def mvp_weights(cov: np.ndarray, certified: np.ndarray | None = None) -> np.ndarray:
     """Fully invested minimum-variance weights q = V+ 1 / (1' V+ 1) of each symmetric covariance.
 
     Uses the Moore-Penrose pseudo-inverse (singular values below 1e-10 * s_max
     are treated as zero), so rank-deficient covariances still yield weights;
     shorting is allowed. A well-conditioned covariance is solved for V^-1 1
-    instead (see `_SOLVE_RCOND`). Where 1'V+1 is non-finite or below 1e-12 in
-    magnitude the weights are undefined, and that row of the result is NaN.
+    instead (see `_SOLVE_RCOND`). `certified` marks covariances already known
+    to be (see `_certified`); only the rest take `eigvalsh`. Where 1'V+1 is
+    non-finite or below 1e-12 in magnitude the weights are undefined (NaN).
     """
     v = np.asarray(cov, dtype=float)
     ones = np.ones(v.shape[-1])
-    lam = np.linalg.eigvalsh(v)
-    solvable = lam[..., 0] > _SOLVE_RCOND * lam[..., -1]
+    solvable = np.zeros(v.shape[:-2], dtype=bool) if certified is None else certified.copy()
+    check = ~solvable
+    if check.any():
+        lam = np.linalg.eigvalsh(v[check])
+        solvable[check] = lam[..., 0] > _SOLVE_RCOND * lam[..., -1]
+        logger.debug("mvp weights: %d of %d covariance(s) were not certified and took "
+                     "eigvalsh", np.count_nonzero(check), solvable.size)
     numer = np.empty(v.shape[:-1])
     # b is an explicit (k, n, 1) stack: NumPy 2 no longer reads a (k, n) b as k vectors.
     a = v[solvable]
@@ -351,43 +383,38 @@ def _subsets(prefix: tuple[int, ...], count: int, m: int, n: int) -> np.ndarray:
 
 # ---------- The rolling study ----------
 
-def _window_observations(
-    returns: ReturnPanel,
-    config: StudyConfig,
-    seed: int,
-    stream: int,
-    market: str,
-    w_idx: int,
-    end: int,
-) -> tuple[list[PortfolioObservation], int, str | None]:
-    t, h, n = config.formation, config.test, config.n_stocks
-    form = returns.values[end - t:end]
-    test = returns.values[end:end + h]
+def _window_columns(form: np.ndarray, test: np.ndarray, config: StudyConfig,
+                   key: tuple[int, ...]) -> tuple[np.ndarray, ...] | str:
+    """(picks, delta, rho_bar, sigma_hist, sigma_mvp, sigma_ew) of one window's kept
+    portfolios, from its (t, N) formation and (h, N) test returns; or why it is skipped."""
+    n = config.n_stocks
     complete = ~(np.isnan(form).any(axis=0) | np.isnan(test).any(axis=0))
     # A stock whose formation returns are all equal has no correlation, even
     # where rounding leaves its std a little above 0.
     constant = (form == form[:1]).all(axis=0)
     eligible = np.flatnonzero(complete & ~constant)
     if eligible.size < n:
-        return [], 0, f"{eligible.size} eligible stocks (need {n})"
+        return f"{eligible.size} eligible stocks (need {n})"
 
     # Drawing positions in `eligible` takes the same random stream as drawing
     # from `eligible` itself.
-    picks = eligible[_subsets((seed, stream, w_idx), config.portfolios, eligible.size, n)]
-    # (P, n, t) formation and (P, n, h) test stacks; each asset's returns are contiguous.
-    x = np.ascontiguousarray(form.T)[picks]
-    y = np.ascontiguousarray(test.T)[picks]
+    pos = _subsets(key, config.portfolios, eligible.size, n)
+    # The eligible assets' rows, each contiguous, centered once; their (P, n, t)
+    # formation and (P, n, h) test stacks are gathered from them.
+    rows = np.ascontiguousarray(form.T[eligible])
+    x = rows[pos]
+    y = np.ascontiguousarray(test.T[eligible])[pos]
 
     # Shared population-1/T moments give both the covariance for the weights
     # and the correlation for the gap of the same subset.
-    cov = covariance_matrix(x)
+    cov = _centered_covariance((rows - rows.mean(axis=1, keepdims=True))[pos])
     d = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
     spectra = correlation_spectra(cov / (d[:, :, np.newaxis] * d[:, np.newaxis, :]))
     rho_bar = spectra.rho_signed
     delta = normalized_lambda(spectra.lambda_max, n) - rho_bar
 
-    q_mvp = mvp_weights(cov)
-    kept = np.flatnonzero(~np.isnan(q_mvp).any(axis=-1))
+    q_mvp = mvp_weights(cov, _certified(spectra.eigenvalues, d))
+    kept = ~np.isnan(q_mvp).any(axis=-1)
     q_ew = ew_weights(n)
     # Formation moments stay on the population (1/T) convention.
     hist = x.swapaxes(-1, -2) @ q_ew
@@ -395,27 +422,7 @@ def _window_observations(
     sigma_hist = np.sqrt(np.mean(hist ** 2, axis=-1)) * math.sqrt(config.annualization) * 100.0
     sigma_mvp = realized_volatility(q_mvp, y, config.annualization)
     sigma_ew = realized_volatility(q_ew, y, config.annualization)
-
-    end_date = returns.dates[end - 1]
-    tickers = returns.tickers
-    observations = [
-        PortfolioObservation(
-            market=market,
-            window_index=w_idx,
-            window_end=end_date,
-            tickers=tuple(tickers[j] for j in pick),
-            delta=dl,
-            rho_bar=rb,
-            sigma_hist=sh,
-            sigma_mvp=sm,
-            sigma_ew=se,
-            seed_key=(seed, stream, w_idx, p_idx),
-        )
-        for p_idx, pick, dl, rb, sh, sm, se in zip(
-            kept.tolist(), picks[kept].tolist(), delta[kept].tolist(), rho_bar[kept].tolist(),
-            sigma_hist[kept].tolist(), sigma_mvp[kept].tolist(), sigma_ew[kept].tolist())
-    ]
-    return observations, config.portfolios - kept.size, None
+    return tuple(c[kept] for c in (eligible[pos], delta, rho_bar, sigma_hist, sigma_mvp, sigma_ew))
 
 
 def run_portfolio_study(
@@ -437,34 +444,30 @@ def run_portfolio_study(
     t, h = config.formation, config.test
     ends = window_ends(returns.n_dates - h, t, config.effective_step)
     if not ends.size:
-        raise DataError(
-            f"panel has {returns.n_dates} return rows; need >= {t + h} "
-            "for one formation/test pair"
-        )
+        raise DataError(f"panel has {returns.n_dates} return rows; need >= {t + h} "
+                        "for one formation/test pair")
 
-    observations: list[PortfolioObservation] = []
+    # Each window adds (window index, *its columns); the empty first entry
+    # fixes the dtypes and shapes when every window is skipped.
+    parts = [(np.empty(0, np.int64), np.empty((0, config.n_stocks), np.int64), *[np.empty(0)] * 5)]
     skipped_windows: list[tuple[int, str]] = []
-    skipped_portfolios = 0
-    for w_idx, end in enumerate(ends):
-        obs, skipped, reason = _window_observations(
-            returns, config, seed, stream, market, w_idx, end
-        )
-        if reason is not None:
-            skipped_windows.append((w_idx, reason))
-        observations.extend(obs)
-        skipped_portfolios += skipped
+    for w_idx, end in enumerate(ends.tolist()):
+        columns = _window_columns(returns.values[end - t:end], returns.values[end:end + h],
+                                  config, (seed, stream, w_idx))
+        if isinstance(columns, str):
+            skipped_windows.append((w_idx, columns))
+        else:
+            parts.append((np.full(len(columns[0]), w_idx), *columns))
+    window_index, *columns = map(np.concatenate, zip(*parts))
+    end_dates = np.array([returns.dates[e - 1] for e in ends.tolist()], dtype="datetime64[D]")
+    observations = Observations(market, tuple(returns.tickers), window_index,
+                                end_dates[window_index], *columns)
+    n_run = ends.size - len(skipped_windows)
+    skipped_portfolios = n_run * config.portfolios - len(observations)
     logger.info("portfolio study %s: %d window(s) run, %d skipped; %d observations, "
-                "%d portfolio(s) skipped", market, ends.size - len(skipped_windows),
-                len(skipped_windows), len(observations), skipped_portfolios)
-    return StudyResult(
-        observations=observations,
-        skipped_windows=skipped_windows,
-        skipped_portfolios=skipped_portfolios,
-        config=config,
-        seed=seed,
-        stream=stream,
-        market=market,
-    )
+                "%d portfolio(s) skipped", market, n_run, len(skipped_windows),
+                len(observations), skipped_portfolios)
+    return StudyResult(observations, skipped_windows, skipped_portfolios)
 
 
 # ---------- Statistics ----------
@@ -644,12 +647,12 @@ def incremental_r2(y: np.ndarray, benchmark: np.ndarray, extra: np.ndarray) -> f
 
 
 def quintile_report(
-    observations: list[PortfolioObservation],
+    observations: Observations,
     event_date: date | None = None,
 ) -> QuintileReport:
-    """Spearman, quintile, and incremental-R2 statistics for one observation set.
+    """Spearman, quintile, and incremental-R2 statistics for one market's observations.
 
-    Observations are sorted ascending by delta (ties broken by input order)
+    Observations are sorted ascending by delta (ties broken by row order)
     and split into 5 contiguous near-equal groups Q0..Q4; the long-short
     spread is mean(Q4) - mean(Q0) of test-window MVP volatility. Subperiod
     Spearmans split on the formation end date: pre strictly before the event,
@@ -658,22 +661,12 @@ def quintile_report(
     n = len(observations)
     if n < 5:
         raise DataError(f"quintile report needs >= 5 observations, got {n}")
-    markets = sorted({o.market for o in observations})
-    market = markets[0] if len(markets) == 1 else "ALL"
-
-    delta = np.array([o.delta for o in observations])
-    sigma_mvp = np.array([o.sigma_mvp for o in observations])
-    sigma_ew = np.array([o.sigma_ew for o in observations])
-    rho_bar = np.array([o.rho_bar for o in observations])
-    sigma_hist = np.array([o.sigma_hist for o in observations])
+    delta, sigma_mvp = observations.delta, observations.sigma_mvp
+    rho_bar, sigma_hist = observations.rho_bar, observations.sigma_hist
 
     order = np.argsort(delta, kind="stable")
-    sizes = quintile_partition(n)
-    means: list[float] = []
-    lo = 0
-    for size in sizes:
-        means.append(float(sigma_mvp[order[lo:lo + size]].mean()))
-        lo += size
+    bounds = np.cumsum([0, *quintile_partition(n)]).tolist()
+    means = [float(sigma_mvp[order[a:b]].mean()) for a, b in zip(bounds, bounds[1:])]
 
     def maybe_spearman(a: np.ndarray, b: np.ndarray) -> SpearmanResult | None:
         try:
@@ -682,25 +675,22 @@ def quintile_report(
             return None
 
     def sub(mask: np.ndarray):
-        if np.count_nonzero(mask) < 3:
-            return None
-        res = maybe_spearman(delta[mask], sigma_mvp[mask])
-        if res is None:
-            return None
-        return (res.rho, res.p_value, int(np.count_nonzero(mask)))
+        count = int(np.count_nonzero(mask))
+        res = maybe_spearman(delta[mask], sigma_mvp[mask]) if count >= 3 else None
+        return None if res is None else (res.rho, res.p_value, count)
 
     pre = post = None
     if event_date is not None:
-        ends = np.array([o.window_end for o in observations])
-        pre = sub(ends < event_date)
-        post = sub(ends >= event_date)
+        event = np.datetime64(event_date, "D")
+        pre = sub(observations.window_end < event)
+        post = sub(observations.window_end >= event)
 
     return QuintileReport(
-        market=market,
+        market=observations.market,
         n_observations=n,
         event_date=event_date,
         spearman_delta_mvp=spearman(delta, sigma_mvp),
-        spearman_delta_ew=spearman(delta, sigma_ew),
+        spearman_delta_ew=spearman(delta, observations.sigma_ew),
         quintile_mean_sigma_mvp=tuple(means),
         ls_spread=means[4] - means[0],
         benchmark_spearman_rho_bar=maybe_spearman(rho_bar, sigma_mvp),
@@ -710,4 +700,3 @@ def quintile_report(
         pre_shock=pre,
         post_shock=post,
     )
-

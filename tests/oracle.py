@@ -5,17 +5,20 @@ a per-asset loop that z-scores one window, an explicit correlation wrapper, a
 full `np.linalg.eigh` eigendecomposition (eigenvectors included), and one
 `WindowSummary` record per window built from those pieces, where the package
 keeps the gap series as columns. It also keeps the portfolio study's former
-per-subset loop, with its inline subset gap and its single-matrix
-covariance, weights and volatilities, the stacked pseudo-inverse weights the
+per-subset loop, with its inline subset gap, its single-matrix covariance,
+weights and volatilities, its own `PortfolioObservation` record per subset
+and the report taken over a list of them, where the package keeps the
+study's results as columns, the stacked pseudo-inverse weights the
 package took before it solved well-conditioned covariances, the scalar
 ordinal pattern and the per-date ordinal distribution that the entropy
 series once took one window at a time, and the `csv.writer` loop that once
 wrote price panels, and the stacked correlation kernel as it stood before it
 cleaned its input in place. The windows come from plain `range` loops here,
-not from the package's grid. Only the dataclasses, the pattern table and the
-closed-form Marchenko-Pastur band come from the package, except in the
-sector series `gap --by-sector` once took, which checks the calendar a sector
-runs on and so takes the package's log returns and gap series.
+not from the package's grid. Only the dataclasses, the pattern table, the
+closed-form Marchenko-Pastur band and the report's rank statistics come from
+the package, except in the sector series `gap --by-sector` once took, which
+checks the calendar a sector runs on and so takes the package's log returns
+and gap series.
 """
 from __future__ import annotations
 
@@ -26,11 +29,22 @@ from datetime import date
 
 import numpy as np
 
-from marketgap.errors import DegenerateWindowError, NumericError, UsageError
+from marketgap.errors import (
+    DegenerateWindowError,
+    NumericError,
+    UndefinedCorrelationError,
+    UsageError,
+)
 from marketgap.ordinal import N_PATTERNS, PATTERNS
 from marketgap import regimes
 from marketgap.panel import LONG_HEADER, PricePanel, ReturnPanel, log_returns
-from marketgap.portfolio import PortfolioObservation, StudyConfig
+from marketgap.portfolio import (
+    QuintileReport,
+    StudyConfig,
+    incremental_r2,
+    quintile_partition,
+    spearman,
+)
 from marketgap.regimes import DroppedWindow, GapConfig
 from marketgap.spectral import (
     NORM_MODES,
@@ -372,6 +386,21 @@ def realized_volatility(weights: np.ndarray, test_returns: np.ndarray,
     return float(np.std(port, ddof=1) * math.sqrt(annualization) * 100.0)
 
 
+@dataclass(frozen=True)
+class PortfolioObservation:
+    """One (window, sampled subset) outcome of the rolling study."""
+
+    market: str
+    window_index: int
+    window_end: date  # formation-window end date
+    tickers: tuple[str, ...]
+    delta: float
+    rho_bar: float
+    sigma_hist: float  # formation-window EW volatility, % annualized
+    sigma_mvp: float  # test-window MVP volatility, % annualized
+    sigma_ew: float  # test-window EW volatility, % annualized
+
+
 def portfolio_study(
     returns: ReturnPanel, config: StudyConfig, seed: int, market: str = "ALL", stream: int = 0
 ) -> tuple[list[PortfolioObservation], list[tuple[int, str]], int]:
@@ -415,9 +444,74 @@ def portfolio_study(
                 sigma_hist=sigma_hist,
                 sigma_mvp=realized_volatility(q_mvp, y, config.annualization),
                 sigma_ew=realized_volatility(q_ew, y, config.annualization),
-                seed_key=(seed, stream, w_idx, p_idx),
             ))
     return observations, skipped_windows, skipped
+
+
+def observation_columns(observations: list[PortfolioObservation], tickers: list[str],
+                        n_stocks: int) -> dict:
+    """The package's `Observations` columns, by name, of per-subset records over `tickers`."""
+    position = {t: j for j, t in enumerate(tickers)}
+    return {
+        "window_index": np.array([o.window_index for o in observations], dtype=np.int64),
+        "window_end": np.array([o.window_end for o in observations], dtype="datetime64[D]"),
+        "picks": np.array([[position[t] for t in o.tickers] for o in observations],
+                          dtype=np.int64).reshape(-1, n_stocks),
+        **{key: np.array([getattr(o, key) for o in observations], dtype=float)
+           for key in ("delta", "rho_bar", "sigma_hist", "sigma_mvp", "sigma_ew")},
+    }
+
+
+def quintile_report(observations: list[PortfolioObservation],
+                    event_date: date | None = None) -> QuintileReport:
+    """The report of a list of per-subset records, as it was taken before the study's
+    results became columns."""
+    n = len(observations)
+    markets = sorted({o.market for o in observations})
+    market = markets[0] if len(markets) == 1 else "ALL"
+    delta = np.array([o.delta for o in observations])
+    sigma_mvp = np.array([o.sigma_mvp for o in observations])
+    sigma_ew = np.array([o.sigma_ew for o in observations])
+    rho_bar = np.array([o.rho_bar for o in observations])
+    sigma_hist = np.array([o.sigma_hist for o in observations])
+
+    order = np.argsort(delta, kind="stable")
+    means, lo = [], 0
+    for size in quintile_partition(n):
+        means.append(float(sigma_mvp[order[lo:lo + size]].mean()))
+        lo += size
+
+    def maybe_spearman(a, b):
+        try:
+            return spearman(a, b)
+        except UndefinedCorrelationError:
+            return None
+
+    def sub(mask):
+        if np.count_nonzero(mask) < 3:
+            return None
+        res = maybe_spearman(delta[mask], sigma_mvp[mask])
+        return None if res is None else (res.rho, res.p_value, int(np.count_nonzero(mask)))
+
+    pre = post = None
+    if event_date is not None:
+        ends = np.array([o.window_end for o in observations])
+        pre, post = sub(ends < event_date), sub(ends >= event_date)
+    return QuintileReport(
+        market=market,
+        n_observations=n,
+        event_date=event_date,
+        spearman_delta_mvp=spearman(delta, sigma_mvp),
+        spearman_delta_ew=spearman(delta, sigma_ew),
+        quintile_mean_sigma_mvp=tuple(means),
+        ls_spread=means[4] - means[0],
+        benchmark_spearman_rho_bar=maybe_spearman(rho_bar, sigma_mvp),
+        benchmark_spearman_sigma_hist=maybe_spearman(sigma_hist, sigma_mvp),
+        incr_r2_over_rho_bar=incremental_r2(sigma_mvp, rho_bar, delta),
+        incr_r2_over_sigma_hist=incremental_r2(sigma_mvp, sigma_hist, delta),
+        pre_shock=pre,
+        post_shock=post,
+    )
 
 
 def ordinal_pattern(x0: float, x1: float, x2: float) -> int:

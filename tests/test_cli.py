@@ -473,6 +473,11 @@ def test_sector_wide_hole_drops_the_windows_that_hold_it(tmp_path, synth_dir):
         expected = sum(1 for span in spans if name != "SEC0" or hole not in span)
         assert len(rows) == sum(int(r[3]) for r in heat if r[0] == name) == expected
     assert 0 < sum(1 for span in spans if hole in span) < len(spans)
+    # summary.json counts the windows each sector dropped: the 61 whose span holds the hole.
+    summary = json.loads((tmp_path / "gap" / "summary.json").read_text())
+    sectors = summary["markets"]["SYN"]["sectors"]
+    assert {name: s["n_dropped_windows"] for name, s in sectors.items()} == {
+        name: 61 if name == "SEC0" else 0 for name in set(sector.values())}
 
 
 # ---------- portfolio ----------
@@ -765,10 +770,11 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         "import numpy as np",
         "import marketgap.cli",
         "assert 'scipy.stats' not in sys.modules",
-        "from marketgap.portfolio import PortfolioObservation, quintile_report",
+        "from marketgap.portfolio import Observations, quintile_report",
         "rng = np.random.default_rng(0)",
-        "obs = [PortfolioObservation('M', 0, date(2025, 1, 2 + k % 2), ('A', 'B'),",
-        "                            *rng.normal(size=5), seed_key=(k,)) for k in range(20)]",
+        "ends = np.array([date(2025, 1, 2 + k % 2) for k in range(20)], dtype='datetime64[D]')",
+        "obs = Observations('M', ('A', 'B'), np.zeros(20, dtype=np.int64), ends,",
+        "                   np.tile([0, 1], (20, 1)), *rng.normal(size=(5, 20)))",
         "report = quintile_report(obs, date(2025, 1, 3))",
         "assert 0.0 < report.spearman_delta_mvp.p_value < 1.0",
         "assert report.pre_shock is not None and report.post_shock is not None",

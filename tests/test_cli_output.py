@@ -13,7 +13,7 @@ import numpy as np
 import marketgap.cli as cli
 from marketgap.ordinal import EntropySeries, OrdinalPhaseStats, PhaseStat
 from marketgap.portfolio import (
-    PortfolioObservation,
+    Observations,
     QuintileReport,
     SpearmanResult,
     StudyResult,
@@ -40,7 +40,8 @@ def fake_sector_gap_series(returns, sector_of, config):
          np.float64(-4.5e-11), 0.0, 2.91421356237, 0),
         (DAYS[7], 2, 1.0, 0.0, -0.0, 0.0, 0.0, 0.0, 2.91421356237, 0),
     ]
-    return {sector: _series(config, rows)
+    dropped = [DroppedWindow(end_date=DAYS[5], reason="window retained 1 assets (need >= 2)")]
+    return {sector: _series(config, rows, dropped if sector == "S2" else ())
             for sector in sorted({sector_of[t] for t in returns.tickers})}
 
 
@@ -102,24 +103,23 @@ def fake_heatmap(returns, sector_of, config):
 
 
 def fake_study(returns, config, seed, market, stream):
-    def obs(w, day, tickers, *values):
-        return PortfolioObservation(market, w, day, tickers, *values, seed_key=(seed, stream, w))
-
-    observations = [
-        obs(0, DAYS[4], ("A", "B"), 0.0123456789123, np.float64(-0.0123456789123),
-            12.3456789123, np.float64(9.87654321098), 1e-05),
-        obs(0, DAYS[4], ("C", "D"), -1.5e-07, 0.5, 100.0, 123456789012.0, 0.1),
-        obs(2, DAYS[9], ("A", "D"), 0.0, -0.0, 7.0, 8.25, np.float64(2.0) / 3.0),
+    # Three observations: two in window 0, one in window 2, over tickers A..D.
+    rows = [
+        (0, DAYS[4], (0, 1), 0.0123456789123, np.float64(-0.0123456789123),
+         12.3456789123, np.float64(9.87654321098), 1e-05),
+        (0, DAYS[4], (2, 3), -1.5e-07, 0.5, 100.0, 123456789012.0, 0.1),
+        (2, DAYS[9], (0, 3), 0.0, -0.0, 7.0, 8.25, np.float64(2.0) / 3.0),
     ]
-    return StudyResult(
-        observations=observations, skipped_windows=[(1, "3 eligible stocks (need 10)")],
-        skipped_portfolios=2, config=config, seed=seed, stream=stream, market=market,
-    )
+    window_index, ends, picks, *values = map(np.array, zip(*rows))
+    observations = Observations(
+        market, ("A", "B", "C", "D"), window_index, ends.astype("datetime64[D]"), picks, *values)
+    return StudyResult(observations=observations,
+                       skipped_windows=[(1, "3 eligible stocks (need 10)")], skipped_portfolios=2)
 
 
 def fake_quintile_report(observations, event_date):
     return QuintileReport(
-        market=observations[0].market, n_observations=len(observations), event_date=event_date,
+        market=observations.market, n_observations=len(observations), event_date=event_date,
         spearman_delta_mvp=SpearmanResult(np.float64(-0.123456789876), 1e-05),
         spearman_delta_ew=SpearmanResult(-1.0, 0.0),
         quintile_mean_sigma_mvp=(np.float64(20.1234567891), 15.0, 12.5, 1e-05, -0.25),
@@ -266,10 +266,12 @@ EXPECTED = {
         '      "sectors": {\n'
         '        "S1": {\n'
         '          "delta_mean": -2.25e-11,\n'
+        '          "n_dropped_windows": 0,\n'
         '          "n_windows": 2\n'
         '        },\n'
         '        "S2": {\n'
         '          "delta_mean": -2.25e-11,\n'
+        '          "n_dropped_windows": 1,\n'
         '          "n_windows": 2\n'
         '        }\n'
         '      }\n'

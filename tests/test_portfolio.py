@@ -15,8 +15,9 @@ from marketgap import portfolio
 from marketgap.errors import DataError, UndefinedCorrelationError, UsageError
 from marketgap.panel import ReturnPanel, log_returns
 from marketgap.portfolio import (
-    PortfolioObservation,
+    Observations,
     StudyConfig,
+    _certified,
     _subsets,
     covariance_matrix,
     ew_weights,
@@ -179,6 +180,68 @@ def test_mvp_weights_match_the_pseudo_inverse(cov):
             cond = lam[k, -1] / lam[k, 0]
             bound = (64 + n * cond) * eps * np.abs(ref[k]).max()
             assert np.abs(q[k] - ref[k]).max() <= bound
+
+
+@st.composite
+def scaled_covariance_stacks(draw):
+    """(V, d, ascending eigenvalues of C) of sample covariance stacks V = D C D.
+
+    Each member holds up to 3 factors plus noise over t days, t < n in some
+    (rank-deficient V), with asset scales d from 1e-4 to 1e2 spread over 0 to
+    6 decades, mostly few. A "duplicate" member repeats an asset plus 1e-9
+    noise, and a "zero" member holds an all-zero asset, whose C is undefined
+    and whose eigenvalues are NaN here.
+    """
+    n = draw(st.integers(2, 12))
+    t = draw(st.integers(2, 3 * n + 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = st.sampled_from(["factor", "factor", "factor", "duplicate", "zero"])
+    members = []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=8)):
+        k = int(rng.integers(0, 4))
+        x = (rng.standard_normal((n, k)) @ rng.standard_normal((k, t))
+             + rng.uniform(0.01, 1.0) * rng.standard_normal((n, t)))
+        i, j = rng.choice(n, size=2, replace=False)
+        if kind == "duplicate":
+            x[j] = x[i] + 1e-9 * rng.standard_normal(t)
+        elif kind == "zero":
+            x[j] = 0.0
+        spread = 6.0 * rng.uniform(0.0, 1.0) ** 2  # decades from the smallest scale to the largest
+        low = rng.uniform(-4.0, 2.0 - spread)
+        members.append(x * 10.0 ** (low + spread * rng.uniform(0.0, 1.0, (n, 1))))
+    cov = covariance_matrix(np.stack(members))
+    d = np.sqrt(np.diagonal(cov, axis1=-2, axis2=-1))
+    eig = np.full(cov.shape[:-1], np.nan)
+    defined = (d > 0.0).all(axis=-1)
+    scale = d[defined, :, np.newaxis] * d[defined, np.newaxis, :]
+    eig[defined] = portfolio.correlation_spectra(cov[defined] / scale).eigenvalues
+    return cov, d, eig
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(case=scaled_covariance_stacks())
+def test_certified_covariances_pass_the_solve_rule(case):
+    cov, d, eig = case
+    certified = _certified(eig, d)
+    assert not certified[np.isnan(eig).any(axis=-1)].any()
+    for k in np.flatnonzero(certified):
+        lam = np.linalg.eigvalsh(cov[k])
+        assert lam[0] > 1e-8 * lam[-1]
+    assert mvp_weights(cov, certified).tobytes() == mvp_weights(cov).tobytes()
+
+
+def test_certificate_takes_off_its_error_margin_and_the_scale_spread():
+    n = 10
+    eig = np.tile(np.linspace(0.5, 2.0, n), (6, 1))  # cond(C) = 4
+    # (lambda_max / lambda_min)(C) just under 1e6, by 1e-9 and by 1e-4 of it:
+    # only the second stays under once delta = 64 n^2 eps widens the spectrum.
+    eig[:2, 0], eig[:2, -1] = [1e-6 * (1 + 1e-9), 1e-6 * (1 + 1e-4)], 1.0
+    eig[4, 0] = np.nan
+    d = np.ones((6, n))
+    d[2, 0] = 1e3  # 4 * (1e3)^2 is over 1e6
+    d[3, 0] = 10.0  # 4 * 10^2 is not
+    d[5, 0] = 0.0
+    assert _certified(eig, d).tolist() == [False, True, False, True, False, False]
 
 
 def test_ew_weights():
@@ -512,6 +575,39 @@ def test_subsets_reject_negative_key():
 
 # ---------- Rolling study ----------
 
+STUDY_COLUMNS = ("window_index", "window_end", "picks", "delta", "rho_bar", "sigma_hist",
+                 "sigma_mvp", "sigma_ew")
+
+
+def same_columns(got: Observations, want, rows=slice(None)) -> bool:
+    """Whether `got` holds `want`'s columns (an Observations or a dict), or their `rows`,
+    bit for bit and with the same dtypes and shapes."""
+    def column(obs, key):
+        return obs[key] if isinstance(obs, dict) else getattr(obs, key)
+
+    return all(column(got, key).dtype == column(want, key)[rows].dtype
+               and column(got, key).shape == column(want, key)[rows].shape
+               and column(got, key).tobytes() == column(want, key)[rows].tobytes()
+               for key in STUDY_COLUMNS)
+
+
+def assert_matches_oracle(result, returns, config, seed, market="ALL", stream=0):
+    """The study's columns and skips are the per-subset oracle's; returns its records."""
+    records, skipped_windows, skipped = oracle.portfolio_study(
+        returns, config, seed, market=market, stream=stream)
+    obs = result.observations
+    assert (obs.market, obs.tickers) == (market, tuple(returns.tickers))
+    assert same_columns(obs, oracle.observation_columns(records, returns.tickers,
+                                                        config.n_stocks))
+    assert result.skipped_windows == skipped_windows
+    assert result.skipped_portfolios == skipped
+    return records
+
+
+def picked_tickers(obs: Observations) -> list[tuple[str, ...]]:
+    return [tuple(obs.tickers[j] for j in row) for row in obs.picks.tolist()]
+
+
 @pytest.fixture(scope="module")
 def small_study():
     panel = generate_factor_panel(one_factor_config(n_assets=14, n_days=180))
@@ -526,10 +622,10 @@ def test_study_counts_and_determinism(small_study):
     second = run_portfolio_study(returns, config, seed=5)
     n_windows = (returns.n_dates - 80) // 20 + 1
     assert len(first.observations) == n_windows * 25 - first.skipped_portfolios
-    assert first.observations == second.observations
+    assert same_columns(first.observations, second.observations)
 
     different = run_portfolio_study(returns, config, seed=6)
-    assert different.observations != first.observations
+    assert not np.array_equal(different.observations.picks, first.observations.picks)
 
 
 def test_study_window_subset_invariant(small_study):
@@ -543,16 +639,18 @@ def test_study_window_subset_invariant(small_study):
     part = run_portfolio_study(head, config, seed=5)
     n_windows = (cut - config.formation - config.test) // config.test + 1
     assert n_windows >= 2
-    assert {o.window_index for o in part.observations} == set(range(n_windows))
-    assert part.observations == [o for o in full.observations if o.window_index < n_windows]
+    assert set(part.observations.window_index.tolist()) == set(range(n_windows))
+    assert same_columns(part.observations, full.observations,
+                        full.observations.window_index < n_windows)
 
 
 def test_study_resamples_stocks_each_window(small_study):
     returns, config = small_study
     result = run_portfolio_study(returns, config, seed=5)
     per_window = {}
-    for o in result.observations:
-        per_window.setdefault(o.window_index, set()).add(o.tickers)
+    for w, tickers in zip(result.observations.window_index.tolist(),
+                          picked_tickers(result.observations)):
+        per_window.setdefault(w, set()).add(tickers)
     draws = [frozenset(s) for s in per_window.values()]
     assert len(set(draws)) > 1  # fresh draws, not one fixed subset
 
@@ -560,7 +658,7 @@ def test_study_resamples_stocks_each_window(small_study):
 def test_study_window_geometry(small_study):
     returns, config = small_study
     result = run_portfolio_study(returns, config, seed=5)
-    ends = sorted({o.window_end for o in result.observations})
+    ends = sorted(set(result.observations.window_end.tolist()))
     idx = [returns.dates.index(d) for d in ends]
     assert idx[0] == 59  # first formation window ends at row 60 (1-based)
     assert all(b - a == 20 for a, b in zip(idx, idx[1:]))
@@ -571,7 +669,7 @@ def test_study_skips_windows_without_enough_stocks():
     values = rng.normal(0, 0.01, size=(100, 9))  # only 9 stocks, need 10
     returns = make_returns(values)
     result = run_portfolio_study(returns, StudyConfig(portfolios=5), seed=1)
-    assert result.observations == []
+    assert len(result.observations) == 0 and result.observations.picks.shape == (0, 10)
     assert len(result.skipped_windows) == 2
     assert "eligible" in result.skipped_windows[0][1]
 
@@ -582,9 +680,8 @@ def test_study_excludes_zero_variance_stocks():
     values[:, 3] = 0.0  # flat stock never eligible
     returns = make_returns(values)
     result = run_portfolio_study(returns, StudyConfig(portfolios=10), seed=2)
-    assert result.observations
-    for o in result.observations:
-        assert "T3" not in o.tickers
+    assert len(result.observations)
+    assert 3 not in result.observations.picks
 
 
 def test_study_panel_too_short():
@@ -599,21 +696,27 @@ def test_study_delta_uses_subset_matrix(small_study):
     returns, _ = small_study
     result = run_portfolio_study(returns, StudyConfig(formation=60, test=20,
                                                       n_stocks=10, portfolios=8), seed=9)
-    assert len(result.observations) > 20
-    for o in result.observations:
-        end_row = returns.dates.index(o.window_end) + 1
-        cols = [returns.tickers.index(t) for t in o.tickers]
+    obs = result.observations
+    assert len(obs) > 20
+    for end, cols, got_delta, got_rho in zip(obs.window_end.tolist(), obs.picks.tolist(),
+                                             obs.delta.tolist(), obs.rho_bar.tolist()):
+        end_row = returns.dates.index(end) + 1
         delta, rho_bar = oracle.subset_gap(returns.values[end_row - 60:end_row, cols].T)
-        assert abs(o.delta - delta) <= 1e-12 and abs(o.rho_bar - rho_bar) <= 1e-12
-        sub = ReturnPanel(dates=list(returns.dates), tickers=list(o.tickers),
+        assert abs(got_delta - delta) <= 1e-12 and abs(got_rho - rho_bar) <= 1e-12
+        sub = ReturnPanel(dates=list(returns.dates), tickers=[returns.tickers[j] for j in cols],
                           values=returns.values[:, cols])
         ref = oracle.spectral_summary(oracle.standardize_window(sub, end_row - 60, end_row))
-        assert abs(o.delta - ref.delta) <= 1e-12 and abs(o.rho_bar - ref.rho_signed) <= 1e-12
+        assert abs(got_delta - ref.delta) <= 1e-12 and abs(got_rho - ref.rho_signed) <= 1e-12
 
 
 @st.composite
 def study_cases(draw):
-    """Panels with NaN runs and flat stretches, and studies with n_stocks up to past formation."""
+    """Panels with NaN runs and flat stretches, and studies with n_stocks up to past formation.
+
+    Some panels also hold a flat asset, a near-collinear pair or assets on
+    scales far apart, whose covariances the weights' certificate leaves to
+    eigvalsh; the pair's noise level decides between the solve and pinv.
+    """
     formation = draw(st.integers(3, 12))
     test = draw(st.integers(2, 6))
     n_assets = draw(st.integers(2, 18))
@@ -624,6 +727,13 @@ def study_cases(draw):
     values = 0.01 * (rng.standard_normal((n_dates, n_assets)) + np.outer(common, loadings))
     if n_assets >= 3 and draw(st.booleans()):
         values[:, 1] = -values[:, 0]  # pairs holding both have 1'V+1 = 0
+    if n_assets >= 4 and draw(st.booleans()):
+        noise = 10.0 ** draw(st.floats(-7.0, -2.0))
+        values[:, 3] = values[:, 2] + noise * values[:, 0]
+    if draw(st.booleans()):
+        values *= 10.0 ** rng.uniform(-2.0, 1.5, n_assets)
+    if draw(st.booleans()):
+        values[:, draw(st.integers(0, n_assets - 1))] = 0.003
     runs = st.tuples(st.integers(0, n_assets - 1), st.integers(0, n_dates - 1),
                      st.integers(1, n_dates))
     for asset, start, length in draw(st.lists(runs, max_size=4)):
@@ -640,17 +750,24 @@ def study_cases(draw):
     return make_returns(values), config, draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 3))
 
 
+def report_or_error(report, observations, event):
+    try:
+        return report(observations, event)
+    except UndefinedCorrelationError:
+        return UndefinedCorrelationError
+
+
 @settings(max_examples=120, deadline=None, database=None)
 @given(case=study_cases())
 def test_study_matches_per_subset_oracle(case):
     returns, config, seed, stream = case
     result = run_portfolio_study(returns, config, seed=seed, market="M", stream=stream)
-    observations, skipped_windows, skipped = oracle.portfolio_study(
-        returns, config, seed, market="M", stream=stream)
-    # Dataclass equality compares every float bit for bit (no NaN can occur).
-    assert result.observations == observations
-    assert result.skipped_windows == skipped_windows
-    assert result.skipped_portfolios == skipped
+    records = assert_matches_oracle(result, returns, config, seed, market="M", stream=stream)
+    # The report read from the columns is the one taken over the oracle's records.
+    if len(records) >= 5:
+        event = returns.dates[returns.n_dates // 2]
+        assert (report_or_error(quintile_report, result.observations, event)
+                == report_or_error(oracle.quintile_report, records, event))
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -667,8 +784,8 @@ def test_study_correlation_stacks_are_exactly_symmetric(case):
         mp.setattr(portfolio, "correlation_spectra", oracle.correlation_spectra)
         want = run_portfolio_study(returns, config, seed=seed, stream=stream)
     assert all(verdicts)
-    assert verdicts or not got.observations
-    assert got.observations == want.observations
+    assert verdicts or not len(got.observations)
+    assert same_columns(got.observations, want.observations)
     assert got.skipped_portfolios == want.skipped_portfolios
 
 
@@ -682,16 +799,16 @@ def test_study_skips_undefined_weights_and_keeps_the_rest():
     config = StudyConfig(formation=30, test=10, n_stocks=2, portfolios=30)
     result = run_portfolio_study(returns, config, seed=4)
     pairs = {}
-    for o in result.observations:
-        pairs.setdefault(o.window_index, []).append(o.tickers)
+    for w, tickers in zip(result.observations.window_index.tolist(),
+                          picked_tickers(result.observations)):
+        pairs.setdefault(w, []).append(tickers)
     n_windows = (120 - 30 - 10) // 10 + 1
     assert sorted(pairs) == list(range(n_windows))
     for kept in pairs.values():
         assert ("T0", "T1") not in kept
         assert set(kept) == {("T0", "T2"), ("T1", "T2")}
     assert result.skipped_portfolios == n_windows * 30 - len(result.observations) > 0
-    observations, _, skipped = oracle.portfolio_study(returns, config, 4)
-    assert result.observations == observations and result.skipped_portfolios == skipped
+    assert_matches_oracle(result, returns, config, 4)
 
 
 def test_study_logs_its_counts_and_the_pseudo_inverse_rows(caplog):
@@ -726,24 +843,51 @@ def test_study_never_draws_a_stock_with_constant_formation_returns(constant):
     config = StudyConfig(formation=60, test=10, n_stocks=4, portfolios=100)
     result = run_portfolio_study(returns, config, seed=7)
     assert result.skipped_windows == [] and len(result.observations) == 300
-    assert all("T0" not in o.tickers for o in result.observations)
-    observations, skipped_windows, skipped = oracle.portfolio_study(returns, config, 7)
-    assert result.observations == observations
-    assert (result.skipped_windows, result.skipped_portfolios) == (skipped_windows, skipped)
+    assert 0 not in result.observations.picks
+    assert_matches_oracle(result, returns, config, 7)
+
+
+def test_study_routes_uncertified_covariances_through_eigvalsh(caplog, monkeypatch):
+    # T1 is T0 plus noise 1e-5 its size, so subsets holding both have
+    # cond(V) ~ 1e10 and take the pseudo-inverse; T2 runs on a scale 1e3 above
+    # the rest, so subsets holding it fail the certificate but pass eigvalsh's
+    # rule and are solved. Both routes give the oracle's weights.
+    rng = np.random.default_rng(44)
+    values = rng.normal(0, 0.01, size=(120, 7))
+    values[:, 1] = values[:, 0] + 1e-5 * rng.normal(0, 0.01, 120)
+    values[:, 2] *= 1e3
+    returns = make_returns(values)
+    config = StudyConfig(formation=60, test=20, n_stocks=3, portfolios=40)
+    stacks, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(len(a)) or eigvalsh(a))
+    with caplog.at_level(logging.DEBUG, logger="marketgap"):
+        result = run_portfolio_study(returns, config, seed=5)
+    count = {key: sum(r.args[0] for r in caplog.records if key in r.getMessage())
+             for key in ("not certified", "pseudo-inverse")}
+    assert count["not certified"] > count["pseudo-inverse"] > 0
+    # One correlation spectrum per subset of the 3 windows; the covariances
+    # take eigvalsh only where they are not certified.
+    assert sum(stacks) == 3 * 40 + count["not certified"]
+    assert_matches_oracle(result, returns, config, 5)
 
 
 # ---------- Quintile report ----------
 
 def obs(delta, sigma_mvp, end=date(2025, 6, 2), market="X", sigma_ew=None,
         rho_bar=None, sigma_hist=None):
-    return PortfolioObservation(
+    return oracle.PortfolioObservation(
         market=market, window_index=0, window_end=end, tickers=("A",) * 10,
         delta=delta,
         rho_bar=rho_bar if rho_bar is not None else 0.2 + 0.1 * delta,
         sigma_hist=sigma_hist if sigma_hist is not None else 12.0 + 0.1 * sigma_mvp,
         sigma_mvp=sigma_mvp, sigma_ew=sigma_ew if sigma_ew is not None else sigma_mvp,
-        seed_key=(0, 0, 0, 0),
     )
+
+
+def columns(records) -> Observations:
+    """The study's columns of hand-set `obs` records."""
+    return Observations(market=records[0].market, tickers=("A",),
+                        **oracle.observation_columns(records, ["A"], 10))
 
 
 def test_quintile_partition_sizes():
@@ -761,7 +905,7 @@ def test_quintile_report_monotone_constructed_sample():
     deltas = np.linspace(0.0, 0.5, 10)
     noise = rng.normal(0, 0.001, 10)
     observations = [obs(d, 20.0 - 30.0 * d + e) for d, e in zip(deltas, noise)]
-    report = quintile_report(observations)
+    report = quintile_report(columns(observations))
     q = report.quintile_mean_sigma_mvp
     assert all(q[i] > q[i + 1] for i in range(4))
     assert report.ls_spread < 0
@@ -775,7 +919,7 @@ def test_quintile_report_partition_covers_all_exactly_once():
     rng = np.random.default_rng(51)
     observations = [obs(float(rng.standard_normal()), float(rng.uniform(5, 30)))
                     for _ in range(23)]
-    report = quintile_report(observations)
+    report = quintile_report(columns(observations))
     order = sorted(range(23), key=lambda i: (observations[i].delta, i))
     sizes = quintile_partition(23)
     lo = 0
@@ -794,7 +938,7 @@ def test_quintile_report_tie_break_by_input_order():
     # Q2 and Q3.
     deltas = [0.0, 0.0, 0.0, 0.0, 0.1, 0.1, 0.1, 0.1, 0.2, 0.2]
     observations = [obs(d, float(i)) for i, d in enumerate(deltas)]
-    report = quintile_report(observations)
+    report = quintile_report(columns(observations))
     assert report.quintile_mean_sigma_mvp == (0.5, 2.5, 4.5, 6.5, 8.5)
 
 
@@ -802,7 +946,7 @@ def test_quintile_report_subperiod_split():
     event = date(2025, 3, 3)
     pre_obs = [obs(0.1 * i, 10.0 + i, end=date(2025, 2, 3)) for i in range(5)]
     post_obs = [obs(0.1 * i, 30.0 - i, end=date(2025, 3, 3)) for i in range(5)]
-    report = quintile_report(pre_obs + post_obs, event_date=event)
+    report = quintile_report(columns(pre_obs + post_obs), event_date=event)
     assert report.pre_shock is not None and report.pre_shock[2] == 5
     assert report.post_shock is not None and report.post_shock[2] == 5
     assert report.pre_shock[0] > 0 and report.post_shock[0] < 0
@@ -811,13 +955,13 @@ def test_quintile_report_subperiod_split():
 
 def test_quintile_report_requires_five_observations():
     with pytest.raises(DataError):
-        quintile_report([obs(0.1, 10.0)] * 4)
+        quintile_report(columns([obs(0.1, 10.0)] * 4))
 
 
 def test_quintile_report_constant_benchmark_reported_absent():
     observations = [obs(0.1 * i, 10.0 + i, rho_bar=0.3, sigma_hist=12.0)
                     for i in range(8)]
-    report = quintile_report(observations)
+    report = quintile_report(columns(observations))
     assert report.benchmark_spearman_rho_bar is None
     assert report.benchmark_spearman_sigma_hist is None
     assert report.spearman_delta_mvp.rho == pytest.approx(1.0)
