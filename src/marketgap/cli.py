@@ -13,7 +13,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import re
 import sys
@@ -21,9 +20,10 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__
-from .errors import DataError, MarketGapError, UsageError
+from .errors import DataError, MarketGapError, UsageError, check_choice, check_int
 from .ordinal import entropy_series, phase_statistics
 from .panel import (
+    LAYOUTS,
     load_price_panel,
     log_returns,
     open_input,
@@ -39,6 +39,7 @@ from .regimes import (
     phase_segmentation,
     sector_gap_series,
 )
+from .spectral import NORM_MODES, RHO_MODES
 from .synth import (
     generate_factor_panel,
     load_scenario_json,
@@ -226,12 +227,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list, out
 _INPUT_KEYS = ("prices", "meta", "scenario")
 
 
-def _load_panel(config: dict):
-    return load_price_panel(
-        config["prices"], layout=config.get("layout", "long"), metadata=config.get("meta")
-    )
-
-
 def _input_paths(config: dict) -> list:
     return [config[key] for key in _INPUT_KEYS if config.get(key)]
 
@@ -254,6 +249,14 @@ def _out_dir(config: dict) -> Path:
     return out
 
 
+def _out_dir_and_panel(config: dict):
+    """The created --out-dir and the loaded price panel; an unknown layout exits 2 first."""
+    layout = config.get("layout", "long")
+    check_choice("layout", layout, LAYOUTS)
+    return _out_dir(config), load_price_panel(config["prices"], layout=layout,
+                                              metadata=config.get("meta"))
+
+
 # ---------- Commands ----------
 #
 # Each command builds its config objects, which check every argument, before
@@ -270,8 +273,7 @@ def run_gap(config: dict) -> None:
         rho_mode=config["rho_mode"],
         norm_mode=config["norm_mode"],
     )
-    out = _out_dir(config)
-    panel = _load_panel(config)
+    out, panel = _out_dir_and_panel(config)
     results = []
     for market in panel.markets():
         sub = panel.market_panel(market)
@@ -335,8 +337,7 @@ def run_entropy(config: dict) -> None:
     )
     # The entropy series shares the gap series' window grid and its rules.
     grid = GapConfig(window=config["window"], step=config["step"])
-    out = _out_dir(config)
-    panel = _load_panel(config)
+    out, panel = _out_dir_and_panel(config)
     results = []
     for market in panel.markets():
         series = entropy_series(log_returns(panel.market_panel(market)),
@@ -365,8 +366,7 @@ def run_heatmap(config: dict) -> None:
     # lambda_norm does not depend on the rho mode, so the heatmap takes none.
     gap_cfg = GapConfig(window=config["window"], step=config["step"],
                         norm_mode=config["norm_mode"])
-    out = _out_dir(config)
-    panel = _load_panel(config)
+    out, panel = _out_dir_and_panel(config)
     grids = []
     for market in panel.markets():
         sub = panel.market_panel(market)
@@ -391,9 +391,9 @@ def run_portfolio(config: dict) -> None:
         annualization=config["annualization"],
         step=config.get("study_step"),
     )
+    check_int("seed", config["seed"], 0)
     event = _config_date(config, "event_date")
-    out = _out_dir(config)
-    panel = _load_panel(config)
+    out, panel = _out_dir_and_panel(config)
     results = []
     reports = {}
     for stream, market in enumerate(panel.markets()):
@@ -433,32 +433,33 @@ def run_portfolio(config: dict) -> None:
     )
 
 
+_PRESETS = ("three-phase", "risk-study", "one-factor")
+
+
 def run_synth(config: dict) -> None:
+    seed, scenario = config.get("seed"), config.get("scenario")
+    if seed is not None:
+        check_int("seed", seed, 0)
+    preset = config.get("preset") or _PRESETS[0]
+    if not scenario:
+        check_choice("preset", preset, _PRESETS)
     out = _out_dir(config)
     outputs = ["prices.csv", "meta.csv"]
     truth = None
-    if config.get("scenario"):
-        synth_cfg = load_scenario_json(config["scenario"])
-        if config.get("seed") is not None:
-            synth_cfg.seed = config["seed"]
+    seed_kwargs = {} if seed is None else {"seed": seed}
+    if scenario:
+        synth_cfg = load_scenario_json(scenario)
+        if seed is not None:
+            synth_cfg.seed = seed
         panel = generate_factor_panel(synth_cfg)
+    elif preset == "three-phase":
+        result = three_phase_scenario(three_phase_config(**seed_kwargs))
+        panel, truth = result.panel, truth_to_dict(result.truth)
+    elif preset == "risk-study":
+        panel, event = risk_study_scenario(**seed_kwargs)
+        truth = {"event_date": event.isoformat()}
     else:
-        preset = config.get("preset") or "three-phase"
-        seed = config["seed"] if config.get("seed") is not None else None
-        if preset == "three-phase":
-            result = three_phase_scenario(
-                three_phase_config(seed) if seed is not None else None
-            )
-            panel, truth = result.panel, truth_to_dict(result.truth)
-        elif preset == "risk-study":
-            args = (seed,) if seed is not None else ()
-            panel, event = risk_study_scenario(*args)
-            truth = {"event_date": event.isoformat()}
-        elif preset == "one-factor":
-            kwargs = {"seed": seed} if seed is not None else {}
-            panel = generate_factor_panel(one_factor_config(**kwargs))
-        else:
-            raise UsageError(f"unknown preset {preset!r}")
+        panel = generate_factor_panel(one_factor_config(**seed_kwargs))
     write_price_panel(panel, out / "prices.csv")
     write_metadata(panel, out / "meta.csv")
     if truth is not None:
@@ -495,43 +496,9 @@ def run_rerun(config: dict) -> None:
 
 # ---------- Argument parsing ----------
 
-def _nonneg_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = _nonneg_int(text)
-    if value == 0:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _finite_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite: {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = _finite_float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError(f"must be > 0: {text}")
-    return value
-
-
 def _add_common_inputs(p: argparse.ArgumentParser, need_meta: bool = False) -> None:
     p.add_argument("--prices", required=True, help="close-price file")
-    p.add_argument("--layout", choices=("long", "wide"), default="long",
+    p.add_argument("--layout", choices=LAYOUTS, default="long",
                    help="price file layout (default long)")
     p.add_argument("--meta", required=need_meta, default=None,
                    help="ticker,sector,market metadata file")
@@ -539,8 +506,8 @@ def _add_common_inputs(p: argparse.ArgumentParser, need_meta: bool = False) -> N
 
 
 def _add_window_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--window", type=_positive_int, default=60, help="rolling window length")
-    p.add_argument("--step", type=_positive_int, default=1, help="rolling step")
+    p.add_argument("--window", type=int, default=GapConfig.window, help="rolling window length")
+    p.add_argument("--step", type=int, default=GapConfig.step, help="rolling step")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -556,9 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="spectral gap time series per market")
     _add_common_inputs(p)
     _add_window_flags(p)
-    p.add_argument("--rho-mode", choices=("signed", "abs"), default="signed",
+    p.add_argument("--rho-mode", choices=RHO_MODES, default=GapConfig.rho_mode,
                    help="mean off-diagonal (signed) or mean absolute correlation")
-    p.add_argument("--norm-mode", choices=("excess", "plain"), default="excess",
+    p.add_argument("--norm-mode", choices=NORM_MODES, default=GapConfig.norm_mode,
                    help="leading-eigenvalue normalization")
     p.add_argument("--by-sector", action="store_true",
                    help="also emit intra-sector series (needs --meta)")
@@ -568,31 +535,34 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_flags(p)
     p.add_argument("--event-date", default=None,
                    help="shock announcement date (enables phase segmentation)")
-    p.add_argument("--shock-halfwidth", type=_nonneg_int, default=2,
-                   help="trading days on each side of the event (default 2)")
-    p.add_argument("--entropy-threshold", type=_finite_float, default=1.0,
-                   help="sustained-restoration threshold in nats (default 1.0)")
-    p.add_argument("--sustain-days", type=_positive_int, default=20,
-                   help="consecutive days above threshold (default 20)")
+    p.add_argument("--shock-halfwidth", type=int, default=SegmentationParams.shock_halfwidth,
+                   help="trading days on each side of the event (default %(default)s)")
+    p.add_argument("--entropy-threshold", type=float, default=SegmentationParams.threshold,
+                   help="sustained-restoration threshold in nats (default %(default)s)")
+    p.add_argument("--sustain-days", type=int, default=SegmentationParams.sustain_days,
+                   help="consecutive days above threshold (default %(default)s)")
     p.add_argument("--stabilized-start", default=None)
     p.add_argument("--stabilized-end", default=None)
 
     p = sub.add_parser("heatmap", help="monthly sector heatmap of lambda_norm")
     _add_common_inputs(p, need_meta=True)
     _add_window_flags(p)
-    p.add_argument("--norm-mode", choices=("excess", "plain"), default="excess")
+    p.add_argument("--norm-mode", choices=NORM_MODES, default=GapConfig.norm_mode)
 
     p = sub.add_parser("portfolio", help="rolling Monte Carlo portfolio risk study")
     _add_common_inputs(p)
-    p.add_argument("--formation", type=_positive_int, default=60, help="formation window days")
-    p.add_argument("--test", type=_positive_int, default=20, help="test window days")
-    p.add_argument("--n-stocks", type=_positive_int, default=10, help="stocks per portfolio")
-    p.add_argument("--portfolios", type=_positive_int, default=500, help="portfolios per window")
-    p.add_argument("--annualization", type=_positive_float, default=252.0,
-                   help="trading days per year (default 252)")
-    p.add_argument("--study-step", type=_positive_int, default=None,
+    p.add_argument("--formation", type=int, default=StudyConfig.formation,
+                   help="formation window days")
+    p.add_argument("--test", type=int, default=StudyConfig.test, help="test window days")
+    p.add_argument("--n-stocks", type=int, default=StudyConfig.n_stocks,
+                   help="stocks per portfolio")
+    p.add_argument("--portfolios", type=int, default=StudyConfig.portfolios,
+                   help="portfolios per window")
+    p.add_argument("--annualization", type=float, default=StudyConfig.annualization,
+                   help="trading days per year (default %(default)s)")
+    p.add_argument("--study-step", type=int, default=StudyConfig.step,
                    help="days between windows (default: test length)")
-    p.add_argument("--seed", type=_nonneg_int, required=True,
+    p.add_argument("--seed", type=int, required=True,
                    help="RNG seed (required for reproducibility)")
     p.add_argument("--event-date", default=None,
                    help="split subperiod statistics at this date")
@@ -600,9 +570,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic factor-model panel")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--scenario", default=None, help="scenario config JSON")
-    group.add_argument("--preset", choices=("three-phase", "risk-study", "one-factor"),
-                       default=None, help="built-in scenario (default three-phase)")
-    p.add_argument("--seed", type=_nonneg_int, default=None,
+    group.add_argument("--preset", choices=_PRESETS, default=None,
+                       help=f"built-in scenario (default {_PRESETS[0]})")
+    p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
     p.add_argument("--out-dir", required=True)
 

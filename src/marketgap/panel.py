@@ -16,8 +16,9 @@ from datetime import date
 
 import numpy as np
 
-from .errors import DataError, ParseError, UsageError
+from .errors import DataError, ParseError, check_choice, check_int
 
+LAYOUTS = ("long", "wide")
 LONG_HEADER = ("date", "ticker", "close")
 META_HEADER = ("ticker", "sector", "market")
 DEFAULT_SECTOR = "UNKNOWN"
@@ -137,11 +138,16 @@ def _first_undecodable_line(path) -> int | None:
 
 
 def _open_rows(path):
-    """The csv rows of a UTF-8 file; what the csv module rejects, and bytes
-    that are not UTF-8, raise a ParseError naming the file and line."""
+    """The csv rows of a UTF-8 file; what the csv module rejects, bytes that are
+    not UTF-8 and a leading byte-order mark raise a ParseError naming the file and line."""
     with open_input(path) as fh:
         reader = csv.reader(fh)
         try:
+            # Excel's "CSV UTF-8" starts the file, and so its header, with a BOM.
+            if fh.read(1) == "\ufeff":
+                raise ParseError("the header starts with a UTF-8 byte-order mark (U+FEFF); "
+                                 "save the file as UTF-8 without one", path, 1)
+            fh.seek(0)
             yield from reader
         except csv.Error as exc:
             raise ParseError(str(exc), path, reader.line_num) from None
@@ -188,59 +194,44 @@ def load_metadata(path) -> dict[str, tuple[str, str]]:
     return out
 
 
-def _load_long(path) -> dict[tuple[date, str], float]:
+def _load_cells(path, layout: str) -> dict[tuple[date, str], float]:
+    """The (date, ticker) prices of a long or wide file, read with the csv module.
+
+    A blank line is skipped, and so is an empty wide cell (missing). A repeated
+    key must repeat its price.
+    """
     rows = _open_rows(path)
-    header = next(rows, None)
-    if header is None or tuple(h.strip().lower() for h in header) != LONG_HEADER:
-        raise ParseError(f"expected header {','.join(LONG_HEADER)}", path, 1)
+    header = [h.strip() for h in next(rows, None) or ()]
+    if layout == "long":
+        if tuple(h.lower() for h in header) != LONG_HEADER:
+            raise ParseError(f"expected header {','.join(LONG_HEADER)}", path, 1)
+    else:
+        if not header or header[0].lower() != "date":
+            raise ParseError("expected header starting with 'date'", path, 1)
+        if len(header) == 1 or not all(header[1:]):
+            raise ParseError("empty ticker column name", path, 1)
+        if len(set(header[1:])) != len(header) - 1:
+            raise DataError(f"{path}:1: duplicate ticker columns")
     cells: dict[tuple[date, str], float] = {}
     for n, row in enumerate(rows, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
-        if len(row) != 3:
-            raise ParseError(f"expected 3 fields, got {len(row)}", path, n)
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", path, n)
         d = _parse_date(row[0], path, n)
-        ticker = row[1].strip()
-        if not ticker:
-            raise ParseError("empty ticker", path, n)
-        price = _parse_price(row[2], path, n)
-        key = (d, ticker)
-        if key in cells and cells[key] != price:
-            raise DataError(
-                f"{path}:{n}: conflicting duplicate for ({d.isoformat()}, {ticker}): "
-                f"{cells[key]!r} vs {price!r}"
-            )
-        cells[key] = price
-    return cells
-
-
-def _load_wide(path) -> dict[tuple[date, str], float]:
-    rows = _open_rows(path)
-    header = next(rows, None)
-    if header is None or not header or header[0].strip().lower() != "date":
-        raise ParseError("expected header starting with 'date'", path, 1)
-    tickers = [h.strip() for h in header[1:]]
-    if not tickers or any(not t for t in tickers):
-        raise ParseError("empty ticker column name", path, 1)
-    if len(set(tickers)) != len(tickers):
-        raise DataError(f"{path}:1: duplicate ticker columns")
-    cells: dict[tuple[date, str], float] = {}
-    for n, row in enumerate(rows, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(tickers) + 1:
-            raise ParseError(f"expected {len(tickers) + 1} fields, got {len(row)}", path, n)
-        d = _parse_date(row[0], path, n)
-        for ticker, cell in zip(tickers, row[1:]):
-            if cell.strip() == "":
-                continue  # empty cell = missing
-            price = _parse_price(cell, path, n)
-            key = (d, ticker)
-            if key in cells and cells[key] != price:
-                raise DataError(
-                    f"{path}:{n}: conflicting duplicate for ({d.isoformat()}, {ticker})"
-                )
-            cells[key] = price
+        if layout == "long":
+            ticker = row[1].strip()
+            if not ticker:
+                raise ParseError("empty ticker", path, n)
+            price_texts = ((ticker, row[2]),)
+        else:
+            price_texts = ((t, cell) for t, cell in zip(header[1:], row[1:]) if cell.strip())
+        for ticker, text in price_texts:
+            price = _parse_price(text, path, n)
+            kept = cells.setdefault((d, ticker), price)
+            if kept != price:
+                raise DataError(f"{path}:{n}: conflicting duplicate for "
+                                f"({d.isoformat()}, {ticker}): {kept!r} vs {price!r}")
     return cells
 
 
@@ -336,9 +327,9 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
     It takes plain files only: the long header, then `date,ticker,close`
     lines with LF or CRLF ends, no quoting, no blank line, unpadded tickers,
     finite positive prices and no conflicting repeat of a (date, ticker) key
-    (an equal repeat loads, as in `_load_long`). Dates go through
+    (an equal repeat loads, as in `_load_cells`). Dates go through
     `_parse_date` once per distinct text and prices through `float`, so a
-    file read here gives what `_load_long` gives.
+    file read here gives what `_load_cells` gives.
     """
     try:
         fh = open(path, "rb")
@@ -398,16 +389,15 @@ def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:
     with a fault, goes through the csv parser, which accepts the same files
     and raises every error.
     """
+    check_choice("layout", layout, LAYOUTS)
     if layout == "long":
         try:
             dates, tickers, close = _read_long_blocks(path)
         except _Declined as exc:
             logger.debug("%s: block reader declined (%s); reading with the csv parser", path, exc)
-            dates, tickers, close = _cells_matrix(_load_long(path))
-    elif layout == "wide":
-        dates, tickers, close = _cells_matrix(_load_wide(path))
+            dates, tickers, close = _cells_matrix(_load_cells(path, layout))
     else:
-        raise UsageError(f"unknown layout {layout!r} (expected 'long' or 'wide')")
+        dates, tickers, close = _cells_matrix(_load_cells(path, layout))
     if not dates:
         raise DataError(f"{path}: no price observations")
 
@@ -487,10 +477,8 @@ def log_returns(panel: PricePanel) -> ReturnPanel:
 
 def check_window(length: int, step: int = 1) -> None:
     """The rolling-window rules: a window holds >= 3 return rows, and the step is >= 1."""
-    if length < 3:
-        raise UsageError(f"window length must be >= 3, got {length}")
-    if step < 1:
-        raise UsageError(f"window step must be >= 1, got {step}")
+    check_int("window length", length, 3)
+    check_int("window step", step, 1)
 
 
 def window_ends(n_dates: int, length: int, step: int = 1) -> np.ndarray:

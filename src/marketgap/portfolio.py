@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DataError, NumericError, UndefinedCorrelationError, UsageError
+from .errors import (DataError, NumericError, UndefinedCorrelationError, UsageError,
+                     check_int, check_real)
 from .panel import ReturnPanel, window_ends
 from .spectral import correlation_spectra, normalized_lambda
 
@@ -43,19 +44,13 @@ class StudyConfig:
     step: int | None = None
 
     def __post_init__(self):
-        if self.formation < 3:
-            raise UsageError(f"formation window must be >= 3 days, got {self.formation}")
-        if self.test < 2:
-            raise UsageError(f"test window must be >= 2 days, got {self.test}")
-        if self.n_stocks < 2:
-            raise UsageError(f"portfolio size must be >= 2 stocks, got {self.n_stocks}")
-        if self.portfolios < 1:
-            raise UsageError(f"portfolio count must be >= 1, got {self.portfolios}")
-        if not 0.0 < self.annualization < math.inf:  # NaN fails too
-            raise UsageError(
-                f"annualization factor must be finite and positive, got {self.annualization}")
-        if self.step is not None and self.step < 1:
-            raise UsageError(f"study step must be >= 1, got {self.step}")
+        check_int("formation window", self.formation, 3, " days")
+        check_int("test window", self.test, 2, " days")
+        check_int("portfolio size", self.n_stocks, 2, " stocks")
+        check_int("portfolio count", self.portfolios, 1)
+        check_real("annualization factor", self.annualization, positive=True)
+        if self.step is not None:
+            check_int("study step", self.step, 1)
 
     @property
     def effective_step(self) -> int:

@@ -2,14 +2,13 @@
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import groupby
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_choice, check_int, check_real
 from .panel import ReturnPanel, check_window
 from .spectral import NORM_MODES, RHO_MODES, mp_bounds, normalized_lambda, rolling_spectra
 
@@ -31,10 +30,8 @@ class GapConfig:
 
     def __post_init__(self):
         check_window(self.window, self.step)
-        if self.rho_mode not in RHO_MODES:
-            raise UsageError(f"rho_mode must be one of {RHO_MODES}, got {self.rho_mode!r}")
-        if self.norm_mode not in NORM_MODES:
-            raise UsageError(f"norm_mode must be one of {NORM_MODES}, got {self.norm_mode!r}")
+        check_choice("rho_mode", self.rho_mode, RHO_MODES)
+        check_choice("norm_mode", self.norm_mode, NORM_MODES)
 
 
 @dataclass(frozen=True)
@@ -149,13 +146,10 @@ class SegmentationParams:
     stabilized: Interval | None = None
 
     def __post_init__(self):
-        if self.shock_halfwidth < 0:
-            raise UsageError(f"shock half-width must be >= 0, got {self.shock_halfwidth}")
+        check_int("shock half-width", self.shock_halfwidth, 0)
         # A NaN threshold is never exceeded, which would read as "threshold never met".
-        if not math.isfinite(self.threshold):
-            raise UsageError(f"segmentation threshold must be finite, got {self.threshold}")
-        if self.sustain_days < 1:
-            raise UsageError(f"sustain days must be >= 1, got {self.sustain_days}")
+        check_real("segmentation threshold", self.threshold)
+        check_int("sustain days", self.sustain_days, 1)
 
 
 @dataclass(frozen=True)
@@ -233,38 +227,23 @@ def phase_segmentation(
     post_start = e_idx + k + 1
     m = params.sustain_days
     above = values > params.threshold  # ties at the threshold do not count
-    sustained_idx = None
+    # Without a sustained run, false recovery runs to the series end.
+    recovery_end, sustained_start, stabilized = n, None, params.stabilized
     for j in range(post_start, n - m + 1):
         if above[j:j + m].all():
-            sustained_idx = j
+            recovery_end, sustained_start = j, dates[j]
+            stabilized = params.stabilized or (dates[j], dates[-1])
             break
-
-    if sustained_idx is None:
-        false_recovery = (dates[post_start], dates[-1]) if post_start < n else None
-        phases = PhaseWindows(
-            pre_shock=pre,
-            shock=shock,
-            false_recovery=false_recovery,
-            stabilized=params.stabilized,
-            event_date=event_date,
-            threshold_met=False,
-            sustained_start=None,
-        )
-    else:
-        false_recovery = (
-            (dates[post_start], dates[sustained_idx - 1])
-            if sustained_idx > post_start
-            else None
-        )
-        phases = PhaseWindows(
-            pre_shock=pre,
-            shock=shock,
-            false_recovery=false_recovery,
-            stabilized=params.stabilized or (dates[sustained_idx], dates[-1]),
-            event_date=event_date,
-            threshold_met=True,
-            sustained_start=dates[sustained_idx],
-        )
+    phases = PhaseWindows(
+        pre_shock=pre,
+        shock=shock,
+        false_recovery=((dates[post_start], dates[recovery_end - 1])
+                        if recovery_end > post_start else None),
+        stabilized=stabilized,
+        event_date=event_date,
+        threshold_met=sustained_start is not None,
+        sustained_start=sustained_start,
+    )
     _validate_order(phases)
     return phases
 

@@ -263,18 +263,40 @@ def test_undecodable_metadata_file_is_exit_3(tmp_path, synth_dir, capsys):
     assert f"{meta}:2: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["long", "wide", "meta"])
+def test_byte_order_mark_is_named_exit_3(tmp_path, synth_dir, capsys, kind):
+    # Excel's "CSV UTF-8" starts the file with a BOM; before, the error said only
+    # that the header was not the expected one.
+    bad = tmp_path / "bad.csv"
+    if kind == "meta":
+        bad.write_bytes(b"\xef\xbb\xbf" + (synth_dir / "meta.csv").read_bytes())
+        argv = ("--prices", synth_dir / "prices.csv", "--meta", bad)
+    else:
+        body = {"long": (synth_dir / "prices.csv").read_bytes(),
+                "wide": b"date,A,B\n2025-01-02,1.0,2.0\n2025-01-03,1.5,2.5\n"}[kind]
+        bad.write_bytes(b"\xef\xbb\xbf" + body)
+        argv = ("--prices", bad, "--layout", kind)
+    assert run("gap", *argv, "--out-dir", tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert f"{bad}:1: the header starts with a UTF-8 byte-order mark" in err
+    assert "Traceback" not in err
+
+
 # ---------- entropy ----------
 
 @pytest.mark.parametrize("command,flag,value", [
     *(("entropy", "--entropy-threshold", v) for v in ("nan", "inf", "-inf")),
     *(("portfolio", "--annualization", v) for v in ("nan", "inf", "-inf", "0", "-1")),
 ])
-def test_float_flags_must_be_finite_and_in_range(tmp_path, synth_dir, command, flag, value):
+def test_float_flags_must_be_finite_and_in_range(tmp_path, synth_dir, capsys,
+                                                 command, flag, value):
+    # The parser only parses: the config type checks the value, as it does a manifest's.
     extra = ("--seed", 1) if command == "portfolio" else ()
-    with pytest.raises(SystemExit) as exc:
-        run(command, "--prices", synth_dir / "prices.csv", *extra, f"{flag}={value}",
-            "--out-dir", tmp_path / "out")
-    assert exc.value.code == 2
+    assert run(command, "--prices", synth_dir / "prices.csv", *extra, f"{flag}={value}",
+               "--out-dir", tmp_path / "out") == 2
+    label = {"entropy": "segmentation threshold must be finite",
+             "portfolio": "annualization factor must be finite and positive"}[command]
+    assert f"{label}, got {float(value)}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -713,6 +735,86 @@ def test_rerun_checks_settings_before_any_io(tmp_path, synth_dir, capsys,
     assert run("rerun", "--manifest", edited, "--out-dir", second) == 2
     assert message in capsys.readouterr().err
     assert not second.exists()
+
+
+# Each integer setting of each command: (command, manifest key, message label, minimum).
+INT_SETTINGS = [
+    *((command, key, label, minimum) for command in ("gap", "entropy", "heatmap")
+      for key, label, minimum in (("window", "window length", 3), ("step", "window step", 1))),
+    ("entropy", "shock_halfwidth", "shock half-width", 0),
+    ("entropy", "sustain_days", "sustain days", 1),
+    ("portfolio", "formation", "formation window", 3),
+    ("portfolio", "test", "test window", 2),
+    ("portfolio", "n_stocks", "portfolio size", 2),
+    ("portfolio", "portfolios", "portfolio count", 1),
+    ("portfolio", "study_step", "study step", 1),
+    ("portfolio", "seed", "seed", 0),
+    ("synth", "seed", "seed", 0),
+]
+REAL_SETTINGS = [
+    ("entropy", "entropy_threshold", "segmentation threshold"),
+    ("portfolio", "annualization", "annualization factor"),
+]
+LABELS = {(c, k): label for c, k, label, *_ in INT_SETTINGS + REAL_SETTINGS}
+LABELS.update({("gap", "layout"): "layout", ("synth", "preset"): "preset"})
+# Null means "the default" for these two.
+NULLABLE = {("portfolio", "study_step"), ("synth", "seed")}
+BAD_SETTINGS = sorted({
+    # A string, null, a float and a bool for an integer, and one below its minimum.
+    *((c, k, v) for c, k, _, m in INT_SETTINGS for v in (str(m + 1), None, float(m + 1), True)
+      if v is not None or (c, k) not in NULLABLE),
+    *((c, k, m - 1) for c, k, _, m in INT_SETTINGS),
+    # A string, null and non-finite numbers for a real.
+    *((c, k, v) for c, k, _ in REAL_SETTINGS for v in ("252", None, math.nan, math.inf)),
+    ("portfolio", "annualization", 0.0),
+    # Each of these ended in a traceback (exit 1), or exited 2 after --out-dir was created.
+    ("gap", "window", "60"), ("gap", "window", 60.0), ("gap", "step", None),
+    ("portfolio", "portfolios", "20"), ("portfolio", "annualization", "252"),
+    ("portfolio", "seed", 1.5), ("portfolio", "seed", -1),
+    ("synth", "seed", -1), ("synth", "seed", "7"),
+    ("gap", "layout", "tall"), ("synth", "preset", "nine-phase"),
+}, key=repr)
+
+
+@pytest.fixture(scope="module")
+def manifests(tmp_path_factory, synth_dir):
+    """The manifest of one successful run of each command."""
+    root = tmp_path_factory.mktemp("manifests")
+    inputs = ("--prices", synth_dir / "prices.csv", "--meta", synth_dir / "meta.csv")
+    argv = {"gap": (*inputs, "--window", 30), "entropy": (*inputs, "--window", 30),
+            "heatmap": (*inputs, "--window", 30),
+            "portfolio": (*inputs, "--seed", 1, "--portfolios", 5),
+            "synth": ("--preset", "one-factor")}
+    for command, args in argv.items():
+        assert run(command, *args, "--out-dir", root / command) == 0
+    return {command: json.loads((root / command / "manifest.json").read_text())
+            for command in argv}
+
+
+@pytest.mark.parametrize("command,key,value", BAD_SETTINGS, ids=repr)
+def test_rerun_bad_setting_is_exit_2_before_any_io(tmp_path, manifests, capsys,
+                                                   command, key, value):
+    # A manifest meets the checks a flag meets: its integer settings must be
+    # JSON integers, its reals finite numbers and its choices known.
+    manifest = json.loads(json.dumps(manifests[command]))
+    manifest["config"][key] = value
+    edited = tmp_path / "edited_manifest.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")  # NaN / Infinity literals
+    out = tmp_path / "out"
+    assert run("rerun", "--manifest", edited, "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert f"error: {LABELS[command, key]} must be " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["portfolio", "synth"])
+def test_negative_seed_flag_is_exit_2_before_any_io(tmp_path, synth_dir, capsys, command):
+    inputs = ("--prices", synth_dir / "prices.csv") if command == "portfolio" else ()
+    out = tmp_path / "out"
+    assert run(command, *inputs, "--seed", -1, "--out-dir", out) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,key", [

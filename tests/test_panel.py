@@ -117,6 +117,13 @@ def test_wide_loader_duplicate_columns(tmp_path):
         load_price_panel(f, layout="wide")
 
 
+def test_wide_loader_conflicting_duplicate_names_both_prices(tmp_path):
+    f = write(tmp_path / "w.csv", "date,A,B\n2025-01-02,100,1\n2025-01-02,101,1\n")
+    with pytest.raises(DataError, match=r":3: conflicting duplicate for "
+                                        r"\(2025-01-02, A\): 100.0 vs 101.0"):
+        load_price_panel(f, layout="wide")
+
+
 def test_unknown_layout(tmp_path):
     f = write(tmp_path / "p.csv", "date,ticker,close\n2025-01-02,A,100\n")
     with pytest.raises(UsageError):
@@ -257,12 +264,12 @@ def test_long_loader_matches_csv_path(case, block):
         path = Path(tmp) / "p.csv"
         path.write_bytes(text.encode("utf-8"))
         expected = outcome(strict_load, path)
-        spy = mock.patch.object(panel_module, "_load_long", wraps=panel_module._load_long)
-        with mock.patch.object(panel_module, "_BLOCK_BYTES", block), spy as load_long:
+        spy = mock.patch.object(panel_module, "_load_cells", wraps=panel_module._load_cells)
+        with mock.patch.object(panel_module, "_BLOCK_BYTES", block), spy as load_cells:
             got = outcome(load_price_panel, path)
     assert got == expected
     if plain:  # the block reader took the file itself
-        assert load_long.call_count == 0, text
+        assert load_cells.call_count == 0, text
 
 
 @pytest.mark.parametrize("eol", ["\n", "\r\n"])
@@ -278,7 +285,7 @@ def test_long_loader_hands_every_fault_to_the_csv_path(tmp_path, fault, eol):
     f = tmp_path / "p.csv"
     f.write_bytes((eol.join(line.replace("\n", eol) for line in lines) + eol).encode("utf-8"))
     expected = outcome(strict_load, f)
-    with mock.patch.object(panel_module, "_load_long", wraps=panel_module._load_long) as spy:
+    with mock.patch.object(panel_module, "_load_cells", wraps=panel_module._load_cells) as spy:
         assert outcome(load_price_panel, f) == expected
     assert spy.call_count == 1
 
@@ -292,9 +299,9 @@ def test_long_loader_reads_multi_block_files_itself(tmp_path):
     path = tmp_path / "p.csv"
     write_price_panel(original, path)
     assert path.stat().st_size > 1 << 20
-    with mock.patch.object(panel_module, "_load_long") as load_long:
+    with mock.patch.object(panel_module, "_load_cells") as load_cells:
         assert load_price_panel(path) == original
-    assert load_long.call_count == 0
+    assert load_cells.call_count == 0
 
 
 def test_long_loader_leaves_fields_beyond_the_csv_limit_to_csv(tmp_path):
