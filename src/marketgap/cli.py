@@ -98,15 +98,6 @@ def _json_value(x):
     return _cell(x) if isinstance(x, date) else x
 
 
-def _write_table(path, units: str, header: str, rows) -> None:
-    _write_lines(path, [units, header, *(",".join(map(_cell, row)) for row in rows)])
-
-
-def _write_lines(path, lines) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _observation_lines(obs):
     """The OBS_CSV_HEADER line of each observation, by the _cell rule (str(date) is ISO)."""
     tickers = (";".join(map(obs.tickers.__getitem__, row)) for row in obs.picks.tolist())
@@ -122,13 +113,12 @@ def _gap_rows(series) -> list[tuple]:
     return list(zip(series.dates, *columns))
 
 
-def _write_gap_jsonl(series, path) -> None:
+def _gap_json_lines(series):
+    """The JSON record of each window of a gap series, with its rho and norm modes."""
     keys = GAP_CSV_HEADER.split(",")
     modes = {"rho_mode": series.config.rho_mode, "norm_mode": series.config.norm_mode}
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in _gap_rows(series):
-            record = dict(zip(keys, map(_json_value, row)), **modes)
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    for row in _gap_rows(series):
+        yield json.dumps(dict(zip(keys, map(_json_value, row)), **modes), sort_keys=True)
 
 
 def _interval_dict(interval) -> dict | None:
@@ -191,7 +181,7 @@ def _report_dict(report) -> dict:
     }
 
 
-# ---------- Small helpers ----------
+# ---------- Helpers and the run skeleton ----------
 
 def _sha256(path) -> str:
     h = hashlib.sha256()
@@ -201,34 +191,12 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _slug(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, inputs: list, outputs: list) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "seed": config.get("seed"),
-        "config": config,
-        "inputs": {str(p): _sha256(p) for p in inputs},
-        "outputs": sorted(outputs),
-    }
-    _write_json(manifest, out_dir / "manifest.json")
-
-
 # The config keys that name input files.
 _INPUT_KEYS = ("prices", "meta", "scenario")
-
-
-def _input_paths(config: dict) -> list:
-    return [config[key] for key in _INPUT_KEYS if config.get(key)]
 
 
 def _config_date(config: dict, key: str) -> date | None:
@@ -243,25 +211,63 @@ def _config_date(config: dict, key: str) -> date | None:
         raise UsageError(f"{flag} {text!r} is not an ISO date (YYYY-MM-DD)") from None
 
 
-def _out_dir(config: dict) -> Path:
-    out = Path(config["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _OutDir:
+    """A run's --out-dir, created on construction, and the name of every file written
+    into it; those names are the manifest's `outputs`."""
+
+    def __init__(self, root) -> None:
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.names: list[str] = []
+
+    def path(self, name: str) -> Path:
+        """The path of output `name`, recorded as written."""
+        self.names.append(name)
+        return self.root / name
+
+    def lines(self, name: str, lines) -> None:
+        with open(self.path(name), "w", encoding="utf-8") as fh:
+            fh.writelines(f"{line}\n" for line in lines)
+
+    def table(self, name: str, units: str, header: str, rows) -> None:
+        self.lines(name, [units, header, *(",".join(map(_cell, row)) for row in rows)])
+
+    def json(self, name: str, obj) -> None:
+        self.lines(name, [json.dumps(obj, sort_keys=True, indent=2)])
+
+    def manifest(self, command: str, config: dict) -> None:
+        inputs = [config[key] for key in _INPUT_KEYS if config.get(key)]
+        self.json("manifest.json", {
+            "command": command,
+            "version": __version__,
+            "seed": config.get("seed"),
+            "config": config,
+            "inputs": {str(path): _sha256(path) for path in inputs},
+            "outputs": sorted(self.names),
+        })
 
 
-def _out_dir_and_panel(config: dict):
-    """The created --out-dir and the loaded price panel; an unknown layout exits 2 first."""
+def _run_markets(command: str, config: dict, compute, write) -> None:
+    """Check the layout, create --out-dir, load the panel and run `compute(market, stream,
+    returns, sector_of)` on each market (0-based stream number, log returns, sector labels);
+    only then `write(out, [(market, result), ...])`, and then the manifest."""
     layout = config.get("layout", "long")
     check_choice("layout", layout, LAYOUTS)
-    return _out_dir(config), load_price_panel(config["prices"], layout=layout,
-                                              metadata=config.get("meta"))
+    out = _OutDir(config["out_dir"])
+    panel = load_price_panel(config["prices"], layout=layout, metadata=config.get("meta"))
+    results = []
+    for stream, market in enumerate(panel.markets()):
+        sub = panel.market_panel(market)
+        results.append((market, compute(market, stream, log_returns(sub), sub.sector_of)))
+    write(out, results)
+    out.manifest(command, config)
 
 
 # ---------- Commands ----------
 #
 # Each command builds its config objects, which check every argument, before
-# it creates --out-dir or opens an input. It then computes every market before
-# it writes the first file, so a failed run leaves --out-dir empty.
+# it creates --out-dir or opens an input. `_run_markets` computes every market
+# before the first write, so a failed run leaves --out-dir empty.
 
 def run_gap(config: dict) -> None:
     by_sector = config.get("by_sector")
@@ -273,50 +279,44 @@ def run_gap(config: dict) -> None:
         rho_mode=config["rho_mode"],
         norm_mode=config["norm_mode"],
     )
-    out, panel = _out_dir_and_panel(config)
-    results = []
-    for market in panel.markets():
-        sub = panel.market_panel(market)
-        returns = log_returns(sub)
+
+    def compute(market, stream, returns, sector_of):
         series = gap_series(returns, gap_cfg)
-        sectors = sector_gap_series(returns, sub.sector_of, gap_cfg) if by_sector else None
-        results.append((market, series, sectors))
-    outputs: list[str] = []
-    summary: dict = {"config": {
-        "window": gap_cfg.window, "step": gap_cfg.step,
-        "rho_mode": gap_cfg.rho_mode, "norm_mode": gap_cfg.norm_mode,
-    }, "markets": {}}
-    for market, series, sectors in results:
-        name = _slug(market)
-        _write_table(out / f"gap_{name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER, _gap_rows(series))
-        _write_gap_jsonl(series, out / f"gap_{name}.jsonl")
-        outputs += [f"gap_{name}.csv", f"gap_{name}.jsonl"]
-        delta = series.delta
-        summary["markets"][market] = {
-            "n_windows": delta.size,
-            "n_dropped_windows": len(series.dropped),
-            "delta_mean": _json_value(delta.mean()) if delta.size else None,
-            "delta_min": _json_value(delta.min()) if delta.size else None,
-            "delta_max": _json_value(delta.max()) if delta.size else None,
-            "max_abs_delta": _json_value(max(abs(delta.min()), abs(delta.max())))
-            if delta.size else None,
-            "lambda_norm_mean": _json_value(series.lambda_norm.mean()) if delta.size else None,
-        }
-        if sectors is None:
-            continue
-        for sector, sector_series in sectors.items():
-            sec_name = f"{name}_{_slug(sector)}"
-            _write_table(out / f"gap_{sec_name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
-                         _gap_rows(sector_series))
-            outputs.append(f"gap_{sec_name}.csv")
-        summary["markets"][market]["sectors"] = {sector: {
-            "n_windows": s.delta.size,
-            "n_dropped_windows": len(s.dropped),
-            "delta_mean": _json_value(s.delta.mean()) if s.delta.size else None,
-        } for sector, s in sectors.items()}
-    _write_json(summary, out / "summary.json")
-    outputs.append("summary.json")
-    _write_manifest(out, "gap", config, _input_paths(config), outputs)
+        return series, sector_gap_series(returns, sector_of, gap_cfg) if by_sector else None
+
+    def write(out, results):
+        summary: dict = {"config": {
+            "window": gap_cfg.window, "step": gap_cfg.step,
+            "rho_mode": gap_cfg.rho_mode, "norm_mode": gap_cfg.norm_mode,
+        }, "markets": {}}
+        for market, (series, sectors) in results:
+            name = _slug(market)
+            out.table(f"gap_{name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER, _gap_rows(series))
+            out.lines(f"gap_{name}.jsonl", _gap_json_lines(series))
+            delta = series.delta
+            summary["markets"][market] = {
+                "n_windows": delta.size,
+                "n_dropped_windows": len(series.dropped),
+                "delta_mean": _json_value(delta.mean()) if delta.size else None,
+                "delta_min": _json_value(delta.min()) if delta.size else None,
+                "delta_max": _json_value(delta.max()) if delta.size else None,
+                "max_abs_delta": _json_value(max(abs(delta.min()), abs(delta.max())))
+                if delta.size else None,
+                "lambda_norm_mean": _json_value(series.lambda_norm.mean()) if delta.size else None,
+            }
+            if sectors is None:
+                continue
+            for sector, sector_series in sectors.items():
+                out.table(f"gap_{name}_{_slug(sector)}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
+                          _gap_rows(sector_series))
+            summary["markets"][market]["sectors"] = {sector: {
+                "n_windows": s.delta.size,
+                "n_dropped_windows": len(s.dropped),
+                "delta_mean": _json_value(s.delta.mean()) if s.delta.size else None,
+            } for sector, s in sectors.items()}
+        out.json("summary.json", summary)
+
+    _run_markets("gap", config, compute, write)
 
 
 def run_entropy(config: dict) -> None:
@@ -337,27 +337,25 @@ def run_entropy(config: dict) -> None:
     )
     # The entropy series shares the gap series' window grid and its rules.
     grid = GapConfig(window=config["window"], step=config["step"])
-    out, panel = _out_dir_and_panel(config)
-    results = []
-    for market in panel.markets():
-        series = entropy_series(log_returns(panel.market_panel(market)),
-                                length=grid.window, step=grid.step)
-        phase_doc = None
-        if event is not None:
-            phases = phase_segmentation(series.dates, series.values, event, params=params)
-            phase_doc = {"phases": _phases_dict(phases),
-                         "statistics": _phase_stats_dict(phase_statistics(series, phases))}
-        results.append((_slug(market), series, phase_doc))
-    outputs: list[str] = []
-    for name, series, phase_doc in results:
-        _write_table(out / f"entropy_{name}.csv", ENTROPY_CSV_UNITS, ENTROPY_CSV_HEADER, (
-            (d, series.n_stocks[i], series.values[i], *series.probabilities[i])
-            for i, d in enumerate(series.dates)))
-        outputs.append(f"entropy_{name}.csv")
-        if phase_doc is not None:
-            _write_json(phase_doc, out / f"phases_{name}.json")
-            outputs.append(f"phases_{name}.json")
-    _write_manifest(out, "entropy", config, _input_paths(config), outputs)
+
+    def compute(market, stream, returns, sector_of):
+        series = entropy_series(returns, length=grid.window, step=grid.step)
+        if event is None:
+            return series, None
+        phases = phase_segmentation(series.dates, series.values, event, params=params)
+        return series, {"phases": _phases_dict(phases),
+                        "statistics": _phase_stats_dict(phase_statistics(series, phases))}
+
+    def write(out, results):
+        for market, (series, phase_doc) in results:
+            name = _slug(market)
+            out.table(f"entropy_{name}.csv", ENTROPY_CSV_UNITS, ENTROPY_CSV_HEADER, (
+                (d, series.n_stocks[i], series.values[i], *series.probabilities[i])
+                for i, d in enumerate(series.dates)))
+            if phase_doc is not None:
+                out.json(f"phases_{name}.json", phase_doc)
+
+    _run_markets("entropy", config, compute, write)
 
 
 def run_heatmap(config: dict) -> None:
@@ -366,20 +364,19 @@ def run_heatmap(config: dict) -> None:
     # lambda_norm does not depend on the rho mode, so the heatmap takes none.
     gap_cfg = GapConfig(window=config["window"], step=config["step"],
                         norm_mode=config["norm_mode"])
-    out, panel = _out_dir_and_panel(config)
-    grids = []
-    for market in panel.markets():
-        sub = panel.market_panel(market)
-        grid = monthly_sector_heatmap(log_returns(sub), sub.sector_of, gap_cfg)
-        grids.append((_slug(market), grid))
-    outputs: list[str] = []
-    for name, grid in grids:
-        _write_table(out / f"heatmap_{name}.csv", HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER, (
-            (sector, month, grid.mean_lambda_norm[sector, month], grid.window_count[sector, month])
-            for sector in grid.sectors for month in grid.months
-            if (sector, month) in grid.mean_lambda_norm))
-        outputs.append(f"heatmap_{name}.csv")
-    _write_manifest(out, "heatmap", config, _input_paths(config), outputs)
+
+    def compute(market, stream, returns, sector_of):
+        return monthly_sector_heatmap(returns, sector_of, gap_cfg)
+
+    def write(out, grids):
+        for market, grid in grids:
+            out.table(f"heatmap_{_slug(market)}.csv", HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER, (
+                (sector, month, grid.mean_lambda_norm[sector, month],
+                 grid.window_count[sector, month])
+                for sector in grid.sectors for month in grid.months
+                if (sector, month) in grid.mean_lambda_norm))
+
+    _run_markets("heatmap", config, compute, write)
 
 
 def run_portfolio(config: dict) -> None:
@@ -393,44 +390,41 @@ def run_portfolio(config: dict) -> None:
     )
     check_int("seed", config["seed"], 0)
     event = _config_date(config, "event_date")
-    out, panel = _out_dir_and_panel(config)
-    results = []
-    reports = {}
-    for stream, market in enumerate(panel.markets()):
-        sub = panel.market_panel(market)
+
+    def compute(market, stream, returns, sector_of):
         result = run_portfolio_study(
-            log_returns(sub), study_cfg, seed=config["seed"], market=market, stream=stream
+            returns, study_cfg, seed=config["seed"], market=market, stream=stream
         )
-        results.append(result)
-        reports[market] = _report_dict(quintile_report(result.observations, event))
-        reports[market]["skipped_windows"] = [
+        report = _report_dict(quintile_report(result.observations, event))
+        report["skipped_windows"] = [
             {"window_index": w, "reason": reason} for w, reason in result.skipped_windows
         ]
-        reports[market]["skipped_portfolios"] = result.skipped_portfolios
-    lines = (line for result in results for line in _observation_lines(result.observations))
-    _write_lines(out / "observations.csv", [OBS_CSV_UNITS, OBS_CSV_HEADER, *lines])
-    report = {
-        "study": {
-            "formation": study_cfg.formation,
-            "test": study_cfg.test,
-            "n_stocks": study_cfg.n_stocks,
-            "portfolios": study_cfg.portfolios,
-            "annualization": study_cfg.annualization,
-            "step": study_cfg.effective_step,
-            "seed": config["seed"],
-            "resampling": "per_window",
-            "event_date": config.get("event_date"),
-            "variance_convention": {
-                "formation_moments": "population (1/T)",
-                "test_window": "sample (1/(h-1))",
+        report["skipped_portfolios"] = result.skipped_portfolios
+        return result.observations, report
+
+    def write(out, results):
+        lines = (line for _, (obs, _) in results for line in _observation_lines(obs))
+        out.lines("observations.csv", [OBS_CSV_UNITS, OBS_CSV_HEADER, *lines])
+        out.json("report.json", {
+            "study": {
+                "formation": study_cfg.formation,
+                "test": study_cfg.test,
+                "n_stocks": study_cfg.n_stocks,
+                "portfolios": study_cfg.portfolios,
+                "annualization": study_cfg.annualization,
+                "step": study_cfg.effective_step,
+                "seed": config["seed"],
+                "resampling": "per_window",
+                "event_date": config.get("event_date"),
+                "variance_convention": {
+                    "formation_moments": "population (1/T)",
+                    "test_window": "sample (1/(h-1))",
+                },
             },
-        },
-        "markets": reports,
-    }
-    _write_json(report, out / "report.json")
-    _write_manifest(
-        out, "portfolio", config, _input_paths(config), ["observations.csv", "report.json"]
-    )
+            "markets": {market: report for market, (_, report) in results},
+        })
+
+    _run_markets("portfolio", config, compute, write)
 
 
 _PRESETS = ("three-phase", "risk-study", "one-factor")
@@ -443,8 +437,7 @@ def run_synth(config: dict) -> None:
     preset = config.get("preset") or _PRESETS[0]
     if not scenario:
         check_choice("preset", preset, _PRESETS)
-    out = _out_dir(config)
-    outputs = ["prices.csv", "meta.csv"]
+    out = _OutDir(config["out_dir"])
     truth = None
     seed_kwargs = {} if seed is None else {"seed": seed}
     if scenario:
@@ -460,12 +453,11 @@ def run_synth(config: dict) -> None:
         truth = {"event_date": event.isoformat()}
     else:
         panel = generate_factor_panel(one_factor_config(**seed_kwargs))
-    write_price_panel(panel, out / "prices.csv")
-    write_metadata(panel, out / "meta.csv")
+    write_price_panel(panel, out.path("prices.csv"))
+    write_metadata(panel, out.path("meta.csv"))
     if truth is not None:
-        _write_json(truth, out / "truth.json")
-        outputs.append("truth.json")
-    _write_manifest(out, "synth", config, _input_paths(config), outputs)
+        out.json("truth.json", truth)
+    out.manifest("synth", config)
 
 
 _RUNNERS = {
@@ -483,6 +475,13 @@ def run_rerun(config: dict) -> None:
     command = manifest.get("command")
     if command not in _RUNNERS:
         raise DataError(f"manifest names unknown command {command!r}")
+    # The settings a command reads are its subparser's destinations, but --out-dir.
+    (commands,) = (action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    flags = commands[command]._actions
+    missing = sorted({f.dest for f in flags} - {"help", "out_dir"} - set(manifest["config"]))
+    if missing:
+        raise UsageError(f"manifest config has no {', '.join(missing)} setting")
     for input_path, recorded in manifest["inputs"].items():
         if not Path(input_path).is_file():
             raise DataError(f"manifest input {input_path} is missing")

@@ -15,7 +15,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import DataError, UsageError, check_int, check_real
 from .panel import PricePanel, merge_panels, open_input
 
 DEFAULT_SEED = 20250402
@@ -326,6 +326,9 @@ def risk_study_scenario(seed: int = DEFAULT_SEED) -> tuple[PricePanel, date]:
 
 # ---------- JSON configs ----------
 
+_REGIME_KEYS = ("start", "end", "market_vol", "sector_vol", "idio_vol")
+
+
 def load_scenario_json(path) -> SynthConfig:
     """Build a SynthConfig from a JSON document.
 
@@ -334,15 +337,36 @@ def load_scenario_json(path) -> SynthConfig:
     or objects with those keys), seed, market, ticker_prefix, start_date, and
     either explicit market_loadings/sector_loadings arrays or
     loading_ranges {"beta": [lo, hi], "gamma": [lo, hi]} drawn from the seed.
+    Counts, regime days and the seed must be JSON integers (>= 0), and
+    volatilities and loadings finite JSON numbers, by the rules a flag meets;
+    any fault is a DataError naming the file and the key.
     """
     with open_input(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
+
+    def checked(check, key, value, *args):
+        try:
+            check(key, value, *args)
+        except UsageError as exc:
+            raise DataError(f"{path}: {exc}") from None
+        return value
+
+    def integer(key, value):
+        return checked(check_int, key, value, 0)
+
+    def reals(key, values, n):
+        if not isinstance(values, list) or len(values) != n:
+            raise DataError(f"{path}: {key} must be a list of {n} numbers, got {values!r}")
+        return [checked(check_real, f"{key}[{i}]", v) for i, v in enumerate(values)]
+
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: scenario config must be a JSON object")
     try:
-        n_assets = int(doc["n_assets"])
-        n_days = int(doc["n_days"])
+        n_assets = integer("n_assets", doc["n_assets"])
+        n_days = integer("n_days", doc["n_days"])
         raw_sectors = doc["sectors"]
         raw_regimes = doc["regimes"]
     except KeyError as exc:
@@ -351,35 +375,49 @@ def load_scenario_json(path) -> SynthConfig:
     if isinstance(raw_sectors, dict):
         sectors: list[str] = []
         for label, count in raw_sectors.items():
-            sectors.extend([str(label)] * int(count))
-    else:
+            sectors.extend([str(label)] * integer(f"sectors.{label}", count))
+    elif isinstance(raw_sectors, list):
         sectors = [str(s) for s in raw_sectors]
+    else:
+        raise DataError(f"{path}: sectors must be a list of labels or an object of counts")
     if len(sectors) != n_assets:
         raise DataError(f"{path}: sectors cover {len(sectors)} assets, expected {n_assets}")
 
+    if not isinstance(raw_regimes, list):
+        raise DataError(f"{path}: regimes must be a list")
     regimes = []
-    for r in raw_regimes:
-        if isinstance(r, dict):
-            regimes.append(RegimeSpec(
-                int(r["start"]), int(r["end"]),
-                float(r["market_vol"]), float(r["sector_vol"]), float(r["idio_vol"]),
-            ))
-        else:
-            s, e, mv, sv, iv = r
-            regimes.append(RegimeSpec(int(s), int(e), float(mv), float(sv), float(iv)))
+    for k, r in enumerate(raw_regimes):
+        at = f"regimes[{k}]"
+        if isinstance(r, list) and len(r) == len(_REGIME_KEYS):
+            r = dict(zip(_REGIME_KEYS, r))
+        if not isinstance(r, dict):
+            raise DataError(f"{path}: {at} must be [{', '.join(_REGIME_KEYS)}] or an object "
+                            f"with those keys, got {r!r}")
+        # A missing key reads as null, which fails its check.
+        regimes.append(RegimeSpec(
+            integer(f"{at}.start", r.get("start")), integer(f"{at}.end", r.get("end")),
+            *(checked(check_real, f"{at}.{key}", r.get(key)) for key in _REGIME_KEYS[2:])))
 
-    seed = int(doc.get("seed", DEFAULT_SEED))
+    seed = integer("seed", doc.get("seed", DEFAULT_SEED))
     if "market_loadings" in doc and "sector_loadings" in doc:
-        beta = np.asarray(doc["market_loadings"], dtype=float)
-        gamma = np.asarray(doc["sector_loadings"], dtype=float)
+        beta = np.asarray(reals("market_loadings", doc["market_loadings"], n_assets), dtype=float)
+        gamma = np.asarray(reals("sector_loadings", doc["sector_loadings"], n_assets), dtype=float)
     else:
         ranges = doc.get("loading_ranges", {})
-        blo, bhi = ranges.get("beta", [1.0, 1.0])
-        glo, ghi = ranges.get("gamma", [1.0, 1.0])
+        if not isinstance(ranges, dict):
+            raise DataError(f"{path}: loading_ranges must be an object")
+        blo, bhi = reals("loading_ranges.beta", ranges.get("beta", [1.0, 1.0]), 2)
+        glo, ghi = reals("loading_ranges.gamma", ranges.get("gamma", [1.0, 1.0]), 2)
         rng = np.random.default_rng([seed, 3])
-        beta = rng.uniform(float(blo), float(bhi), size=n_assets)
-        gamma = rng.uniform(float(glo), float(ghi), size=n_assets)
+        beta = rng.uniform(blo, bhi, size=n_assets)
+        gamma = rng.uniform(glo, ghi, size=n_assets)
 
+    start_date = doc.get("start_date", DEFAULT_START_DATE.isoformat())
+    try:
+        start_date = date.fromisoformat(start_date)
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: start_date must be an ISO date (YYYY-MM-DD), "
+                        f"got {start_date!r}") from None
     config = SynthConfig(
         n_assets=n_assets,
         n_days=n_days,
@@ -390,8 +428,7 @@ def load_scenario_json(path) -> SynthConfig:
         seed=seed,
         market=str(doc.get("market", "SYN")),
         ticker_prefix=str(doc.get("ticker_prefix", "S")),
-        start_date=date.fromisoformat(doc["start_date"]) if "start_date" in doc
-        else DEFAULT_START_DATE,
+        start_date=start_date,
     )
     config.validate()
     return config

@@ -808,6 +808,68 @@ def test_rerun_bad_setting_is_exit_2_before_any_io(tmp_path, manifests, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gap", "entropy", "heatmap", "portfolio", "synth"])
+def test_rerun_missing_setting_is_exit_2_before_any_io(tmp_path, manifests, capsys, command):
+    # Each setting the command's flags define must be in the manifest; before, a
+    # missing "window" ended in a KeyError traceback and exit 1.
+    for key in sorted(set(manifests[command]["config"]) - {"out_dir"}):
+        manifest = json.loads(json.dumps(manifests[command]))
+        del manifest["config"][key]
+        edited = tmp_path / f"no_{key}.json"
+        edited.write_text(json.dumps(manifest), encoding="utf-8")
+        out = tmp_path / f"out_{key}"
+        assert run("rerun", "--manifest", edited, "--out-dir", out) == 2, key
+        err = capsys.readouterr().err
+        assert f"error: manifest config has no {key} setting" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+SCENARIO = {"n_assets": 6, "n_days": 50, "sectors": {"A2": 3, "B2": 3},
+            "regimes": [[1, 50, 0.005, 0.004, 0.01]], "seed": 3}
+
+
+@pytest.mark.parametrize("edit,flags,code,message", [
+    *(({key: value}, (), 3, message) for key, value, message in [
+        ("seed", 3.7, "seed must be an integer, got 3.7"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("n_assets", 4.9, "n_assets must be an integer, got 4.9"),
+        ("n_days", "30", "n_days must be an integer, got '30'"),
+        ("sectors", {"A2": 2.5, "B2": 3.5}, "sectors.A2 must be an integer, got 2.5"),
+        ("regimes", [[1, 30.2, 0.005, 0.004, 0.01], [31, 50, 0.005, 0.004, 0.01]],
+         "regimes[0].end must be an integer, got 30.2"),
+        ("regimes", [[1, 50, "0.01", 0.004, 0.01]],
+         "regimes[0].market_vol must be a number, got '0.01'"),
+        ("regimes", [[1, 50, 0.005, 0.004, "abc"]],
+         "regimes[0].idio_vol must be a number, got 'abc'"),
+        ("regimes", [[1, 50, 0.005, 0.004]], "regimes[0] must be [start, end, market_vol, "),
+        ("regimes", [{"start": 1, "end": 50, "market_vol": 0.005, "idio_vol": 0.01}],
+         "regimes[0].sector_vol must be a number, got None"),
+        ("start_date", "2025-13-45", "start_date must be an ISO date (YYYY-MM-DD)"),
+        ("loading_ranges", {"beta": [0.5, "1.5"]},
+         "loading_ranges.beta[1] must be a number, got '1.5'"),
+    ]),
+    ({"market_loadings": [1.0] * 5 + [None], "sector_loadings": [1.0] * 6}, (), 3,
+     "market_loadings[5] must be a number, got None"),
+    (None, (), 3, "scenario config must be a JSON object"),  # a top-level list
+    # A bad --seed override stays a usage error, found before --out-dir exists.
+    ({}, ("--seed", -1), 2, "seed must be >= 0, got -1"),
+], ids=repr)
+def test_bad_scenario_value_is_exit_3(tmp_path, capsys, edit, flags, code, message):
+    # A scenario file meets the integer and real rules a flag meets. Before, seed
+    # 3.7 ran as seed 3, "30" days as 30, and a 4-field regime or a top-level list
+    # ended in a traceback with exit 1.
+    scenario = tmp_path / "scenario.json"
+    doc = [SCENARIO] if edit is None else dict(SCENARIO, **edit)
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("synth", "--scenario", scenario, *flags, "--out-dir", out) == code
+    err = capsys.readouterr().err
+    assert f"error: {f'{scenario}: ' if code == 3 else ''}{message}" in err
+    assert "Traceback" not in err
+    assert list(out.iterdir()) == [] if code == 3 else not out.exists()
+
+
 @pytest.mark.parametrize("command", ["portfolio", "synth"])
 def test_negative_seed_flag_is_exit_2_before_any_io(tmp_path, synth_dir, capsys, command):
     inputs = ("--prices", synth_dir / "prices.csv") if command == "portfolio" else ()
@@ -842,17 +904,41 @@ def test_rerun_bad_date_is_exit_2_before_any_io(tmp_path, synth_dir, capsys, com
     assert not second.exists()
 
 
-def test_manifest_contents(tmp_path, synth_dir):
-    out = tmp_path / "gap"
-    assert run("gap", "--prices", synth_dir / "prices.csv", "--window", 30,
-               "--out-dir", out) == 0
+@pytest.mark.parametrize("name", [
+    "synth three-phase", "synth risk-study", "synth one-factor", "synth scenario",
+    "gap", "gap by-sector", "entropy", "entropy event", "heatmap", "portfolio",
+])
+def test_manifest_contents(tmp_path, synth_dir, name):
+    # The manifest lists every file the run wrote, and --out-dir holds nothing else.
+    prices, meta = synth_dir / "prices.csv", synth_dir / "meta.csv"
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"n_assets": 4, "n_days": 30, "sectors": ["A", "A", "B", "B"],
+                                    "regimes": [[1, 30, 0.01, 0.005, 0.01]]}), encoding="utf-8")
+    event = json.loads((synth_dir / "truth.json").read_text())["event_date"]
+    market = ("--prices", prices, "--meta", meta, "--window", 30)
+    argv, inputs = {
+        "synth three-phase": (("synth", "--preset", "three-phase"), []),
+        "synth risk-study": (("synth", "--preset", "risk-study", "--seed", 5), []),
+        "synth one-factor": (("synth", "--preset", "one-factor"), []),
+        "synth scenario": (("synth", "--scenario", scenario), [scenario]),
+        "gap": (("gap", "--prices", prices, "--window", 30), [prices]),
+        "gap by-sector": (("gap", *market, "--by-sector"), [prices, meta]),
+        "entropy": (("entropy", *market), [prices, meta]),
+        "entropy event": (("entropy", *market, "--event-date", event), [prices, meta]),
+        "heatmap": (("heatmap", *market), [prices, meta]),
+        "portfolio": (("portfolio", "--prices", prices, "--meta", meta, "--seed", 1,
+                       "--portfolios", 5, "--event-date", event), [prices, meta]),
+    }[name]
+    out = tmp_path / "out"
+    assert run(*argv, "--out-dir", out) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["command"] == "gap"
+    assert manifest["command"] == argv[0]
     assert manifest["version"]
-    assert str(synth_dir / "prices.csv") in manifest["inputs"]
-    assert manifest["inputs"][str(synth_dir / "prices.csv")] == digest(synth_dir / "prices.csv")
-    assert "gap_ALL.csv" in manifest["outputs"]
+    assert manifest["inputs"] == {str(path): digest(path) for path in inputs}
     assert "threads" not in manifest["config"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"], "manifest.json"])
+    if name == "gap":
+        assert "gap_ALL.csv" in manifest["outputs"]
 
 
 def test_version_flag():
