@@ -270,7 +270,9 @@ def _run_markets(command: str, config: dict, compute, write) -> None:
 # before the first write, so a failed run leaves --out-dir empty.
 
 def run_gap(config: dict) -> None:
-    by_sector = config.get("by_sector")
+    by_sector = config.get("by_sector", False)
+    if not isinstance(by_sector, bool):  # a manifest's 0 or "false" is no flag value
+        raise UsageError(f"by_sector must be true or false, got {by_sector!r}")
     if by_sector and config.get("meta") is None:
         raise UsageError("--by-sector requires --meta with sector labels")
     gap_cfg = GapConfig(
@@ -368,13 +370,9 @@ def run_heatmap(config: dict) -> None:
     def compute(market, stream, returns, sector_of):
         return monthly_sector_heatmap(returns, sector_of, gap_cfg)
 
-    def write(out, grids):
-        for market, grid in grids:
-            out.table(f"heatmap_{_slug(market)}.csv", HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER, (
-                (sector, month, grid.mean_lambda_norm[sector, month],
-                 grid.window_count[sector, month])
-                for sector in grid.sectors for month in grid.months
-                if (sector, month) in grid.mean_lambda_norm))
+    def write(out, tables):
+        for market, rows in tables:
+            out.table(f"heatmap_{_slug(market)}.csv", HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER, rows)
 
     _run_markets("heatmap", config, compute, write)
 
@@ -470,11 +468,20 @@ _RUNNERS = {
 
 
 def run_rerun(config: dict) -> None:
-    with open_input(config["manifest"]) as fh:
-        manifest = json.load(fh)
+    path = config["manifest"]
+    with open_input(path) as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise DataError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: a manifest must be a JSON object")
+    for key in ("config", "inputs"):
+        if not isinstance(manifest.get(key), dict):
+            raise DataError(f"{path}: manifest {key} must be a JSON object")
     command = manifest.get("command")
-    if command not in _RUNNERS:
-        raise DataError(f"manifest names unknown command {command!r}")
+    if not isinstance(command, str) or command not in _RUNNERS:
+        raise DataError(f"{path}: manifest names unknown command {command!r}")
     # The settings a command reads are its subparser's destinations, but --out-dir.
     (commands,) = (action.choices for action in build_parser()._actions
                    if isinstance(action, argparse._SubParsersAction))

@@ -37,8 +37,6 @@ class EntropySeries:
     values: np.ndarray  # entropy in nats, one per date
     n_stocks: np.ndarray
     probabilities: np.ndarray  # shape (n_dates, 6)
-    window_length: int
-    step: int
 
 
 @dataclass(frozen=True)
@@ -110,8 +108,6 @@ def entropy_series(
         values=np.array([ordinal_entropy(p) for p in probabilities]),
         n_stocks=n_stocks.astype(np.int64),
         probabilities=probabilities,
-        window_length=length,
-        step=step,
     )
 
 

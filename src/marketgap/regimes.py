@@ -62,15 +62,14 @@ class GapSeries:
     dropped: list[DroppedWindow] = field(default_factory=list)
 
 
-def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeries:
-    """The rolling windows' statistics and gap as columns; degenerate windows are reported."""
-    spectra = rolling_spectra(returns.values, config.window, config.step)
-    dates: list[date] = []
+def _gap_columns(spectra, dates: list[date], config: GapConfig) -> GapSeries:
+    """The gap series of one column group's `RollingSpectra` on the calendar `dates`."""
+    kept_dates: list[date] = []
     dropped: list[DroppedWindow] = []
     for end, count in zip(spectra.ends.tolist(), spectra.n_assets.tolist()):
-        end_date = returns.dates[end - 1]
+        end_date = dates[end - 1]
         if count >= 2:
-            dates.append(end_date)
+            kept_dates.append(end_date)
         else:
             dropped.append(DroppedWindow(end_date=end_date, reason=(
                 f"window ending {end_date.isoformat()} retained {count} assets (need >= 2)")))
@@ -88,7 +87,7 @@ def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeri
     counts, which = np.unique(n, return_inverse=True)
     bands = [mp_bounds(config.window, c) for c in counts.tolist()]
     return GapSeries(
-        dates=dates,
+        dates=kept_dates,
         n_assets=n,
         lambda_max=lambda_max,
         lambda_norm=lambda_norm,
@@ -103,14 +102,21 @@ def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeri
     )
 
 
+def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeries:
+    """The rolling windows' statistics and gap as columns; degenerate windows are reported."""
+    (spectra,) = rolling_spectra(returns.values, config.window, config.step)
+    return _gap_columns(spectra, returns.dates, config)
+
+
 def sector_gap_series(returns: ReturnPanel, sector_of: dict[str, str],
                       config: GapConfig = GapConfig()) -> dict[str, GapSeries]:
     """The gap series of each sector's columns of a market's returns, in sorted sector order.
 
-    Each series keeps the market's calendar, so a date on which a whole sector
-    is missing is never bridged into a multi-day return: the sector's windows
-    that hold it are dropped and reported. Every ticker needs a sector label
-    and every sector at least two tickers.
+    One `rolling_spectra` pass serves every sector. Each series keeps the
+    market's calendar, so a date on which a whole sector is missing is never
+    bridged into a multi-day return: the sector's windows that hold it are
+    dropped and reported. Every ticker needs a sector label and every sector
+    at least two tickers.
     """
     missing = [t for t in returns.tickers if t not in sector_of]
     if missing:
@@ -123,10 +129,8 @@ def sector_gap_series(returns: ReturnPanel, sector_of: dict[str, str],
         if len(cols) < 2:
             members = ", ".join(returns.tickers[j] for j in cols)
             raise DataError(f"sector {sector!r} has {len(cols)} ticker(s) ({members}); need >= 2")
-    return {sector: gap_series(ReturnPanel(dates=returns.dates,
-                                           tickers=[returns.tickers[j] for j in cols],
-                                           values=returns.values[:, cols]), config)
-            for sector, cols in columns.items()}
+    spectra = rolling_spectra(returns.values, config.window, config.step, list(columns.values()))
+    return {sector: _gap_columns(s, returns.dates, config) for sector, s in zip(columns, spectra)}
 
 
 # ---------- Phase segmentation ----------
@@ -250,48 +254,23 @@ def phase_segmentation(
 
 # ---------- Monthly sector heatmap ----------
 
-@dataclass(eq=False)
-class HeatmapGrid:
-    """Monthly mean lambda_norm per sector; cells absent for empty months."""
-
-    sectors: list[str]
-    months: list[str]  # "YYYY-MM", sorted
-    mean_lambda_norm: dict[tuple[str, str], float]
-    window_count: dict[tuple[str, str], int]
-    omitted_windows: dict[str, int]
-
-
-def _month_key(d: date) -> str:
-    return f"{d.year:04d}-{d.month:02d}"
-
-
 def monthly_sector_heatmap(
     returns: ReturnPanel,
     sector_of: dict[str, str],
     config: GapConfig = GapConfig(),
-) -> HeatmapGrid:
-    """Each sector's gap series (`sector_gap_series`) bucketed into monthly means of lambda_norm.
+) -> list[tuple[str, str, float, int]]:
+    """The heatmap table's rows (sector, month "YYYY-MM", mean lambda_norm, window count),
+    by sector, then month, from each sector's gap series (`sector_gap_series`).
 
     Windows are bucketed by the calendar month of their end date (the date on
-    which the window's information is available); the windows a sector's
-    series drops are counted per sector.
+    which the window's information is available); a month without a kept
+    window has no row.
     """
-    series_of = sector_gap_series(returns, sector_of, config)
-    mean_cell: dict[tuple[str, str], float] = {}
-    count_cell: dict[tuple[str, str], int] = {}
-    months: set[str] = set()
-    for sector, series in series_of.items():
+    rows = []
+    for sector, series in sector_gap_series(returns, sector_of, config).items():
         lo = 0  # the dates increase, so each month is one run of the columns
-        for month, run in groupby(map(_month_key, series.dates)):
+        for month, run in groupby(series.dates, lambda d: f"{d.year:04d}-{d.month:02d}"):
             hi = lo + sum(1 for _ in run)
-            months.add(month)
-            mean_cell[(sector, month)] = float(np.mean(series.lambda_norm[lo:hi]))
-            count_cell[(sector, month)] = hi - lo
+            rows.append((sector, month, float(np.mean(series.lambda_norm[lo:hi])), hi - lo))
             lo = hi
-    return HeatmapGrid(
-        sectors=list(series_of),
-        months=sorted(months),
-        mean_lambda_norm=mean_cell,
-        window_count=count_cell,
-        omitted_windows={sector: len(series.dropped) for sector, series in series_of.items()},
-    )
+    return rows

@@ -35,7 +35,6 @@ class MPBounds:
 
     lower: float
     upper: float
-    q: float
 
 
 class CorrelationSpectrum(NamedTuple):
@@ -51,10 +50,10 @@ class CorrelationSpectrum(NamedTuple):
 
 
 class RollingSpectra(NamedTuple):
-    """Per-window statistics from `rolling_spectra`, one entry per window.
+    """Per-window statistics of one column group from `rolling_spectra`, one entry per window.
 
     A window that keeps fewer than two assets has n_assets < 2, NaN
-    statistics and n_above_mp 0. Every asset of the panel is either kept or
+    statistics and n_above_mp 0. Every asset of the group is either kept or
     counted in one of the two drop reasons.
     """
 
@@ -110,24 +109,30 @@ def correlation_spectra(raw: np.ndarray, z: np.ndarray | None = None) -> Correla
     )
 
 
-def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSpectra:
-    """Spectral statistics of every rolling window of a (dates x assets) return matrix.
+def rolling_spectra(values: np.ndarray, length: int, step: int = 1,
+                    groups=None) -> list[RollingSpectra]:
+    """Spectral statistics of every rolling window of each column group of a (dates x assets)
+    return matrix, one RollingSpectra per group; by default one group of every column.
 
     Window k covers rows [ends[k] - length, ends[k]) on the grid of
     `panel.window_ends`. In each window an asset with a missing return, with
     all-equal returns, or with zero or non-finite population variance, is
-    dropped; the others are z-scored with the population (1/T) variance and
-    C = Z Z' / T goes through `correlation_spectra`. Windows are taken in
-    chunks bounded by _CHUNK_BYTES, and each chunk in groups of windows that
-    keep the same assets, so a complete panel forms one group per chunk.
-    Every group's C stack is formed in one buffer, allocated once per call
-    and cleaned in place: NumPy forms Z Z' exactly symmetric (a symmetric
-    rank-k update, mirrored), so it needs no symmetrizing.
+    dropped; a group's other assets are z-scored with the population (1/T)
+    variance and C = Z Z' / T goes through `correlation_spectra`. The z-scores
+    are per-asset reductions, formed once for all columns, so each group's
+    statistics are those of a call on its columns alone, bit for bit. Windows
+    are taken in chunks bounded by _CHUNK_BYTES, and each chunk in runs of
+    windows that keep the same assets of a group. Every run's
+    C stack is formed in one buffer sized for the largest group, allocated
+    once per call and cleaned in place: NumPy forms Z Z' exactly symmetric (a
+    symmetric rank-k update, mirrored), so it needs no symmetrizing.
     """
     n_dates, n_all = values.shape
+    columns = [np.asarray(g, dtype=np.intp)
+               for g in ([range(n_all)] if groups is None else groups)]
     ends = window_ends(n_dates, length, step)
     n_win = ends.size
-    out = RollingSpectra(
+    outs = [RollingSpectra(
         ends=ends,
         n_assets=np.zeros(n_win, dtype=np.int64),
         lambda_max=np.full(n_win, np.nan),
@@ -136,9 +141,9 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSp
         n_above_mp=np.zeros(n_win, dtype=np.int64),
         dropped_missing=np.zeros(n_win, dtype=np.int64),
         dropped_all_equal=np.zeros(n_win, dtype=np.int64),
-    )
+    ) for _ in columns]
     if n_win == 0:
-        return out
+        return outs
     # A (W, N, T) view whose window k starts at row k * step = ends[k] - length.
     windows = sliding_window_view(values, length, axis=0)[::step]
     # Per-asset running counts, built once per panel: of missing returns in
@@ -148,13 +153,15 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSp
     seen = np.zeros((n_dates + 1, n_all), dtype=np.int64)
     np.cumsum(np.isnan(values), axis=0, out=seen[1:])
     usable = seen[ends] == seen[ends - length]  # (W, N)
-    out.dropped_missing[:] = n_all - np.count_nonzero(usable, axis=1)
+    for cols, out in zip(columns, outs):
+        out.dropped_missing[:] = cols.size - np.count_nonzero(usable[:, cols], axis=1)
     seen[1] = 0
     np.cumsum(values[1:] != values[:-1], axis=0, out=seen[2:])
     usable &= seen[ends] != seen[ends - length + 1]
     del seen
-    chunk = max(1, _CHUNK_BYTES // (8 * max(n_all, 1) * max(n_all, length)))
-    buffer = np.empty(min(chunk, n_win) * n_all * n_all)
+    largest = max((cols.size for cols in columns), default=0)
+    chunk = max(1, _CHUNK_BYTES // (8 * max(n_all * length, largest * largest, 1)))
+    buffer = np.empty(min(chunk, n_win) * largest * largest)
     for lo in range(0, n_win, chunk):
         # A C-ordered copy: each asset's T returns are contiguous, so the means and
         # variances below sum in the same order as a one-dimensional reduction.
@@ -162,30 +169,33 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1) -> RollingSp
         dev -= dev.mean(axis=-1, keepdims=True)
         std = np.sqrt(np.mean(dev * dev, axis=-1))
         keep = usable[lo:lo + chunk] & np.isfinite(std) & (std > 0.0)
-        groups: dict[bytes, list[int]] = {}
-        for i, row in enumerate(keep):
-            groups.setdefault(row.tobytes(), []).append(i)
-        for members in groups.values():
-            kept = keep[members[0]]
-            n = int(np.count_nonzero(kept))
-            idx = lo + np.array(members)
-            out.n_assets[idx] = n
-            if n < 2:
-                continue
-            cells = np.ix_(members, np.flatnonzero(kept))
-            z = dev[cells] / std[cells][..., np.newaxis]
-            raw = buffer[:len(members) * n * n].reshape(len(members), n, n)
-            np.matmul(z, z.swapaxes(-1, -2), out=raw)
-            raw /= length
-            spectra = correlation_spectra(raw, z)
-            out.lambda_max[idx] = spectra.lambda_max
-            out.rho_signed[idx] = spectra.rho_signed
-            upper = mp_bounds(length, n).upper
-            out.n_above_mp[idx] = np.count_nonzero(spectra.eigenvalues > upper, axis=1)
-            c = np.abs(spectra.values, out=spectra.values)  # |C|, now that the eigenvalues are read
-            out.rho_abs[idx] = (c.sum(axis=(1, 2)) - n) / (n * (n - 1))
-    out.dropped_all_equal[:] = n_all - out.dropped_missing - out.n_assets
-    return out
+        for cols, out in zip(columns, outs):
+            runs: dict[bytes, list[int]] = {}
+            for i, row in enumerate(keep[:, cols]):
+                runs.setdefault(row.tobytes(), []).append(i)
+            for members in runs.values():
+                kept = cols[keep[members[0], cols]]
+                n = kept.size
+                idx = lo + np.array(members)
+                out.n_assets[idx] = n
+                if n < 2:
+                    continue
+                cells = np.ix_(members, kept)
+                z = dev[cells] / std[cells][..., np.newaxis]
+                raw = buffer[:len(members) * n * n].reshape(len(members), n, n)
+                np.matmul(z, z.swapaxes(-1, -2), out=raw)
+                raw /= length
+                spectra = correlation_spectra(raw, z)
+                out.lambda_max[idx] = spectra.lambda_max
+                out.rho_signed[idx] = spectra.rho_signed
+                upper = mp_bounds(length, n).upper
+                out.n_above_mp[idx] = np.count_nonzero(spectra.eigenvalues > upper, axis=1)
+                # |C|, now that the eigenvalues are read.
+                c = np.abs(spectra.values, out=spectra.values)
+                out.rho_abs[idx] = (c.sum(axis=(1, 2)) - n) / (n * (n - 1))
+    for cols, out in zip(columns, outs):
+        out.dropped_all_equal[:] = cols.size - out.dropped_missing - out.n_assets
+    return outs
 
 
 def mp_bounds(t_obs: int, n_assets: int) -> MPBounds:
@@ -201,7 +211,7 @@ def mp_bounds(t_obs: int, n_assets: int) -> MPBounds:
         raise UsageError(f"asset count must be >= 2, got {n_assets}")
     q = t_obs / n_assets
     root = math.sqrt(1.0 / q)
-    return MPBounds(lower=(1.0 - root) ** 2, upper=(1.0 + root) ** 2, q=q)
+    return MPBounds(lower=(1.0 - root) ** 2, upper=(1.0 + root) ** 2)
 
 
 def normalized_lambda(lambda_max, n, norm_mode: str = "excess"):

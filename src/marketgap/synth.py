@@ -176,7 +176,6 @@ class ScenarioTruth:
 class ScenarioResult:
     panel: PricePanel
     truth: ScenarioTruth
-    config: SynthConfig
 
 
 # Day spans of the five scripted regimes (1-based price days). The shock
@@ -264,7 +263,7 @@ def three_phase_scenario(base: SynthConfig | None = None) -> ScenarioResult:
         event_date=dts[spans[1].start - 1],
         entropy_boundary=dts[min(stabilized_start_idx + 1, len(dts) - 1)],
     )
-    return ScenarioResult(panel=panel, truth=truth, config=config)
+    return ScenarioResult(panel=panel, truth=truth)
 
 
 # Risk-study scenario: volatility regimes graded so the formation-window gap

@@ -18,7 +18,8 @@ not from the package's grid. Only the dataclasses, the pattern table, the
 closed-form Marchenko-Pastur band and the report's rank statistics come from
 the package, except in the sector series `gap --by-sector` once took, which
 checks the calendar a sector runs on and so takes the package's log returns
-and gap series.
+and gap series, and in the per-sector loop `sector_gap_series` ran before one
+kernel pass served every sector, which takes the package's gap series.
 """
 from __future__ import annotations
 
@@ -604,4 +605,17 @@ def restricted_sector_gap_series(panel: PricePanel, config: GapConfig) -> dict:
             market_of={t: panel.market_of[t] for t in members},
         )
         out[sector] = regimes.gap_series(log_returns(sub), config)
+    return out
+
+
+def sector_gap_series(returns: ReturnPanel, sector_of: dict[str, str],
+                      config: GapConfig) -> dict:
+    """{sector: gap series} in sorted sector order, one `gap_series` call on each
+    sector's column slice of the market's returns."""
+    out = {}
+    for sector in sorted(set(sector_of[t] for t in returns.tickers)):
+        cols = [j for j, t in enumerate(returns.tickers) if sector_of[t] == sector]
+        out[sector] = regimes.gap_series(ReturnPanel(
+            dates=returns.dates, tickers=[returns.tickers[j] for j in cols],
+            values=returns.values[:, cols]), config)
     return out

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from marketgap import regimes, spectral
 from marketgap.cli import main
 
 from conftest import weekdays
@@ -626,6 +627,30 @@ def test_log_level_changes_stderr_only(tmp_path, capsys):
             assert ours == theirs, name
 
 
+@pytest.mark.parametrize("argv,passes_per_market", [(("gap", "--by-sector"), 2),
+                                                      (("heatmap",), 1)])
+def test_one_kernel_pass_per_market_for_all_its_sectors(tmp_path, risk_dir, monkeypatch,
+                                                        argv, passes_per_market):
+    # gap --by-sector runs the market series and one pass for its sectors; heatmap
+    # only the sectors' pass. Before, each sector took a pass of its own.
+    calls = []
+
+    def spy(values, length, step=1, groups=None):
+        calls.append(None if groups is None else len(groups))
+        return spectral.rolling_spectra(values, length, step, groups)
+
+    monkeypatch.setattr(regimes, "rolling_spectra", spy)
+    assert run(*argv, "--prices", risk_dir / "prices.csv", "--meta", risk_dir / "meta.csv",
+               "--out-dir", tmp_path / "out") == 0
+    markets = {}
+    for line in (risk_dir / "meta.csv").read_text().splitlines()[1:]:
+        _, sector, market = line.split(",")
+        markets.setdefault(market, set()).add(sector)
+    assert len(calls) == passes_per_market * len(markets)
+    assert calls.count(None) == (passes_per_market - 1) * len(markets)  # the market series
+    assert sorted(n for n in calls if n) == sorted(len(s) for s in markets.values())
+
+
 # ---------- rerun ----------
 
 def test_rerun_reproduces_bytes(tmp_path, synth_dir):
@@ -756,7 +781,8 @@ REAL_SETTINGS = [
     ("portfolio", "annualization", "annualization factor"),
 ]
 LABELS = {(c, k): label for c, k, label, *_ in INT_SETTINGS + REAL_SETTINGS}
-LABELS.update({("gap", "layout"): "layout", ("synth", "preset"): "preset"})
+LABELS.update({("gap", "layout"): "layout", ("synth", "preset"): "preset",
+               ("gap", "by_sector"): "by_sector"})
 # Null means "the default" for these two.
 NULLABLE = {("portfolio", "study_step"), ("synth", "seed")}
 BAD_SETTINGS = sorted({
@@ -773,6 +799,8 @@ BAD_SETTINGS = sorted({
     ("portfolio", "seed", 1.5), ("portfolio", "seed", -1),
     ("synth", "seed", -1), ("synth", "seed", "7"),
     ("gap", "layout", "tall"), ("synth", "preset", "nine-phase"),
+    # A flag's true or false only: "false" ran with sectors and exited 0.
+    *(("gap", "by_sector", v) for v in ("false", "true", 0, 1, None)),
 }, key=repr)
 
 
@@ -823,6 +851,38 @@ def test_rerun_missing_setting_is_exit_2_before_any_io(tmp_path, manifests, caps
         assert f"error: manifest config has no {key} setting" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "invalid JSON"),
+    (b"\xff{}", "invalid JSON"),
+    ("[]", "a manifest must be a JSON object"),
+    (None, "manifest inputs must be a JSON object"),  # no "inputs" key
+    ({"inputs": []}, "manifest inputs must be a JSON object"),
+    ({"config": ["--window", 30]}, "manifest config must be a JSON object"),
+    ({"config": None}, "manifest config must be a JSON object"),
+    ({"command": ["gap"]}, "manifest names unknown command ['gap']"),
+    ({"command": "tally"}, "manifest names unknown command 'tally'"),
+], ids=repr)
+def test_malformed_manifest_is_exit_3(tmp_path, manifests, capsys, text, message):
+    # Before, each ended in a traceback (JSONDecodeError, AttributeError,
+    # KeyError) and exit 1.
+    manifest = json.loads(json.dumps(manifests["gap"]))
+    if text is None:
+        del manifest["inputs"]
+    elif isinstance(text, dict):
+        manifest.update(text)
+    edited = tmp_path / "edited_manifest.json"
+    if isinstance(text, bytes):
+        edited.write_bytes(text)
+    else:
+        edited.write_text(text if isinstance(text, str) else json.dumps(manifest),
+                          encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("rerun", "--manifest", edited, "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert f"error: {edited}: {message}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 SCENARIO = {"n_assets": 6, "n_days": 50, "sectors": {"A2": 3, "B2": 3},

@@ -18,7 +18,7 @@ from marketgap.portfolio import (
     SpearmanResult,
     StudyResult,
 )
-from marketgap.regimes import DroppedWindow, GapSeries, HeatmapGrid, PhaseWindows
+from marketgap.regimes import DroppedWindow, GapSeries, PhaseWindows
 
 from conftest import weekdays
 
@@ -68,7 +68,6 @@ def fake_entropy_series(returns, length, step):
     return EntropySeries(
         dates=DAYS[3:6], values=np.array([np.log(6.0), np.log(3.0), 0.0]),
         n_stocks=np.array([6, 3, 1], dtype=np.int64), probabilities=probs,
-        window_length=length, step=step,
     )
 
 
@@ -91,15 +90,9 @@ def fake_phase_statistics(series, phases):
 
 
 def fake_heatmap(returns, sector_of, config):
-    return HeatmapGrid(
-        sectors=["S1", "S2"], months=["2025-01", "2025-02"],
-        mean_lambda_norm={("S1", "2025-01"): 0.123456789123,
-                          ("S1", "2025-02"): np.float64(1e-05),
-                          ("S2", "2025-02"): -0.5},
-        window_count={("S1", "2025-01"): 3, ("S1", "2025-02"): np.int64(20),
-                      ("S2", "2025-02"): 1},
-        omitted_windows={"S1": 0, "S2": 1},
-    )
+    return [("S1", "2025-01", 0.123456789123, 3),
+            ("S1", "2025-02", np.float64(1e-05), np.int64(20)),
+            ("S2", "2025-02", -0.5, 1)]
 
 
 def fake_study(returns, config, seed, market, stream):

@@ -273,8 +273,6 @@ def series_of(values, start=date(2025, 1, 2)):
         values=values,
         n_stocks=np.full(len(values), 10, dtype=np.int64),
         probabilities=np.zeros((len(values), 6)),
-        window_length=60,
-        step=1,
     )
 
 

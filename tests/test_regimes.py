@@ -5,9 +5,12 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
-from marketgap.cli import _gap_rows
+from marketgap import regimes, spectral
+from marketgap.cli import GAP_CSV_HEADER, _gap_rows
 from marketgap.errors import DataError, UsageError
 from marketgap.ordinal import entropy_series
 from marketgap.panel import log_returns
@@ -19,6 +22,7 @@ from marketgap.regimes import (
     phase_segmentation,
     sector_gap_series,
 )
+from marketgap.spectral import rolling_spectra
 from marketgap.synth import RegimeSpec, SynthConfig, generate_factor_panel, one_factor_config
 
 from conftest import make_panel, make_returns, weekdays
@@ -154,6 +158,94 @@ def test_sector_gap_series_checks_every_sector_first():
         sector_gap_series(returns, {"T0": "A", "T1": "A", "T2": "B"}, GapConfig(window=10))
 
 
+# ---------- One kernel pass for every sector ----------
+
+@st.composite
+def sector_panels(draw):
+    """(returns, sector labels, window, step) of one market whose sectors interleave:
+    NaN runs, a flat run, a date on which one sector is wholly missing, and a first
+    sector with more tickers than the window length, so the n > T dual runs."""
+    window = draw(st.integers(3, 10))
+    n_dates = draw(st.integers(window, 45))
+    sizes = [draw(st.integers(window + 1, window + 5)),
+             *draw(st.lists(st.integers(2, 5), max_size=3))]
+    labels = [f"S{k}" for k, size in enumerate(sizes) for _ in range(size)]
+    labels = [labels[j] for j in draw(st.permutations(range(len(labels))))]
+    n_assets = len(labels)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    loadings = rng.uniform(0.0, 1.5, n_assets)
+    values = 0.01 * (rng.standard_normal((n_dates, n_assets))
+                     + np.outer(rng.standard_normal(n_dates), loadings))
+    runs = st.tuples(st.integers(0, n_assets - 1), st.integers(0, n_dates - 1),
+                     st.integers(1, n_dates))
+    for asset, start, length in draw(st.lists(runs, max_size=4)):
+        values[start:start + length, asset] = np.nan
+    asset, start, length = draw(runs)
+    values[start:start + length, asset] = draw(st.sampled_from([0.0, 0.001]))
+    hole = draw(st.sampled_from(sorted(set(labels))))
+    values[draw(st.integers(0, n_dates - 1)), [s == hole for s in labels]] = np.nan
+    returns = make_returns(values)
+    return returns, dict(zip(returns.tickers, labels)), window, draw(st.integers(1, 3))
+
+
+def assert_same_bits(a, b, label):
+    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), label
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=sector_panels(), rho_mode=st.sampled_from(["signed", "abs"]),
+       norm_mode=st.sampled_from(["excess", "plain"]), chunk_bytes=st.sampled_from([1, 1 << 40]))
+def test_sector_gap_series_is_the_per_sector_loop_bit_for_bit(case, rho_mode, norm_mode,
+                                                              chunk_bytes):
+    returns, sector_of, window, step = case
+    config = GapConfig(window=window, step=step, rho_mode=rho_mode, norm_mode=norm_mode)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_CHUNK_BYTES", chunk_bytes)
+        got = sector_gap_series(returns, sector_of, config)
+    want = oracle.sector_gap_series(returns, sector_of, config)
+    assert list(got) == list(want)
+    for sector, series in want.items():
+        assert got[sector].dates == series.dates
+        for key in GAP_CSV_HEADER.split(",")[1:]:
+            assert_same_bits(getattr(got[sector], key), getattr(series, key), (sector, key))
+        assert ([w.end_date for w in got[sector].dropped]
+                == [w.end_date for w in series.dropped])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=sector_panels(), chunk_bytes=st.sampled_from([1, 1 << 40]))
+def test_each_group_of_a_kernel_call_is_a_call_on_its_columns(case, chunk_bytes):
+    returns, sector_of, window, step = case
+    groups = [[j for j, t in enumerate(returns.tickers) if sector_of[t] == sector]
+              for sector in sorted(set(sector_of.values()))]
+    groups.append(list(range(len(returns.tickers))))  # the market beside its sectors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_CHUNK_BYTES", chunk_bytes)
+        got = rolling_spectra(returns.values, window, step, groups)
+    assert len(got) == len(groups)
+    for cols, spectra in zip(groups, got):
+        (alone,) = rolling_spectra(returns.values[:, cols], window, step)
+        for name, a, b in zip(spectra._fields, spectra, alone):
+            assert_same_bits(a, b, name)
+
+
+def test_one_kernel_pass_serves_every_sector(monkeypatch):
+    calls = []
+
+    def spy(values, length, step=1, groups=None):
+        calls.append(groups)
+        return rolling_spectra(values, length, step, groups)
+
+    monkeypatch.setattr(regimes, "rolling_spectra", spy)
+    returns = make_returns(np.random.default_rng(4).normal(0, 0.01, (40, 7)))
+    sector_of = {t: "ABC"[j % 3] for j, t in enumerate(returns.tickers)}
+    config = GapConfig(window=10, step=3)
+    assert list(sector_gap_series(returns, sector_of, config)) == ["A", "B", "C"]
+    assert calls == [[[0, 3, 6], [1, 4], [2, 5]]]
+    monthly_sector_heatmap(returns, sector_of, config)
+    assert len(calls) == 2 and calls[1] == calls[0]
+
+
 # ---------- Phase segmentation ----------
 
 def entropy_like(values, start=date(2025, 1, 2)):
@@ -283,24 +375,31 @@ def test_robustness_pre_gap_exceeds_shock_gap_for_all_window_lengths(three_phase
 
 # ---------- Heatmap ----------
 
+def heatmap_cells(rows):
+    """{(sector, month): (mean lambda_norm, window count)} of the heatmap's rows."""
+    return {(sector, month): (mean, count) for sector, month, mean, count in rows}
+
+
 def test_heatmap_cells_are_monthly_means():
     panel = generate_factor_panel(one_factor_config(n_assets=8, n_days=140))
     returns = log_returns(panel)
     sector_of = {t: "ONLY" for t in returns.tickers}
     cfg = GapConfig(window=30, step=1)
-    grid = monthly_sector_heatmap(returns, sector_of, cfg)
-    assert grid.sectors == ["ONLY"]
+    rows = monthly_sector_heatmap(returns, sector_of, cfg)
+    assert {sector for sector, *_ in rows} == {"ONLY"}
+    months = [month for _, month, *_ in rows]
+    assert months == sorted(set(months))  # one row per month, in month order
 
     series = gap_series(returns, cfg)
     by_month = {}
     for end_date, lambda_norm in zip(series.dates, series.lambda_norm.tolist()):
         by_month.setdefault(f"{end_date.year:04d}-{end_date.month:02d}", []).append(lambda_norm)
-    assert set(grid.months) == set(by_month)
-    for month, vals in by_month.items():
-        cell = grid.mean_lambda_norm[("ONLY", month)]
+    assert set(months) == set(by_month)
+    for (_, month), (cell, count) in heatmap_cells(rows).items():
+        vals = by_month[month]
         assert cell == pytest.approx(np.mean(vals), abs=1e-12)
         assert min(vals) - 1e-12 <= cell <= max(vals) + 1e-12  # convex combination
-        assert grid.window_count[("ONLY", month)] == len(vals)
+        assert count == len(vals)
         assert 0.0 <= cell <= 1.0
 
 
@@ -316,23 +415,24 @@ def test_heatmap_sector_local_shock_is_row_maximum():
         values[shock_rows, col] += common
     returns = make_returns(values)
     sector_of = {f"T{j}": ("A" if j < 5 else "B") for j in range(10)}
-    grid = monthly_sector_heatmap(returns, sector_of, GapConfig(window=20, step=1))
-    row_a = {m: grid.mean_lambda_norm[("A", m)] for m in grid.months
-             if ("A", m) in grid.mean_lambda_norm}
+    rows = monthly_sector_heatmap(returns, sector_of, GapConfig(window=20, step=1))
+    assert [sector for sector, *_ in rows] == sorted(sector for sector, *_ in rows)
+    row_a = {month: mean for sector, month, mean, _ in rows if sector == "A"}
     assert max(row_a, key=row_a.get) in ("2025-04", "2025-05")
-    assert row_a["2025-04"] > grid.mean_lambda_norm[("B", "2025-04")]
+    assert row_a["2025-04"] > heatmap_cells(rows)[("B", "2025-04")][0]
 
 
 def test_heatmap_month_without_window_ends_absent():
     panel = generate_factor_panel(one_factor_config(n_assets=6, n_days=70))
     returns = log_returns(panel)
-    grid = monthly_sector_heatmap(returns, {t: "S" for t in returns.tickers},
+    rows = monthly_sector_heatmap(returns, {t: "S" for t in returns.tickers},
                                   GapConfig(window=60, step=1))
+    months = [month for _, month, *_ in rows]
     # 60-day windows only end in the last stretch: earliest months must be absent.
     first_month = f"{returns.dates[0].year:04d}-{returns.dates[0].month:02d}"
-    assert first_month not in grid.months
+    assert first_month not in months
     covered = {f"{d.year:04d}-{d.month:02d}" for d in returns.dates[59:]}
-    assert set(grid.months) == covered
+    assert set(months) == covered
 
 
 def test_heatmap_requires_sector_labels_and_two_tickers():
@@ -345,12 +445,18 @@ def test_heatmap_requires_sector_labels_and_two_tickers():
 
 
 def test_heatmap_counts_omitted_windows():
+    # The heatmap's rows count only the windows its sector series keeps; the
+    # others are listed in that series' `dropped`.
     rng = np.random.default_rng(3)
     values = rng.normal(0, 0.01, size=(40, 4))
     values[: 25, 0] = np.nan
     values[: 25, 1] = np.nan  # sector A unusable until row 25
     returns = make_returns(values)
     sector_of = {"T0": "A", "T1": "A", "T2": "B", "T3": "B"}
-    grid = monthly_sector_heatmap(returns, sector_of, GapConfig(window=10, step=1))
-    assert grid.omitted_windows["A"] > 0
-    assert grid.omitted_windows["B"] == 0
+    cfg = GapConfig(window=10, step=1)
+    sectors = sector_gap_series(returns, sector_of, cfg)
+    assert len(sectors["A"].dropped) == 25 and sectors["B"].dropped == []  # ends 10 .. 34
+    counted = {sector: 0 for sector in sectors}
+    for sector, _, _, count in monthly_sector_heatmap(returns, sector_of, cfg):
+        counted[sector] += count
+    assert counted == {"A": 40 - 10 + 1 - 25, "B": 40 - 10 + 1}

@@ -58,7 +58,7 @@ def test_independent_long_rows_nearly_uncorrelated():
 def test_correlation_preconditions():
     # One asset gives no correlation: the window reports it and holds no statistics.
     values = np.random.default_rng(0).standard_normal((50, 1))
-    spectra = rolling_spectra(values, 50)
+    spectra = rolling_spectra(values, 50)[0]
     assert spectra.n_assets.tolist() == [1]
     assert np.isnan(spectra.lambda_max[0]) and spectra.n_above_mp[0] == 0
 
@@ -464,11 +464,12 @@ def test_rolling_spectra_drops_asset_with_all_equal_returns(constant):
     # A constant 0.1 leaves a population std of rounding residue (~4e-17), not 0.
     values = np.random.default_rng(5).normal(0.0, 0.01, (80, 6))
     values[:, 0] = constant
-    spectra = rolling_spectra(values, 60)
+    spectra = rolling_spectra(values, 60)[0]
     assert spectra.n_assets.tolist() == [5] * 21
-    np.testing.assert_array_equal(spectra.lambda_max, rolling_spectra(values[:, 1:], 60).lambda_max)
+    (rest,) = rolling_spectra(values[:, 1:], 60)
+    np.testing.assert_array_equal(spectra.lambda_max, rest.lambda_max)
     values[70:, 0] = 0.02  # the asset changes from row 70 on: windows ending after it keep it
-    assert rolling_spectra(values, 60).n_assets.tolist() == [5] * 11 + [6] * 10
+    assert rolling_spectra(values, 60)[0].n_assets.tolist() == [5] * 11 + [6] * 10
 
 
 def test_rolling_spectra_chunk_boundaries_are_bit_identical(monkeypatch):
@@ -476,9 +477,9 @@ def test_rolling_spectra_chunk_boundaries_are_bit_identical(monkeypatch):
     for n_assets, length, step in ((9, 12, 1), (40, 12, 2), (13, 12, 1)):
         values = panel_with_gaps(rng, 70, n_assets)
         monkeypatch.setattr(spectral, "_CHUNK_BYTES", 1 << 40)
-        whole = rolling_spectra(values, length, step)
+        whole = rolling_spectra(values, length, step)[0]
         monkeypatch.setattr(spectral, "_CHUNK_BYTES", 1)  # one window per chunk
-        single = rolling_spectra(values, length, step)
+        single = rolling_spectra(values, length, step)[0]
         assert len(np.unique(whole.n_assets)) >= 2  # several survivor groups
         for a, b in zip(whole, single):
             np.testing.assert_array_equal(a, b, strict=True)
@@ -499,9 +500,9 @@ def test_kernel_stacks_are_symmetric_and_match_the_copying_oracle(case, chunk_by
         mp.setattr(spectral, "correlation_spectra",
                    symmetry_spy(spectral.correlation_spectra, verdicts))
         gap_series(returns, GapConfig(window=window, step=step))
-        got = rolling_spectra(returns.values, window, step)
+        got = rolling_spectra(returns.values, window, step)[0]
         mp.setattr(spectral, "correlation_spectra", oracle.correlation_spectra)
-        want = rolling_spectra(returns.values, window, step)
+        want = rolling_spectra(returns.values, window, step)[0]
     assert all(verdicts)
     assert verdicts or (got.n_assets < 2).all()
     for name, a, b in zip(got._fields, got, want):
@@ -515,7 +516,7 @@ def test_rolling_spectra_peak_memory_is_one_correlation_buffer():
     values = np.random.default_rng(8).standard_normal((200, n_assets))
     tracemalloc.start()
     try:
-        spectra = rolling_spectra(values, 60, 20)
+        spectra = rolling_spectra(values, 60, 20)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -527,7 +528,7 @@ def test_rolling_spectra_peak_memory_is_one_correlation_buffer():
 @given(case=return_panels())
 def test_rolling_spectra_drop_counts_match_oracle_reasons(case):
     returns, window, step = case
-    spectra = rolling_spectra(returns.values, window, step)
+    spectra = rolling_spectra(returns.values, window, step)[0]
     # Two extra assets that every window keeps leave no window of the oracle
     # degenerate, so it reports the reasons of every window; they add no drop.
     extra = np.random.default_rng(0).standard_normal((returns.n_dates, 2))
