@@ -16,8 +16,11 @@ import logging
 import os
 import re
 import sys
+from dataclasses import fields, is_dataclass
 from datetime import date
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import DataError, MarketGapError, UsageError, check_choice, check_int
@@ -33,6 +36,7 @@ from .panel import (
 from .portfolio import StudyConfig, quintile_report, run_portfolio_study
 from .regimes import (
     GapConfig,
+    Interval,
     SegmentationParams,
     gap_series,
     monthly_sector_heatmap,
@@ -47,14 +51,14 @@ from .synth import (
     risk_study_scenario,
     three_phase_config,
     three_phase_scenario,
-    truth_to_dict,
 )
 
 # ---------- Output format ----------
 #
 # Every table is a `# units:` line, a header line and one comma-joined row per
-# record. In tables and JSON reports alike a float keeps 9 significant digits
-# and a date is ISO-8601.
+# record, and every JSON report is its results' own fields (`_json`). A
+# computed float keeps 9 significant digits and a date is ISO-8601; a config
+# echo (the manifest's `config`, the report's `study`) is written verbatim.
 
 GAP_CSV_UNITS = (
     "# units: end_date=ISO-8601 date, n_assets=count, lambda_max=dimensionless, "
@@ -91,11 +95,24 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _json_value(x):
-    """The _cell rule for JSON: a rounded float stays a number; None, ints and labels pass."""
+def _json(x):
+    """A result as JSON by the _cell rule: a dataclass or NamedTuple becomes an object of
+    its fields, a dict an object of its converted values, a tuple or list an array, a
+    float a number of 9 significant digits, a date an ISO-8601 string and a NumPy integer
+    an int; None, bools, ints and labels pass."""
     if isinstance(x, float):
         return float(_cell(x))
-    return _cell(x) if isinstance(x, date) else x
+    if isinstance(x, date):
+        return _cell(x)
+    if isinstance(x, dict):
+        return {key: _json(value) for key, value in x.items()}
+    if is_dataclass(x):
+        return {f.name: _json(getattr(x, f.name)) for f in fields(x)}
+    if hasattr(x, "_fields"):  # a NamedTuple
+        return {key: _json(value) for key, value in zip(x._fields, x)}
+    if isinstance(x, (tuple, list)):
+        return [_json(value) for value in x]
+    return int(x) if isinstance(x, np.integer) else x
 
 
 def _observation_lines(obs):
@@ -118,67 +135,7 @@ def _gap_json_lines(series):
     keys = GAP_CSV_HEADER.split(",")
     modes = {"rho_mode": series.config.rho_mode, "norm_mode": series.config.norm_mode}
     for row in _gap_rows(series):
-        yield json.dumps(dict(zip(keys, map(_json_value, row)), **modes), sort_keys=True)
-
-
-def _interval_dict(interval) -> dict | None:
-    if interval is None:
-        return None
-    return {"start": interval[0].isoformat(), "end": interval[1].isoformat()}
-
-
-def _phases_dict(phases) -> dict:
-    return {
-        "event_date": phases.event_date.isoformat(),
-        "pre_shock": _interval_dict(phases.pre_shock),
-        "shock": _interval_dict(phases.shock),
-        "false_recovery": _interval_dict(phases.false_recovery),
-        "stabilized": _interval_dict(phases.stabilized),
-        "threshold_met": phases.threshold_met,
-        "sustained_start": _json_value(phases.sustained_start),
-    }
-
-
-def _phase_stats_dict(stats) -> dict:
-    def stat(s):
-        if s is None:
-            return None
-        return {"mean_nats": _json_value(s.mean), "std_nats": _json_value(s.std), "n": s.count}
-
-    return {
-        "pre_shock": stat(stats.pre_shock),
-        "shock": stat(stats.shock),
-        "false_recovery": stat(stats.false_recovery),
-        "stabilized": stat(stats.stabilized),
-        "false_recovery_p95_nats": _json_value(stats.false_recovery_p95),
-        "percentile_method": stats.percentile_method,
-    }
-
-
-def _report_dict(report) -> dict:
-    def spear(s):
-        return None if s is None else {"rho": _json_value(s.rho),
-                                       "p_value": _json_value(s.p_value)}
-
-    def subperiod(t):
-        return None if t is None else {"rho": _json_value(t[0]),
-                                       "p_value": _json_value(t[1]), "n": t[2]}
-
-    return {
-        "market": report.market,
-        "n_observations": report.n_observations,
-        "event_date": _json_value(report.event_date),
-        "spearman_delta_mvp": spear(report.spearman_delta_mvp),
-        "spearman_delta_ew": spear(report.spearman_delta_ew),
-        "quintile_mean_sigma_mvp_pct": [_json_value(m) for m in report.quintile_mean_sigma_mvp],
-        "ls_spread_pct": _json_value(report.ls_spread),
-        "benchmark_spearman_rho_bar": spear(report.benchmark_spearman_rho_bar),
-        "benchmark_spearman_sigma_hist": spear(report.benchmark_spearman_sigma_hist),
-        "incr_r2_over_rho_bar": _json_value(report.incr_r2_over_rho_bar),
-        "incr_r2_over_sigma_hist": _json_value(report.incr_r2_over_sigma_hist),
-        "pre_shock_spearman": subperiod(report.pre_shock),
-        "post_shock_spearman": subperiod(report.post_shock),
-    }
+        yield json.dumps(dict(zip(keys, _json(row)), **modes), sort_keys=True)
 
 
 # ---------- Helpers and the run skeleton ----------
@@ -197,6 +154,11 @@ def _slug(label: str) -> str:
 
 # The config keys that name input files.
 _INPUT_KEYS = ("prices", "meta", "scenario")
+
+
+def _input_paths(config: dict) -> dict:
+    """The input files a run reads: its set `prices`, `meta` and `scenario` paths, by key."""
+    return {key: str(config[key]) for key in _INPUT_KEYS if config.get(key)}
 
 
 def _config_date(config: dict, key: str) -> date | None:
@@ -236,13 +198,12 @@ class _OutDir:
         self.lines(name, [json.dumps(obj, sort_keys=True, indent=2)])
 
     def manifest(self, command: str, config: dict) -> None:
-        inputs = [config[key] for key in _INPUT_KEYS if config.get(key)]
         self.json("manifest.json", {
             "command": command,
             "version": __version__,
             "seed": config.get("seed"),
             "config": config,
-            "inputs": {str(path): _sha256(path) for path in inputs},
+            "inputs": {path: _sha256(path) for path in _input_paths(config).values()},
             "outputs": sorted(self.names),
         })
 
@@ -299,12 +260,11 @@ def run_gap(config: dict) -> None:
             summary["markets"][market] = {
                 "n_windows": delta.size,
                 "n_dropped_windows": len(series.dropped),
-                "delta_mean": _json_value(delta.mean()) if delta.size else None,
-                "delta_min": _json_value(delta.min()) if delta.size else None,
-                "delta_max": _json_value(delta.max()) if delta.size else None,
-                "max_abs_delta": _json_value(max(abs(delta.min()), abs(delta.max())))
-                if delta.size else None,
-                "lambda_norm_mean": _json_value(series.lambda_norm.mean()) if delta.size else None,
+                "delta_mean": delta.mean() if delta.size else None,
+                "delta_min": delta.min() if delta.size else None,
+                "delta_max": delta.max() if delta.size else None,
+                "max_abs_delta": max(abs(delta.min()), abs(delta.max())) if delta.size else None,
+                "lambda_norm_mean": series.lambda_norm.mean() if delta.size else None,
             }
             if sectors is None:
                 continue
@@ -314,9 +274,9 @@ def run_gap(config: dict) -> None:
             summary["markets"][market]["sectors"] = {sector: {
                 "n_windows": s.delta.size,
                 "n_dropped_windows": len(s.dropped),
-                "delta_mean": _json_value(s.delta.mean()) if s.delta.size else None,
+                "delta_mean": s.delta.mean() if s.delta.size else None,
             } for sector, s in sectors.items()}
-        out.json("summary.json", summary)
+        out.json("summary.json", _json(summary))
 
     _run_markets("gap", config, compute, write)
 
@@ -335,7 +295,7 @@ def run_entropy(config: dict) -> None:
         shock_halfwidth=config["shock_halfwidth"],
         threshold=config["entropy_threshold"],
         sustain_days=config["sustain_days"],
-        stabilized=(start, end) if start else None,
+        stabilized=Interval(start, end) if start else None,
     )
     # The entropy series shares the gap series' window grid and its rules.
     grid = GapConfig(window=config["window"], step=config["step"])
@@ -345,8 +305,7 @@ def run_entropy(config: dict) -> None:
         if event is None:
             return series, None
         phases = phase_segmentation(series.dates, series.values, event, params=params)
-        return series, {"phases": _phases_dict(phases),
-                        "statistics": _phase_stats_dict(phase_statistics(series, phases))}
+        return series, {"phases": phases, "statistics": phase_statistics(series, phases)}
 
     def write(out, results):
         for market, (series, phase_doc) in results:
@@ -355,7 +314,7 @@ def run_entropy(config: dict) -> None:
                 (d, series.n_stocks[i], series.values[i], *series.probabilities[i])
                 for i, d in enumerate(series.dates)))
             if phase_doc is not None:
-                out.json(f"phases_{name}.json", phase_doc)
+                out.json(f"phases_{name}.json", _json(phase_doc))
 
     _run_markets("entropy", config, compute, write)
 
@@ -393,10 +352,8 @@ def run_portfolio(config: dict) -> None:
         result = run_portfolio_study(
             returns, study_cfg, seed=config["seed"], market=market, stream=stream
         )
-        report = _report_dict(quintile_report(result.observations, event))
-        report["skipped_windows"] = [
-            {"window_index": w, "reason": reason} for w, reason in result.skipped_windows
-        ]
+        report = _json(quintile_report(result.observations, event))
+        report["skipped_windows"] = _json(result.skipped_windows)
         report["skipped_portfolios"] = result.skipped_portfolios
         return result.observations, report
 
@@ -435,7 +392,7 @@ def run_synth(config: dict) -> None:
     preset = config.get("preset") or _PRESETS[0]
     if not scenario:
         check_choice("preset", preset, _PRESETS)
-    out = _OutDir(config["out_dir"])
+    # The panel is made before --out-dir is, so a faulty scenario file leaves none.
     truth = None
     seed_kwargs = {} if seed is None else {"seed": seed}
     if scenario:
@@ -445,16 +402,17 @@ def run_synth(config: dict) -> None:
         panel = generate_factor_panel(synth_cfg)
     elif preset == "three-phase":
         result = three_phase_scenario(three_phase_config(**seed_kwargs))
-        panel, truth = result.panel, truth_to_dict(result.truth)
+        panel, truth = result.panel, result.truth
     elif preset == "risk-study":
         panel, event = risk_study_scenario(**seed_kwargs)
-        truth = {"event_date": event.isoformat()}
+        truth = {"event_date": event}
     else:
         panel = generate_factor_panel(one_factor_config(**seed_kwargs))
+    out = _OutDir(config["out_dir"])
     write_price_panel(panel, out.path("prices.csv"))
     write_metadata(panel, out.path("meta.csv"))
     if truth is not None:
-        out.json("truth.json", truth)
+        out.json("truth.json", _json(truth))
     out.manifest("synth", config)
 
 
@@ -489,7 +447,16 @@ def run_rerun(config: dict) -> None:
     missing = sorted({f.dest for f in flags} - {"help", "out_dir"} - set(manifest["config"]))
     if missing:
         raise UsageError(f"manifest config has no {', '.join(missing)} setting")
-    for input_path, recorded in manifest["inputs"].items():
+    # The command reads the config's paths, so they must be the ones whose digests were taken.
+    inputs, read = manifest["inputs"], _input_paths(manifest["config"])
+    for key, input_path in read.items():
+        if input_path not in inputs:
+            raise DataError(f"{path}: manifest config {key} {input_path} is not a recorded input "
+                            f"({', '.join(inputs) or 'none'})")
+    unread = sorted(inputs.keys() - read.values())
+    if unread:
+        raise DataError(f"{path}: manifest input {unread[0]} is read by no config setting")
+    for input_path, recorded in inputs.items():
         if not Path(input_path).is_file():
             raise DataError(f"manifest input {input_path} is missing")
         if _sha256(input_path) != recorded:

@@ -41,9 +41,9 @@ class EntropySeries:
 
 @dataclass(frozen=True)
 class PhaseStat:
-    mean: float
-    std: float | None  # sample std (ddof=1); None when fewer than 2 points
-    count: int
+    mean_nats: float
+    std_nats: float | None  # sample std (ddof=1); None when fewer than 2 points
+    n: int
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class OrdinalPhaseStats:
     shock: PhaseStat | None
     false_recovery: PhaseStat | None
     stabilized: PhaseStat | None
-    false_recovery_p95: float | None
+    false_recovery_p95_nats: float | None
     percentile_method: str = "linear interpolation between closest ranks"
 
 
@@ -125,7 +125,7 @@ def _stat(vals: np.ndarray) -> PhaseStat | None:
     if vals.size == 0:
         return None
     std = float(np.std(vals, ddof=1)) if vals.size >= 2 else None
-    return PhaseStat(mean=float(np.mean(vals)), std=std, count=int(vals.size))
+    return PhaseStat(mean_nats=float(np.mean(vals)), std_nats=std, n=int(vals.size))
 
 
 def phase_statistics(series: EntropySeries, phases: PhaseWindows) -> OrdinalPhaseStats:
@@ -140,5 +140,5 @@ def phase_statistics(series: EntropySeries, phases: PhaseWindows) -> OrdinalPhas
         shock=_stat(per_phase["shock"]),
         false_recovery=_stat(per_phase["false_recovery"]),
         stabilized=_stat(per_phase["stabilized"]),
-        false_recovery_p95=p95,
+        false_recovery_p95_nats=p95,
     )

@@ -32,6 +32,19 @@ class SpearmanResult(NamedTuple):
     p_value: float
 
 
+class Subperiod(NamedTuple):
+    """The Spearman of delta vs MVP risk over the observations on one side of an event."""
+
+    rho: float
+    p_value: float
+    n: int
+
+
+class SkippedWindow(NamedTuple):
+    window_index: int
+    reason: str
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Rolling study parameters; step defaults to the test length (non-overlap)."""
@@ -80,7 +93,7 @@ class Observations:
 @dataclass(eq=False)
 class StudyResult:
     observations: Observations
-    skipped_windows: list[tuple[int, str]]
+    skipped_windows: list[SkippedWindow]
     skipped_portfolios: int
 
 
@@ -93,14 +106,14 @@ class QuintileReport:
     event_date: date | None
     spearman_delta_mvp: SpearmanResult
     spearman_delta_ew: SpearmanResult
-    quintile_mean_sigma_mvp: tuple[float, ...]  # Q0 (lowest delta) .. Q4
-    ls_spread: float  # mean(Q4) - mean(Q0), % annualized
+    quintile_mean_sigma_mvp_pct: tuple[float, ...]  # Q0 (lowest delta) .. Q4
+    ls_spread_pct: float  # mean(Q4) - mean(Q0), % annualized
     benchmark_spearman_rho_bar: SpearmanResult | None
     benchmark_spearman_sigma_hist: SpearmanResult | None
     incr_r2_over_rho_bar: float
     incr_r2_over_sigma_hist: float
-    pre_shock: tuple[float, float, int] | None  # (rho, p, n)
-    post_shock: tuple[float, float, int] | None
+    pre_shock_spearman: Subperiod | None
+    post_shock_spearman: Subperiod | None
 
 
 # ---------- Weight construction ----------
@@ -445,12 +458,12 @@ def run_portfolio_study(
     # Each window adds (window index, *its columns); the empty first entry
     # fixes the dtypes and shapes when every window is skipped.
     parts = [(np.empty(0, np.int64), np.empty((0, config.n_stocks), np.int64), *[np.empty(0)] * 5)]
-    skipped_windows: list[tuple[int, str]] = []
+    skipped_windows: list[SkippedWindow] = []
     for w_idx, end in enumerate(ends.tolist()):
         columns = _window_columns(returns.values[end - t:end], returns.values[end:end + h],
                                   config, (seed, stream, w_idx))
         if isinstance(columns, str):
-            skipped_windows.append((w_idx, columns))
+            skipped_windows.append(SkippedWindow(w_idx, columns))
         else:
             parts.append((np.full(len(columns[0]), w_idx), *columns))
     window_index, *columns = map(np.concatenate, zip(*parts))
@@ -669,10 +682,10 @@ def quintile_report(
         except UndefinedCorrelationError:
             return None
 
-    def sub(mask: np.ndarray):
+    def sub(mask: np.ndarray) -> Subperiod | None:
         count = int(np.count_nonzero(mask))
         res = maybe_spearman(delta[mask], sigma_mvp[mask]) if count >= 3 else None
-        return None if res is None else (res.rho, res.p_value, count)
+        return None if res is None else Subperiod(*res, count)
 
     pre = post = None
     if event_date is not None:
@@ -686,12 +699,12 @@ def quintile_report(
         event_date=event_date,
         spearman_delta_mvp=spearman(delta, sigma_mvp),
         spearman_delta_ew=spearman(delta, observations.sigma_ew),
-        quintile_mean_sigma_mvp=tuple(means),
-        ls_spread=means[4] - means[0],
+        quintile_mean_sigma_mvp_pct=tuple(means),
+        ls_spread_pct=means[4] - means[0],
         benchmark_spearman_rho_bar=maybe_spearman(rho_bar, sigma_mvp),
         benchmark_spearman_sigma_hist=maybe_spearman(sigma_hist, sigma_mvp),
         incr_r2_over_rho_bar=incremental_r2(sigma_mvp, rho_bar, delta),
         incr_r2_over_sigma_hist=incremental_r2(sigma_mvp, sigma_hist, delta),
-        pre_shock=pre,
-        post_shock=post,
+        pre_shock_spearman=pre,
+        post_shock_spearman=post,
     )

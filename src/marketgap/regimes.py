@@ -5,6 +5,7 @@ import logging
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,7 +15,13 @@ from .spectral import NORM_MODES, RHO_MODES, mp_bounds, normalized_lambda, rolli
 
 logger = logging.getLogger(__name__)
 
-Interval = tuple[date, date]
+
+
+class Interval(NamedTuple):
+    """An inclusive date interval."""
+
+    start: date
+    end: date
 
 
 # ---------- Gap series ----------
@@ -154,6 +161,8 @@ class SegmentationParams:
         # A NaN threshold is never exceeded, which would read as "threshold never met".
         check_real("segmentation threshold", self.threshold)
         check_int("sustain days", self.sustain_days, 1)
+        if self.stabilized is not None:  # a (start, end) pair reads as its Interval
+            object.__setattr__(self, "stabilized", Interval(*self.stabilized))
 
 
 @dataclass(frozen=True)
@@ -176,8 +185,8 @@ class PhaseWindows:
 
 
 def _check_interval(name: str, iv: Interval) -> None:
-    if iv[0] > iv[1]:
-        raise DataError(f"{name} interval {iv[0]} .. {iv[1]} is reversed")
+    if iv.start > iv.end:
+        raise DataError(f"{name} interval {iv.start} .. {iv.end} is reversed")
 
 
 def _validate_order(phases: PhaseWindows) -> None:
@@ -185,8 +194,9 @@ def _validate_order(phases: PhaseWindows) -> None:
     if phases.threshold_met and phases.stabilized:
         chain.append(phases.stabilized)
     for a, b in zip(chain, chain[1:]):
-        if a[1] >= b[0]:
-            raise DataError(f"phase intervals overlap: {a} vs {b}")
+        if a.end >= b.start:
+            raise DataError(f"phase intervals overlap: "
+                            f"{a.start} .. {a.end} vs {b.start} .. {b.end}")
 
 
 def phase_segmentation(
@@ -225,8 +235,8 @@ def phase_segmentation(
         raise DataError(
             f"series does not cover event date +- {k} trading days"
         )
-    shock = (dates[e_idx - k], dates[e_idx + k])
-    pre = (dates[0], dates[e_idx - k - 1]) if e_idx - k >= 1 else None
+    shock = Interval(dates[e_idx - k], dates[e_idx + k])
+    pre = Interval(dates[0], dates[e_idx - k - 1]) if e_idx - k >= 1 else None
 
     post_start = e_idx + k + 1
     m = params.sustain_days
@@ -236,12 +246,12 @@ def phase_segmentation(
     for j in range(post_start, n - m + 1):
         if above[j:j + m].all():
             recovery_end, sustained_start = j, dates[j]
-            stabilized = params.stabilized or (dates[j], dates[-1])
+            stabilized = params.stabilized or Interval(dates[j], dates[-1])
             break
     phases = PhaseWindows(
         pre_shock=pre,
         shock=shock,
-        false_recovery=((dates[post_start], dates[recovery_end - 1])
+        false_recovery=(Interval(dates[post_start], dates[recovery_end - 1])
                         if recovery_end > post_start else None),
         stabilized=stabilized,
         event_date=event_date,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DataError, UsageError, check_int, check_real
 from .panel import PricePanel, merge_panels, open_input
+from .regimes import Interval
 
 DEFAULT_SEED = 20250402
 DEFAULT_START_DATE = date(2024, 7, 1)
@@ -160,11 +161,11 @@ def one_factor_config(
 class ScenarioTruth:
     """Ground-truth intervals (inclusive dates) of the scripted regimes."""
 
-    pre: tuple[date, date]
-    shock: tuple[date, date]
-    false_recovery: tuple[date, date]
-    resync: tuple[date, date]
-    stabilized: tuple[date, date]
+    pre: Interval
+    shock: Interval
+    false_recovery: Interval
+    resync: Interval
+    stabilized: Interval
     event_date: date
     # Detection target for the sustained-restoration edge on the entropy
     # series: 3-day triples straddle the regime switch, so the observable
@@ -250,8 +251,8 @@ def three_phase_scenario(base: SynthConfig | None = None) -> ScenarioResult:
     spans = sorted(config.regimes, key=lambda r: r.start)
     dts = panel.dates
 
-    def interval(r: RegimeSpec) -> tuple[date, date]:
-        return (dts[r.start - 1], dts[r.end - 1])
+    def interval(r: RegimeSpec) -> Interval:
+        return Interval(dts[r.start - 1], dts[r.end - 1])
 
     stabilized_start_idx = spans[4].start - 1
     truth = ScenarioTruth(
@@ -343,7 +344,7 @@ def load_scenario_json(path) -> SynthConfig:
     with open_input(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise DataError(f"{path}: invalid JSON: {exc}") from exc
 
     def checked(check, key, value, *args):
@@ -432,17 +433,3 @@ def load_scenario_json(path) -> SynthConfig:
     config.validate()
     return config
 
-
-def truth_to_dict(truth: ScenarioTruth) -> dict:
-    def iv(pair):
-        return {"start": pair[0].isoformat(), "end": pair[1].isoformat()}
-
-    return {
-        "pre": iv(truth.pre),
-        "shock": iv(truth.shock),
-        "false_recovery": iv(truth.false_recovery),
-        "resync": iv(truth.resync),
-        "stabilized": iv(truth.stabilized),
-        "event_date": truth.event_date.isoformat(),
-        "entropy_boundary": truth.entropy_boundary.isoformat(),
-    }

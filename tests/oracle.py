@@ -504,14 +504,14 @@ def quintile_report(observations: list[PortfolioObservation],
         event_date=event_date,
         spearman_delta_mvp=spearman(delta, sigma_mvp),
         spearman_delta_ew=spearman(delta, sigma_ew),
-        quintile_mean_sigma_mvp=tuple(means),
-        ls_spread=means[4] - means[0],
+        quintile_mean_sigma_mvp_pct=tuple(means),
+        ls_spread_pct=means[4] - means[0],
         benchmark_spearman_rho_bar=maybe_spearman(rho_bar, sigma_mvp),
         benchmark_spearman_sigma_hist=maybe_spearman(sigma_hist, sigma_mvp),
         incr_r2_over_rho_bar=incremental_r2(sigma_mvp, rho_bar, delta),
         incr_r2_over_sigma_hist=incremental_r2(sigma_mvp, sigma_hist, delta),
-        pre_shock=pre,
-        post_shock=post,
+        pre_shock_spearman=pre,
+        post_shock_spearman=post,
     )
 
 

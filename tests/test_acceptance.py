@@ -234,8 +234,8 @@ def test_criterion_09_synthetic_risk_study():
                                      stream=stream)
         n_windows = np.unique(result.observations.window_index).size
         report = quintile_report(result.observations, event)
-        rho, p, n_post = report.post_shock
-        q = report.quintile_mean_sigma_mvp
+        rho, p, n_post = report.post_shock_spearman
+        q = report.quintile_mean_sigma_mvp_pct
         monotone = all(q[k] > q[k + 1] for k in range(4))
         ok &= n_windows >= 10 and rho < 0.0 and p < 0.01 and monotone
         details.append(f"{market}: post rho={rho:.3f} (p={p:.1e}, n={n_post}), "
@@ -279,10 +279,10 @@ def test_criterion_10_user_supplied_panel_signs():
         result = run_portfolio_study(returns, config, seed=20250402, market=market,
                                      stream=stream)
         report = quintile_report(result.observations, event)
-        q = report.quintile_mean_sigma_mvp
+        q = report.quintile_mean_sigma_mvp_pct
         ok &= report.spearman_delta_mvp.rho < 0
         ok &= q[0] > q[4]
-        ok &= report.ls_spread < 0
+        ok &= report.ls_spread_pct < 0
         details.append(f"{market}: rho={report.spearman_delta_mvp.rho:.3f}, "
-                       f"spread={report.ls_spread:.3f}")
+                       f"spread={report.ls_spread_pct:.3f}")
     check(10, "user-supplied panel signs", ok, "; ".join(details))

@@ -184,10 +184,14 @@ def test_usage_errors_exit_2_before_any_io(tmp_path, capsys, argv):
 
 def test_heatmap_without_meta_exit_2_before_any_io(tmp_path):
     # argparse requires --meta, but a manifest's config reaches run_heatmap directly.
+    # The price file holds a header alone: reading it would exit 3.
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date,ticker,close\n", encoding="utf-8")
     manifest = tmp_path / "manifest.json"
-    manifest.write_text(json.dumps({"command": "heatmap", "inputs": {}, "config": {
-        "prices": str(tmp_path / "missing.csv"), "layout": "long", "meta": None,
-        "window": 60, "step": 1, "norm_mode": "excess"}}), encoding="utf-8")
+    manifest.write_text(json.dumps({"command": "heatmap", "inputs": {str(prices): digest(prices)},
+                                    "config": {"prices": str(prices), "layout": "long",
+                                               "meta": None, "window": 60, "step": 1,
+                                               "norm_mode": "excess"}}), encoding="utf-8")
     out = tmp_path / "out"
     assert run("rerun", "--manifest", manifest, "--out-dir", out) == 2
     assert not out.exists()
@@ -331,6 +335,39 @@ def test_entropy_phases_json_shape(tmp_path, synth_dir):
         assert stats[phase]["mean_nats"] >= 0.0
     assert stats["pre_shock"]["mean_nats"] - stats["shock"]["mean_nats"] >= 0.3
     assert stats["false_recovery_p95_nats"] <= 1.7917595
+
+
+def test_entropy_stabilized_flags_reach_phases_json(tmp_path, synth_dir):
+    # A configured stabilized interval is written as an object, as every computed
+    # interval is, and a rerun of its manifest reproduces the bytes.
+    truth = json.loads((synth_dir / "truth.json").read_text())
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run("entropy", "--prices", synth_dir / "prices.csv",
+               "--event-date", truth["event_date"], "--stabilized-start", "2025-10-01",
+               "--stabilized-end", "2025-12-31", "--out-dir", first) == 0
+    doc = json.loads((first / "phases_ALL.json").read_text())
+    assert doc["phases"]["stabilized"] == {"start": "2025-10-01", "end": "2025-12-31"}
+    assert doc["phases"]["threshold_met"] is True
+    in_range = [r for r in (first / "entropy_ALL.csv").read_text().splitlines()[2:]
+                if "2025-10-01" <= r[:10] <= "2025-12-31"]
+    assert doc["statistics"]["stabilized"]["n"] == len(in_range) > 0
+    assert run("rerun", "--manifest", first / "manifest.json", "--out-dir", second) == 0
+    for name in json.loads((first / "manifest.json").read_text())["outputs"]:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_entropy_overlapping_phases_name_iso_dates(tmp_path, synth_dir, capsys):
+    # A stabilized interval inside the false recovery is a data error whose message
+    # reads as dates, not as tuple reprs.
+    truth = json.loads((synth_dir / "truth.json").read_text())
+    out = tmp_path / "ent"
+    assert run("entropy", "--prices", synth_dir / "prices.csv",
+               "--event-date", truth["event_date"], "--stabilized-start", "2025-03-03",
+               "--stabilized-end", "2025-04-01", "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert ("error: phase intervals overlap: 2025-02-13 .. 2025-09-25 vs "
+            "2025-03-03 .. 2025-04-01\n") in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("flags", [
@@ -703,6 +740,38 @@ def test_rerun_refuses_changed_input(tmp_path, synth_dir, capsys):
     assert str(prices) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,edit", [
+    ("prices", "other"),  # the config reads a file whose digest was never taken
+    ("meta", "other"),
+    ("meta", None),  # a recorded input that the config no longer reads
+], ids=repr)
+def test_rerun_refuses_config_paths_that_are_not_its_inputs(tmp_path, synth_dir, capsys,
+                                                            key, edit):
+    # rerun checks the digests of the manifest's inputs, and the command reads the
+    # paths in its config; the two must be the same files. Before, a config whose
+    # prices named another file reran on it and exited 0.
+    first = tmp_path / "first"
+    assert run("gap", "--prices", synth_dir / "prices.csv", "--meta", synth_dir / "meta.csv",
+               "--window", 30, "--out-dir", first) == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    recorded = manifest["config"][key]
+    other = tmp_path / f"other_{key}.csv"
+    other.write_bytes((synth_dir / f"{key}.csv").read_bytes())
+    manifest["config"][key] = str(other) if edit else None
+    edited = tmp_path / "edited_manifest.json"
+    edited.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("rerun", "--manifest", edited, "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    if edit:
+        assert f"error: {edited}: manifest config {key} {other} is not a recorded input (" in err
+    else:
+        assert f"error: {edited}: manifest input {recorded} is read by no config setting" in err
+    assert recorded in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_rerun_accepts_manifest_with_threads(tmp_path, synth_dir):
     # Manifests written while the CLI still had --threads record it in the
     # config; replaying one ignores it and reproduces the outputs.
@@ -927,7 +996,19 @@ def test_bad_scenario_value_is_exit_3(tmp_path, capsys, edit, flags, code, messa
     err = capsys.readouterr().err
     assert f"error: {f'{scenario}: ' if code == 3 else ''}{message}" in err
     assert "Traceback" not in err
-    assert list(out.iterdir()) == [] if code == 3 else not out.exists()
+    assert not out.exists()  # the scenario is read before --out-dir is made
+
+
+def test_scenario_that_is_not_utf8_is_exit_3_before_any_io(tmp_path, capsys):
+    # Before, a 0xff byte ended in a UnicodeDecodeError traceback, exit 1, and an
+    # empty --out-dir.
+    scenario = tmp_path / "scenario.json"
+    scenario.write_bytes(b"\xff" + json.dumps(SCENARIO).encode())
+    out = tmp_path / "out"
+    assert run("synth", "--scenario", scenario, "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert f"error: {scenario}: invalid JSON: " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["portfolio", "synth"])
@@ -1025,7 +1106,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         "                   np.tile([0, 1], (20, 1)), *rng.normal(size=(5, 20)))",
         "report = quintile_report(obs, date(2025, 1, 3))",
         "assert 0.0 < report.spearman_delta_mvp.p_value < 1.0",
-        "assert report.pre_shock is not None and report.post_shock is not None",
+        "assert None not in (report.pre_shock_spearman, report.post_shock_spearman)",
         "assert 'scipy.stats' not in sys.modules",
     ])
     subprocess.run([sys.executable, "-c", code], env=env, check=True)

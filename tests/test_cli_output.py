@@ -15,10 +15,12 @@ from marketgap.ordinal import EntropySeries, OrdinalPhaseStats, PhaseStat
 from marketgap.portfolio import (
     Observations,
     QuintileReport,
+    SkippedWindow,
     SpearmanResult,
     StudyResult,
+    Subperiod,
 )
-from marketgap.regimes import DroppedWindow, GapSeries, PhaseWindows
+from marketgap.regimes import DroppedWindow, GapSeries, Interval, PhaseWindows
 
 from conftest import weekdays
 
@@ -73,8 +75,8 @@ def fake_entropy_series(returns, length, step):
 
 def fake_phase_segmentation(dates, values, event_date, params):
     return PhaseWindows(
-        pre_shock=None, shock=(dates[0], dates[1]), false_recovery=None,
-        stabilized=(dates[2], dates[2]), event_date=event_date,
+        pre_shock=None, shock=Interval(dates[0], dates[1]), false_recovery=None,
+        stabilized=Interval(dates[2], dates[2]), event_date=event_date,
         threshold_met=True, sustained_start=dates[2],
     )
 
@@ -82,10 +84,11 @@ def fake_phase_segmentation(dates, values, event_date, params):
 def fake_phase_statistics(series, phases):
     return OrdinalPhaseStats(
         pre_shock=None,
-        shock=PhaseStat(mean=np.float64(1.24245332489), std=np.float64(0.386086952), count=2),
+        shock=PhaseStat(mean_nats=np.float64(1.24245332489), std_nats=np.float64(0.386086952),
+                        n=2),
         false_recovery=None,
-        stabilized=PhaseStat(mean=0.0, std=None, count=1),
-        false_recovery_p95=None,
+        stabilized=PhaseStat(mean_nats=0.0, std_nats=None, n=1),
+        false_recovery_p95_nats=None,
     )
 
 
@@ -107,7 +110,8 @@ def fake_study(returns, config, seed, market, stream):
     observations = Observations(
         market, ("A", "B", "C", "D"), window_index, ends.astype("datetime64[D]"), picks, *values)
     return StudyResult(observations=observations,
-                       skipped_windows=[(1, "3 eligible stocks (need 10)")], skipped_portfolios=2)
+                       skipped_windows=[SkippedWindow(1, "3 eligible stocks (need 10)")],
+                       skipped_portfolios=2)
 
 
 def fake_quintile_report(observations, event_date):
@@ -115,14 +119,14 @@ def fake_quintile_report(observations, event_date):
         market=observations.market, n_observations=len(observations), event_date=event_date,
         spearman_delta_mvp=SpearmanResult(np.float64(-0.123456789876), 1e-05),
         spearman_delta_ew=SpearmanResult(-1.0, 0.0),
-        quintile_mean_sigma_mvp=(np.float64(20.1234567891), 15.0, 12.5, 1e-05, -0.25),
-        ls_spread=np.float64(-20.3734567891),
+        quintile_mean_sigma_mvp_pct=(np.float64(20.1234567891), 15.0, 12.5, 1e-05, -0.25),
+        ls_spread_pct=np.float64(-20.3734567891),
         benchmark_spearman_rho_bar=None,
         benchmark_spearman_sigma_hist=SpearmanResult(0.5, np.float64(1 / 3)),
         incr_r2_over_rho_bar=np.float64(1.5e-10),
         incr_r2_over_sigma_hist=-0.0,
-        pre_shock=None,
-        post_shock=(np.float64(-0.25), 0.0123456789012, 7),
+        pre_shock_spearman=None,
+        post_shock_spearman=Subperiod(np.float64(-0.25), 0.0123456789012, 7),
     )
 
 

@@ -293,9 +293,9 @@ def test_phase_statistics_constant_series():
     series = series_of(np.full(40, 1.3))
     stats = phase_statistics(series, phases_for(series, (10, 20, 30)))
     for s in (stats.pre_shock, stats.shock, stats.false_recovery, stats.stabilized):
-        assert s.mean == pytest.approx(1.3, abs=1e-12)
-        assert s.std == pytest.approx(0.0, abs=1e-12)
-    assert stats.false_recovery_p95 == pytest.approx(1.3, abs=1e-12)
+        assert s.mean_nats == pytest.approx(1.3, abs=1e-12)
+        assert s.std_nats == pytest.approx(0.0, abs=1e-12)
+    assert stats.false_recovery_p95_nats == pytest.approx(1.3, abs=1e-12)
 
 
 def brute_force_percentile(values, pct):
@@ -315,11 +315,11 @@ def test_phase_statistics_percentile_matches_brute_force():
     # false recovery spans the whole 20-point series via a 4-way split around it
     stats = phase_statistics(series, phases_for(series, (3, 5, 18)))
     fr_values = values[5:18]
-    assert stats.false_recovery_p95 == pytest.approx(
+    assert stats.false_recovery_p95_nats == pytest.approx(
         brute_force_percentile(fr_values, 95), abs=1e-12
     )
-    assert stats.false_recovery.mean == pytest.approx(np.mean(fr_values), abs=1e-12)
-    assert stats.false_recovery.std == pytest.approx(np.std(fr_values, ddof=1), abs=1e-12)
+    assert stats.false_recovery.mean_nats == pytest.approx(np.mean(fr_values), abs=1e-12)
+    assert stats.false_recovery.std_nats == pytest.approx(np.std(fr_values, ddof=1), abs=1e-12)
 
 
 def test_phase_statistics_empty_phase_absent():
@@ -346,6 +346,6 @@ def test_phase_statistics_values_in_entropy_range(three_phase):
     phases = phase_segmentation(series.dates, series.values, three_phase.truth.event_date)
     stats = phase_statistics(series, phases)
     for s in (stats.pre_shock, stats.shock, stats.false_recovery, stats.stabilized):
-        assert 0.0 <= s.mean <= MAX_ENTROPY
-        assert s.std is None or 0.0 <= s.std <= MAX_ENTROPY
-    assert 0.0 <= stats.false_recovery_p95 <= MAX_ENTROPY
+        assert 0.0 <= s.mean_nats <= MAX_ENTROPY
+        assert s.std_nats is None or 0.0 <= s.std_nats <= MAX_ENTROPY
+    assert 0.0 <= stats.false_recovery_p95_nats <= MAX_ENTROPY

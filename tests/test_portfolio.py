@@ -906,10 +906,10 @@ def test_quintile_report_monotone_constructed_sample():
     noise = rng.normal(0, 0.001, 10)
     observations = [obs(d, 20.0 - 30.0 * d + e) for d, e in zip(deltas, noise)]
     report = quintile_report(columns(observations))
-    q = report.quintile_mean_sigma_mvp
+    q = report.quintile_mean_sigma_mvp_pct
     assert all(q[i] > q[i + 1] for i in range(4))
-    assert report.ls_spread < 0
-    assert report.ls_spread == pytest.approx(q[4] - q[0], abs=1e-15)
+    assert report.ls_spread_pct < 0
+    assert report.ls_spread_pct == pytest.approx(q[4] - q[0], abs=1e-15)
     assert report.spearman_delta_mvp.rho < 0
 
 
@@ -929,7 +929,7 @@ def test_quintile_report_partition_covers_all_exactly_once():
         expected.append(np.mean([observations[i].sigma_mvp for i in group]))
         lo += size
     assert lo == 23
-    np.testing.assert_allclose(report.quintile_mean_sigma_mvp, expected, atol=1e-12)
+    np.testing.assert_allclose(report.quintile_mean_sigma_mvp_pct, expected, atol=1e-12)
 
 
 def test_quintile_report_tie_break_by_input_order():
@@ -939,7 +939,7 @@ def test_quintile_report_tie_break_by_input_order():
     deltas = [0.0, 0.0, 0.0, 0.0, 0.1, 0.1, 0.1, 0.1, 0.2, 0.2]
     observations = [obs(d, float(i)) for i, d in enumerate(deltas)]
     report = quintile_report(columns(observations))
-    assert report.quintile_mean_sigma_mvp == (0.5, 2.5, 4.5, 6.5, 8.5)
+    assert report.quintile_mean_sigma_mvp_pct == (0.5, 2.5, 4.5, 6.5, 8.5)
 
 
 def test_quintile_report_subperiod_split():
@@ -947,9 +947,9 @@ def test_quintile_report_subperiod_split():
     pre_obs = [obs(0.1 * i, 10.0 + i, end=date(2025, 2, 3)) for i in range(5)]
     post_obs = [obs(0.1 * i, 30.0 - i, end=date(2025, 3, 3)) for i in range(5)]
     report = quintile_report(columns(pre_obs + post_obs), event_date=event)
-    assert report.pre_shock is not None and report.pre_shock[2] == 5
-    assert report.post_shock is not None and report.post_shock[2] == 5
-    assert report.pre_shock[0] > 0 and report.post_shock[0] < 0
+    assert report.pre_shock_spearman is not None and report.pre_shock_spearman[2] == 5
+    assert report.post_shock_spearman is not None and report.post_shock_spearman[2] == 5
+    assert report.pre_shock_spearman[0] > 0 and report.post_shock_spearman[0] < 0
     # Observations ending exactly on the event date count as post-shock.
 
 

@@ -5,6 +5,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from marketgap.cli import _json
 from marketgap.errors import DataError
 from marketgap.panel import log_returns
 from marketgap.regimes import GapConfig, gap_series
@@ -19,7 +20,6 @@ from marketgap.synth import (
     three_phase_config,
     three_phase_scenario,
     trading_dates,
-    truth_to_dict,
 )
 
 
@@ -158,8 +158,23 @@ def test_three_phase_truth_matches_schedule(three_phase):
              truth.stabilized]
     for a, b in zip(chain, chain[1:]):
         assert a[1] < b[0]
-    d = truth_to_dict(truth)
-    assert d["event_date"] == truth.event_date.isoformat()
+    # truth.json: the five scripted spans (1-based price days 1-160, 161-260,
+    # 261-292, 293-322, 323-412), the first shock day and the day after the
+    # stabilized start.
+    iso = [d.isoformat() for d in panel.dates]
+
+    def span(first, last):
+        return {"start": iso[first - 1], "end": iso[last - 1]}
+
+    assert _json(truth) == {
+        "pre": span(1, 160),
+        "shock": span(161, 260),
+        "false_recovery": span(261, 292),
+        "resync": span(293, 322),
+        "stabilized": span(323, 412),
+        "event_date": iso[160],
+        "entropy_boundary": iso[323],
+    }
 
 
 def test_three_phase_gap_contrast(three_phase):
