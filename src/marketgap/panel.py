@@ -24,7 +24,7 @@ META_HEADER = ("ticker", "sector", "market")
 DEFAULT_SECTOR = "UNKNOWN"
 DEFAULT_MARKET = "ALL"
 # The long-layout reader takes the file in blocks of this many bytes.
-_BLOCK_BYTES = 1 << 20
+_BLOCK_BYTES = 1 << 18
 
 logger = logging.getLogger(__name__)
 
@@ -69,17 +69,24 @@ class PricePanel:
 
     def market_panel(self, market: str) -> "PricePanel":
         """Sub-panel for one market on its own trading calendar: the market's
-        tickers in panel order, on the dates where any of them has a price."""
+        tickers in panel order, on the dates where any of them has a price.
+
+        A market that keeps every column and every date shares this panel's
+        matrix; any other market gets a copy.
+        """
         cols = [j for j, t in enumerate(self.tickers) if self.market_of[t] == market]
         if not cols:
             raise DataError(f"no tickers labeled with market {market!r}")
         members = [self.tickers[j] for j in cols]
-        close = self.close[:, cols]
+        whole = len(cols) == len(self.tickers)
+        close = self.close if whole else self.close[:, cols]
         keep = np.isfinite(close).any(axis=1)
         return PricePanel(
             dates=[d for d, k in zip(self.dates, keep) if k],
             tickers=members,
-            close=close[keep],
+            # The row mask also makes the column gather, which NumPy lays out
+            # in Fortran order, a C-ordered copy.
+            close=close if whole and keep.all() else close[keep],
             sector_of={t: self.sector_of[t] for t in members},
             market_of={t: market for t in members},
         )
@@ -241,7 +248,8 @@ class _Declined(Exception):
 
 def _block_rows(chunk: bytes, text_codes: dict[str, int], date_codes: dict[date, int],
                 ticker_codes: dict[str, int]):
-    """(date codes, ticker codes, prices) of whole lines, each `date,ticker,close`.
+    """(date codes, ticker codes, prices) of whole lines, each `date,ticker,close`;
+    blank and whitespace-only lines are skipped.
 
     `text_codes` maps each date text seen so far to the code of its date in
     `date_codes`, and `ticker_codes` each ticker to its code. The dicts grow
@@ -254,16 +262,24 @@ def _block_rows(chunk: bytes, text_codes: dict[str, int], date_codes: dict[date,
     # A CRLF line keeps its \r at the end of the price, which `float` ignores.
     if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
         raise _Declined("a carriage return outside a CRLF line end")
+    if chunk.count(b",") < 2 * chunk.count(b"\n"):
+        # Fewer commas than 3 fields a line take: drop the lines that the csv
+        # path skips, those without a comma that `bytes.strip` empties. Any
+        # other line without a comma (one of Unicode whitespace, say) stays
+        # and is declined below.
+        chunk = b"".join([line for line in chunk.splitlines(keepends=True)
+                          if b"," in line or line.strip()])
+    if not chunk:
+        return np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)
     raw = np.frombuffer(chunk, dtype=np.uint8)
     ends = np.flatnonzero(raw == ord("\n"))
     starts = np.r_[-1, ends[:-1]]  # the newline before each line
     commas = np.flatnonzero(raw == ord(","))
     # With 2 commas per line in all, each line holds its own two exactly when
-    # comma 2k follows line k's start and comma 2k + 1 precedes its end. A
-    # blank line has none.
+    # comma 2k follows line k's start and comma 2k + 1 precedes its end.
     if (commas.size != 2 * ends.size or (commas[0::2] < starts).any()
             or (commas[1::2] > ends).any()):
-        raise _Declined("a blank line or a line without exactly 3 fields")
+        raise _Declined("a line without exactly 3 fields")
     if (ends - starts).max() > csv.field_size_limit():
         raise _Declined("a line longer than the csv field size limit")
     try:
@@ -294,11 +310,21 @@ def _block_rows(chunk: bytes, text_codes: dict[str, int], date_codes: dict[date,
 
 
 def _sorted_keys(codes: dict) -> tuple[list, np.ndarray]:
-    """The keys of `codes` sorted, and the sorted position of each code."""
+    """The keys of `codes` sorted, and the code of each in that order."""
     ordered = sorted(codes)
-    position = np.empty(len(ordered), dtype=np.intp)
-    position[[codes[k] for k in ordered]] = np.arange(len(ordered))
-    return ordered, position
+    return ordered, np.array([codes[k] for k in ordered], dtype=np.intp)
+
+
+def _grown(grid: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
+    """`grid`, or a NaN-padded copy of it with at least n_rows x n_cols cells;
+    an axis that must grow at least doubles, and the other keeps its size."""
+    rows, cols = grid.shape
+    if n_rows <= rows and n_cols <= cols:
+        return grid
+    out = np.full((rows if n_rows <= rows else max(n_rows, 2 * rows),
+                   cols if n_cols <= cols else max(n_cols, 2 * cols)), np.nan)
+    out[:rows, :cols] = grid
+    return out
 
 
 def _line_blocks(fh):
@@ -325,11 +351,20 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
     """The long layout read in blocks; raises _Declined, never a package error.
 
     It takes plain files only: the long header, then `date,ticker,close`
-    lines with LF or CRLF ends, no quoting, no blank line, unpadded tickers,
-    finite positive prices and no conflicting repeat of a (date, ticker) key
-    (an equal repeat loads, as in `_load_cells`). Dates go through
-    `_parse_date` once per distinct text and prices through `float`, so a
-    file read here gives what `_load_cells` gives.
+    lines with LF or CRLF ends, no quoting, unpadded tickers, finite positive
+    prices and no conflicting repeat of a (date, ticker) key. Blank and
+    whitespace-only lines are skipped. Dates go through `_parse_date` once per
+    distinct text and prices through `float`, so a file read here gives what
+    `_load_cells` gives.
+
+    Each block is scattered as it is read into one NaN grid indexed by
+    (date code, ticker code), codes in first-seen order; the grid grows
+    geometrically on the axis whose codes outgrew it, and one permutation
+    puts it in sorted order at the end. So the reader holds one price grid
+    plus one block. The repeat rule is `_load_cells`' own: a key that an
+    earlier block left holding another price declines, and after a block's
+    scatter every price of the block must equal its cell, so a repeat within
+    the block that differs declines and an equal repeat loads.
     """
     try:
         fh = open(path, "rb")
@@ -338,6 +373,7 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
     text_codes: dict[str, int] = {}
     date_codes: dict[date, int] = {}
     ticker_codes: dict[str, int] = {}
+    grid = np.empty((0, 0))
     with fh:
         chunks = _line_blocks(fh)
         header, _, first = next(chunks, b"").partition(b"\n")
@@ -346,23 +382,21 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
         if (b'"' in header or b"\r" in header or len(header) > csv.field_size_limit()
                 or tuple(h.strip().lower() for h in names) != LONG_HEADER):
             raise _Declined("not the plain long header")
-        blocks = [_block_rows(chunk, text_codes, date_codes, ticker_codes)
-                  for chunk in itertools.chain([first], chunks) if chunk]
-    if not blocks:
+        for chunk in itertools.chain([first], chunks):
+            rows, cols, prices = _block_rows(chunk, text_codes, date_codes, ticker_codes)
+            grid = _grown(grid, len(date_codes), len(ticker_codes))
+            held = grid[rows, cols]  # NaN for a key no earlier block holds
+            grid[rows, cols] = prices
+            # A key from an earlier block must repeat its price. A key repeated
+            # within the block keeps one of its prices; another price of it
+            # differs from the kept one exactly when the repeat conflicts.
+            if not ((np.isnan(held) | (held == prices)) & (grid[rows, cols] == prices)).all():
+                raise _Declined("conflicting prices for a repeated (date, ticker) key")
+    if not date_codes:
         return [], [], np.empty((0, 0))
-
-    dates, date_pos = _sorted_keys(date_codes)
-    tickers, ticker_pos = _sorted_keys(ticker_codes)
-    rows = date_pos[np.concatenate([b[0] for b in blocks])]
-    cols = ticker_pos[np.concatenate([b[1] for b in blocks])]
-    prices = np.concatenate([b[2] for b in blocks])
-    close = np.full((len(dates), len(tickers)), np.nan)
-    close[rows, cols] = prices
-    # A repeated key keeps one of its prices; another price of it differs
-    # from the kept one exactly when the repeat conflicts.
-    if not (close[rows, cols] == prices).all():
-        raise _Declined("conflicting prices for a repeated (date, ticker) key")
-    return dates, tickers, close
+    dates, date_order = _sorted_keys(date_codes)
+    tickers, ticker_order = _sorted_keys(ticker_codes)
+    return dates, tickers, grid[np.ix_(date_order, ticker_order)]
 
 
 def _cells_matrix(cells: dict[tuple[date, str], float]):

@@ -149,14 +149,14 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1,
     # Per-asset running counts, built once per panel: of missing returns in
     # rows [0, k), then, in the same buffer, of changes between consecutive
     # rows in [0, k). A window keeps an asset with no missing return and at
-    # least one change.
-    seen = np.zeros((n_dates + 1, n_all), dtype=np.int64)
-    np.cumsum(np.isnan(values), axis=0, out=seen[1:])
+    # least one change. A count never exceeds n_dates.
+    seen = np.zeros((n_dates + 1, n_all), dtype=np.int32)
+    np.cumsum(np.isnan(values), axis=0, dtype=np.int32, out=seen[1:])
     usable = seen[ends] == seen[ends - length]  # (W, N)
     for cols, out in zip(columns, outs):
         out.dropped_missing[:] = cols.size - np.count_nonzero(usable[:, cols], axis=1)
     seen[1] = 0
-    np.cumsum(values[1:] != values[:-1], axis=0, out=seen[2:])
+    np.cumsum(values[1:] != values[:-1], axis=0, dtype=np.int32, out=seen[2:])
     usable &= seen[ends] != seen[ends - length + 1]
     del seen
     largest = max((cols.size for cols in columns), default=0)

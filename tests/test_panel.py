@@ -4,6 +4,7 @@ import io
 import logging
 import math
 import tempfile
+import tracemalloc
 from datetime import date
 from pathlib import Path
 from unittest import mock
@@ -185,10 +186,15 @@ TICKERS = ["A", "B", "C D", "Ω"]
 # date.fromisoformat takes the basic format (Python >= 3.11).
 PRICES = ["100", "100.5", "7.25", "1e2", " 42 ", "1_0", "3.0000000000000004"]
 DATE_FORMS = ["{}", "{}", " {}", "{} ", "{:%Y%m%d}"]
+# Blank and whitespace-only lines that both paths skip.
+BLANKS = ["", " ", "\t", " \t ", "\x0b", "\x0c"]
 # Each fault makes a file that the block reader must hand to the csv path.
 FAULTS = {
-    "blank": lambda d, t, p: "",
-    "blank_space": lambda d, t, p: " ",
+    # Whitespace that `str.strip` empties, so the csv path skips the line,
+    # but that the block reader does not classify.
+    "blank_nbsp": lambda d, t, p: "\u00a0",
+    "blank_unit_separator": lambda d, t, p: "\x1f",
+    "no_comma": lambda d, t, p: f"{d}",
     "two_fields": lambda d, t, p: f"{d},{t}",
     "four_fields": lambda d, t, p: f"{d},{t},{p},x",
     # "d,t,p,d2" then "t2,p2" splits into 6 fields, as two good rows would.
@@ -229,8 +235,9 @@ def long_files(draw):
     """(file text, plain): a random long file, and whether the block reader must take it.
 
     The rows of a plain file hold values both paths take, and a repeated
-    (date, ticker) key repeats its price, maybe with another date text; a
-    file with faults adds 1 or 2 lines from FAULTS.
+    (date, ticker) key repeats its price, maybe with another date text; lines
+    from BLANKS may stand anywhere after the header, the last line included.
+    A file with faults adds 1 or 2 lines from FAULTS.
     """
     header = draw(st.sampled_from(["date,ticker,close", "Date, Ticker ,CLOSE"]))
     keys = draw(st.lists(st.tuples(st.sampled_from(DATES), st.sampled_from(TICKERS)),
@@ -240,6 +247,8 @@ def long_files(draw):
     lines = [header] + [
         f"{_date_text(d, draw(st.sampled_from(DATE_FORMS)))},{t},{price[d, t]}"
         for d, t in draw(st.permutations(keys))]
+    for blank in draw(st.lists(st.sampled_from(BLANKS), max_size=3)):
+        lines.insert(draw(st.integers(1, len(lines))), blank)
     faults = [draw(st.sampled_from(sorted(FAULTS)))
               for _ in range(draw(st.sampled_from([0, 0, 1, 1, 1, 2])))]
     for fault in faults:
@@ -302,6 +311,62 @@ def test_long_loader_reads_multi_block_files_itself(tmp_path):
     with mock.patch.object(panel_module, "_load_cells") as load_cells:
         assert load_price_panel(path) == original
     assert load_cells.call_count == 0
+
+
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n"])
+def test_long_loader_reads_blank_lines_itself(tmp_path, eol):
+    # Blank lines after the header, mid-file and at the end of a file of
+    # more than two blocks.
+    rng = np.random.default_rng(9)
+    close = rng.uniform(1, 500, size=(250, 80))
+    close[rng.random(close.shape) < 0.05] = np.nan
+    original = make_panel(close, tickers=[f"S{j:03d}" for j in range(80)])
+    path = tmp_path / "p.csv"
+    write_price_panel(original, path)
+    lines = path.read_bytes().split(b"\r\n")[:-1]
+    for at in (1, 2, 1000, len(lines) // 2, len(lines)):
+        lines.insert(at, b" \t")
+    path.write_bytes(eol.join(lines) + eol + eol)
+    assert path.stat().st_size > 2 * panel_module._BLOCK_BYTES
+    with mock.patch.object(panel_module, "_load_cells") as load_cells:
+        assert load_price_panel(path) == original
+    assert load_cells.call_count == 0
+
+
+def test_long_loader_peak_memory_is_one_grid_plus_one_block(tmp_path):
+    # The reader holds one price grid (at most twice the matrix on each axis
+    # it grew, then its sorted copy) and one block: its bytes, its text, and
+    # the field strings and arrays parsed from it. This 250 x 300 panel
+    # (0.57 MB) peaks near 4.1 MB against a bound of 6.1 MB. A reader that
+    # keeps every block's codes and prices to the end, with 1 MiB blocks,
+    # peaks near 12.3 MB against its bound of 10.6 MB.
+    rng = np.random.default_rng(10)
+    close = rng.uniform(1, 500, size=(250, 300))
+    original = make_panel(close, tickers=[f"S{j:03d}" for j in range(300)])
+    path = tmp_path / "p.csv"
+    write_price_panel(original, path)
+    tracemalloc.start()
+    try:
+        panel = load_price_panel(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert panel == original
+    assert peak <= 8 * panel.close.nbytes + 6 * panel_module._BLOCK_BYTES
+
+
+@pytest.mark.parametrize("repeat, loads", [("100", True), ("1e2", True), ("101", False)])
+def test_block_reader_checks_a_repeat_in_a_later_block(tmp_path, repeat, loads):
+    # One line a block: the repeat meets the first price in the grid, not in its own block.
+    f = write(tmp_path / "p.csv", "date,ticker,close\n2025-01-02,A,100\n2025-01-03,A,7\n"
+                                  f"2025-01-02,A,{repeat}\n")
+    with mock.patch.object(panel_module, "_BLOCK_BYTES", 8):
+        if loads:
+            dates, tickers, close = panel_module._read_long_blocks(f)
+            assert (dates, tickers, close.tolist()) == (DATES[:2], ["A"], [[100.0], [7.0]])
+        else:
+            with pytest.raises(panel_module._Declined, match="conflicting prices"):
+                panel_module._read_long_blocks(f)
 
 
 def test_long_loader_leaves_fields_beyond_the_csv_limit_to_csv(tmp_path):
@@ -377,6 +442,35 @@ def test_market_panel_uses_own_calendar():
     assert len(sub.dates) == 2  # middle date dropped
     with pytest.raises(DataError):
         panel.market_panel("M3")
+
+
+def test_market_panel_shares_a_whole_panel_and_copies_a_part():
+    close = np.array([[100.0, 10.0, 5.0], [101.0, np.nan, np.nan], [102.0, 11.0, 6.0]])
+    gappy = close.copy()
+    gappy[1] = np.nan
+    tickers = ["A", "B", "C"]
+    # Each entry: a panel, and whether its markets' sub-panels share its matrix.
+    cases = [
+        (make_panel(close, tickers=tickers), True),
+        # M1 keeps two columns and every date; M2 drops a date.
+        (make_panel(close, tickers=tickers, market={"A": "M1", "B": "M2", "C": "M1"}), False),
+        (make_panel(gappy, tickers=tickers), False),  # one market, a date with no price
+    ]
+    for panel, shared in cases:
+        for market in panel.markets():
+            sub = panel.market_panel(market)
+            # What the copy path gives: the market's columns on its dates.
+            cols = [j for j, t in enumerate(tickers) if panel.market_of[t] == market]
+            part = panel.close[:, cols]
+            keep = np.isfinite(part).any(axis=1)
+            assert sub.tickers == [tickers[j] for j in cols]
+            assert sub.dates == [d for d, k in zip(panel.dates, keep) if k]
+            assert sub.close.tobytes() == part[keep].tobytes()
+            assert sub.close.flags.c_contiguous
+            assert np.shares_memory(panel.close, sub.close) == shared
+    # Every asset of M2, and of the gappy panel, is missing on the middle date.
+    assert len(cases[1][0].market_panel("M2").dates) == 2
+    assert len(cases[2][0].market_panel("ALL").dates) == 2
 
 
 def test_merge_panels_checks():
