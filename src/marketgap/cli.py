@@ -41,7 +41,6 @@ from .regimes import (
     gap_series,
     monthly_sector_heatmap,
     phase_segmentation,
-    sector_gap_series,
 )
 from .spectral import NORM_MODES, RHO_MODES
 from .synth import (
@@ -244,15 +243,14 @@ def run_gap(config: dict) -> None:
     )
 
     def compute(market, stream, returns, sector_of):
-        series = gap_series(returns, gap_cfg)
-        return series, sector_gap_series(returns, sector_of, gap_cfg) if by_sector else None
+        return gap_series(returns, gap_cfg, sector_of if by_sector else None)
 
     def write(out, results):
         summary: dict = {"config": {
             "window": gap_cfg.window, "step": gap_cfg.step,
             "rho_mode": gap_cfg.rho_mode, "norm_mode": gap_cfg.norm_mode,
         }, "markets": {}}
-        for market, (series, sectors) in results:
+        for market, series in results:
             name = _slug(market)
             out.table(f"gap_{name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER, _gap_rows(series))
             out.lines(f"gap_{name}.jsonl", _gap_json_lines(series))
@@ -266,7 +264,8 @@ def run_gap(config: dict) -> None:
                 "max_abs_delta": max(abs(delta.min()), abs(delta.max())) if delta.size else None,
                 "lambda_norm_mean": series.lambda_norm.mean() if delta.size else None,
             }
-            if sectors is None:
+            sectors = series.sectors
+            if not sectors:
                 continue
             for sector, sector_series in sectors.items():
                 out.table(f"gap_{name}_{_slug(sector)}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,

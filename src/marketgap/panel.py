@@ -50,9 +50,10 @@ class PricePanel:
             )
         if any(b <= a for a, b in zip(self.dates, self.dates[1:])):
             raise DataError("panel dates must be strictly increasing")
-        present = self.close[np.isfinite(self.close)]
-        if present.size and present.min() <= 0.0:
-            raise DataError("panel contains a non-positive price")
+        # NaN is a missing price; fmin and fmax skip it, and copy nothing.
+        if self.close.size and (np.fmin.reduce(self.close, axis=None) <= 0.0
+                                or np.fmax.reduce(self.close, axis=None) == np.inf):
+            raise DataError("panel contains a non-positive or infinite price")
         for t in self.tickers:
             if t not in self.sector_of or t not in self.market_of:
                 raise DataError(f"ticker {t!r} has no sector/market label")

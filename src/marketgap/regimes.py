@@ -52,7 +52,8 @@ class GapSeries:
     """The gap series as columns, one entry per kept window (n_assets >= 2) in date order.
 
     The columns are those of the gap table; the windows that keep fewer than
-    two assets are listed in `dropped` instead.
+    two assets are listed in `dropped` instead. `gap_series` given sector
+    labels also fills `sectors`, each sector's series by label.
     """
 
     dates: list[date]  # end date of each window
@@ -67,6 +68,7 @@ class GapSeries:
     n_above_mp: np.ndarray
     config: GapConfig
     dropped: list[DroppedWindow] = field(default_factory=list)
+    sectors: dict[str, GapSeries] = field(default_factory=dict)
 
 
 def _gap_columns(spectra, dates: list[date], config: GapConfig) -> GapSeries:
@@ -109,10 +111,42 @@ def _gap_columns(spectra, dates: list[date], config: GapConfig) -> GapSeries:
     )
 
 
-def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig()) -> GapSeries:
-    """The rolling windows' statistics and gap as columns; degenerate windows are reported."""
-    (spectra,) = rolling_spectra(returns.values, config.window, config.step)
-    return _gap_columns(spectra, returns.dates, config)
+def _gap_groups(returns: ReturnPanel, groups: list, config: GapConfig) -> list[GapSeries]:
+    """The gap series of each column group of `returns`, from one `rolling_spectra` call."""
+    spectra = rolling_spectra(returns.values, config.window, config.step, groups)
+    return [_gap_columns(s, returns.dates, config) for s in spectra]
+
+
+def _sector_columns(returns: ReturnPanel, sector_of: dict[str, str]) -> dict[str, list[int]]:
+    """Each sector's column indices, in sorted sector order. Every ticker needs a sector
+    label and every sector at least two tickers."""
+    missing = [t for t in returns.tickers if t not in sector_of]
+    if missing:
+        raise DataError(f"no sector label for tickers: {', '.join(missing[:5])}")
+    columns: dict[str, list[int]] = {}
+    for j, t in enumerate(returns.tickers):
+        columns.setdefault(sector_of[t], []).append(j)
+    columns = dict(sorted(columns.items()))
+    for sector, cols in columns.items():
+        if len(cols) < 2:
+            members = ", ".join(returns.tickers[j] for j in cols)
+            raise DataError(f"sector {sector!r} has {len(cols)} ticker(s) ({members}); need >= 2")
+    return columns
+
+
+def gap_series(returns: ReturnPanel, config: GapConfig = GapConfig(),
+               sector_of: dict[str, str] | None = None) -> GapSeries:
+    """The rolling windows' statistics and gap as columns; degenerate windows are reported.
+
+    Given sector labels, the market's columns are one more group of the
+    sectors' `rolling_spectra` call, and `sectors` holds each sector's series
+    as `sector_gap_series` gives it.
+    """
+    columns = {} if sector_of is None else _sector_columns(returns, sector_of)
+    market, *sectors = _gap_groups(
+        returns, [range(len(returns.tickers)), *columns.values()], config)
+    market.sectors = dict(zip(columns, sectors))
+    return market
 
 
 def sector_gap_series(returns: ReturnPanel, sector_of: dict[str, str],
@@ -125,19 +159,8 @@ def sector_gap_series(returns: ReturnPanel, sector_of: dict[str, str],
     dropped and reported. Every ticker needs a sector label and every sector
     at least two tickers.
     """
-    missing = [t for t in returns.tickers if t not in sector_of]
-    if missing:
-        raise DataError(f"no sector label for tickers: {', '.join(missing[:5])}")
-    columns: dict[str, list[int]] = {}
-    for j, t in enumerate(returns.tickers):
-        columns.setdefault(sector_of[t], []).append(j)
-    columns = dict(sorted(columns.items()))
-    for sector, cols in columns.items():
-        if len(cols) < 2:
-            members = ", ".join(returns.tickers[j] for j in cols)
-            raise DataError(f"sector {sector!r} has {len(cols)} ticker(s) ({members}); need >= 2")
-    spectra = rolling_spectra(returns.values, config.window, config.step, list(columns.values()))
-    return {sector: _gap_columns(s, returns.dates, config) for sector, s in zip(columns, spectra)}
+    columns = _sector_columns(returns, sector_of)
+    return dict(zip(columns, _gap_groups(returns, list(columns.values()), config)))
 
 
 # ---------- Phase segmentation ----------

@@ -21,10 +21,13 @@ from .panel import window_ends
 RHO_MODES = ("signed", "abs")
 NORM_MODES = ("excess", "plain")
 
-# Cap on the bytes of one stacked array in `rolling_spectra`: windows are taken
-# in chunks whose stacks (returns, z-scores, correlation matrices) stay below it.
-# A single window larger than the cap forms a chunk on its own.
-_CHUNK_BYTES = 4 * 2**20
+# Cap on the bytes of each stacked array of one chunk of windows in
+# `rolling_spectra`. A chunk holds at most four such arrays at once: the
+# windows' returns, a group's z-scores, its Z Z' stack and, when a group has
+# more assets than window days, its dual Z'Z stack; so about 4 MiB in all. A
+# single window larger than the cap forms a chunk on its own: its N x N Z Z'
+# is the floor.
+_CHUNK_BYTES = 2**20
 
 
 # ---------- Domain types ----------
@@ -121,11 +124,15 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1,
     variance and C = Z Z' / T goes through `correlation_spectra`. The z-scores
     are per-asset reductions, formed once for all columns, so each group's
     statistics are those of a call on its columns alone, bit for bit. Windows
-    are taken in chunks bounded by _CHUNK_BYTES, and each chunk in runs of
-    windows that keep the same assets of a group. Every run's
-    C stack is formed in one buffer sized for the largest group, allocated
-    once per call and cleaned in place: NumPy forms Z Z' exactly symmetric (a
-    symmetric rank-k update, mirrored), so it needs no symmetrizing.
+    are taken in chunks, and each chunk in runs of windows that keep the same
+    assets of a group. A chunk holds as many windows as keep each of its
+    stacked arrays within _CHUNK_BYTES, but at least one, and it holds at most
+    four such arrays at once (the returns, a group's z-scores, its Z Z' and
+    its dual Z'Z); one window's N x N Z Z' of the largest group is the floor.
+    Every run's C stack is formed in one buffer sized for the largest group,
+    allocated once per call and cleaned in place: NumPy forms Z Z' exactly
+    symmetric (a symmetric rank-k update, mirrored), so it needs no
+    symmetrizing.
     """
     n_dates, n_all = values.shape
     columns = [np.asarray(g, dtype=np.intp)
@@ -181,7 +188,8 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1,
                 if n < 2:
                     continue
                 cells = np.ix_(members, kept)
-                z = dev[cells] / std[cells][..., np.newaxis]
+                z = dev[cells]
+                z /= std[cells][..., np.newaxis]
                 raw = buffer[:len(members) * n * n].reshape(len(members), n, n)
                 np.matmul(z, z.swapaxes(-1, -2), out=raw)
                 raw /= length

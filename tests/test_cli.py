@@ -664,16 +664,15 @@ def test_log_level_changes_stderr_only(tmp_path, capsys):
             assert ours == theirs, name
 
 
-@pytest.mark.parametrize("argv,passes_per_market", [(("gap", "--by-sector"), 2),
-                                                      (("heatmap",), 1)])
+@pytest.mark.parametrize("argv,kinds", [(("gap", "--by-sector"), 2), (("heatmap",), 1)])
 def test_one_kernel_pass_per_market_for_all_its_sectors(tmp_path, risk_dir, monkeypatch,
-                                                        argv, passes_per_market):
-    # gap --by-sector runs the market series and one pass for its sectors; heatmap
-    # only the sectors' pass. Before, each sector took a pass of its own.
+                                                        argv, kinds):
+    # One pass per market serves all its sectors. Its groups are of two kinds for
+    # gap --by-sector, the market's columns and each sector's, and of one for heatmap.
     calls = []
 
     def spy(values, length, step=1, groups=None):
-        calls.append(None if groups is None else len(groups))
+        calls.append(len(groups))
         return spectral.rolling_spectra(values, length, step, groups)
 
     monkeypatch.setattr(regimes, "rolling_spectra", spy)
@@ -683,9 +682,7 @@ def test_one_kernel_pass_per_market_for_all_its_sectors(tmp_path, risk_dir, monk
     for line in (risk_dir / "meta.csv").read_text().splitlines()[1:]:
         _, sector, market = line.split(",")
         markets.setdefault(market, set()).add(sector)
-    assert len(calls) == passes_per_market * len(markets)
-    assert calls.count(None) == (passes_per_market - 1) * len(markets)  # the market series
-    assert sorted(n for n in calls if n) == sorted(len(s) for s in markets.values())
+    assert sorted(calls) == sorted(kinds - 1 + len(s) for s in markets.values())
 
 
 # ---------- rerun ----------

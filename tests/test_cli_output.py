@@ -36,7 +36,7 @@ def _series(config, rows, dropped=()):
                      config=config, dropped=list(dropped))
 
 
-def fake_sector_gap_series(returns, sector_of, config):
+def fake_sectors(returns, sector_of, config):
     rows = [
         (DAYS[6], 2, 1.99999999951, 0.99999999951, 0.9999999996, 1.0,
          np.float64(-4.5e-11), 0.0, 2.91421356237, 0),
@@ -47,7 +47,7 @@ def fake_sector_gap_series(returns, sector_of, config):
             for sector in sorted({sector_of[t] for t in returns.tickers})}
 
 
-def fake_gap_series(returns, config):
+def fake_gap_series(returns, config, sector_of=None):
     rows = [
         (DAYS[5], 4, 1.23456789012, 0.0781892967066, -0.000123456789123,
          0.3333333333333333, np.float64(0.0783127534957), 0.0101020514,
@@ -58,7 +58,10 @@ def fake_gap_series(returns, config):
          -0.6, 0.25, 2.25, 2),
     ]
     dropped = [DroppedWindow(end_date=DAYS[7], reason="window retained 1 assets (need >= 2)")]
-    return _series(config, rows, dropped)
+    series = _series(config, rows, dropped)
+    if sector_of is not None:
+        series.sectors = fake_sectors(returns, sector_of, config)
+    return series
 
 
 def fake_entropy_series(returns, length, step):
@@ -133,7 +136,6 @@ def fake_quintile_report(observations, event_date):
 def write_all(tmp_path, monkeypatch):
     """Run gap, entropy, heatmap and portfolio on the fakes; {relative path: text}."""
     for name, fake in (("gap_series", fake_gap_series),
-                       ("sector_gap_series", fake_sector_gap_series),
                        ("entropy_series", fake_entropy_series),
                        ("phase_segmentation", fake_phase_segmentation),
                        ("phase_statistics", fake_phase_statistics),

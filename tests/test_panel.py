@@ -18,6 +18,7 @@ import oracle
 from marketgap import panel as panel_module
 from marketgap.errors import DataError, DegenerateWindowError, ParseError, UsageError
 from marketgap.panel import (
+    PricePanel,
     load_metadata,
     load_price_panel,
     log_returns,
@@ -27,7 +28,7 @@ from marketgap.panel import (
 )
 from oracle import REASON_ALL_EQUAL, REASON_MISSING, standardize_window
 
-from conftest import make_panel, make_returns
+from conftest import make_panel, make_returns, weekdays
 
 
 # ---------- Loading ----------
@@ -60,6 +61,36 @@ def test_long_loader_rejects_negative_price(tmp_path):
     f = write(tmp_path / "p.csv", "date,ticker,close\n2025-01-02,A,-3.5\n")
     with pytest.raises(DataError):
         load_price_panel(f)
+
+
+@pytest.mark.parametrize("price", [-np.inf, np.inf, 0.0, -1.0])
+def test_price_panel_rejects_the_prices_the_reader_rejects(price):
+    close = np.array([[100.0, np.nan], [price, 50.0]])
+    with pytest.raises(DataError, match="non-positive or infinite price"):
+        make_panel(close)
+
+
+def test_price_panel_keeps_nan_as_missing_and_an_empty_matrix():
+    assert np.isnan(make_panel(np.array([[100.0, np.nan], [np.nan, 50.0]])).close).sum() == 2
+    assert np.isnan(make_panel(np.full((2, 2), np.nan)).close).all()
+    empty = PricePanel(dates=[], tickers=[], close=np.empty((0, 0)), sector_of={}, market_of={})
+    assert empty.shape == (0, 0)
+
+
+def test_price_panel_checks_its_prices_without_a_copy():
+    close = np.random.default_rng(3).uniform(1.0, 2.0, (500, 200))
+    close[::7, ::3] = np.nan
+    dates = weekdays(date(2025, 1, 2), 500)
+    tickers = [f"T{j}" for j in range(200)]
+    labels = dict.fromkeys(tickers, "ALL")
+    tracemalloc.start()
+    try:
+        PricePanel(dates=dates, tickers=tickers, close=close, sector_of=labels,
+                   market_of=labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < close.nbytes / 16  # a mask alone would be an eighth
 
 
 def test_long_loader_parse_error_carries_line_number(tmp_path):

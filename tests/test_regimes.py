@@ -229,6 +229,24 @@ def test_each_group_of_a_kernel_call_is_a_call_on_its_columns(case, chunk_bytes)
             assert_same_bits(a, b, name)
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(case=sector_panels())
+def test_gap_series_with_sector_labels_is_the_market_and_its_sectors(case):
+    returns, sector_of, window, step = case
+    config = GapConfig(window=window, step=step)
+    folded = gap_series(returns, config, sector_of)
+    market = gap_series(returns, config)
+    assert market.sectors == {}
+    sectors = sector_gap_series(returns, sector_of, config)
+    assert list(folded.sectors) == list(sectors)
+    for label, got, want in [(None, folded, market),
+                             *((s, folded.sectors[s], sectors[s]) for s in sectors)]:
+        assert got.dates == want.dates
+        assert got.dropped == want.dropped
+        for key in GAP_CSV_HEADER.split(",")[1:]:
+            assert_same_bits(getattr(got, key), getattr(want, key), (label, key))
+
+
 def test_one_kernel_pass_serves_every_sector(monkeypatch):
     calls = []
 
@@ -244,6 +262,9 @@ def test_one_kernel_pass_serves_every_sector(monkeypatch):
     assert calls == [[[0, 3, 6], [1, 4], [2, 5]]]
     monthly_sector_heatmap(returns, sector_of, config)
     assert len(calls) == 2 and calls[1] == calls[0]
+    series = gap_series(returns, config, sector_of)
+    assert list(series.sectors) == ["A", "B", "C"]
+    assert len(calls) == 3 and list(calls[2][0]) == list(range(7)) and calls[2][1:] == calls[0]
 
 
 # ---------- Phase segmentation ----------
