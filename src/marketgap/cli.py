@@ -18,6 +18,7 @@ import re
 import sys
 from dataclasses import fields, is_dataclass
 from datetime import date
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -191,7 +192,7 @@ class _OutDir:
             fh.writelines(f"{line}\n" for line in lines)
 
     def table(self, name: str, units: str, header: str, rows) -> None:
-        self.lines(name, [units, header, *(",".join(map(_cell, row)) for row in rows)])
+        self.lines(name, chain([units, header], (",".join(map(_cell, row)) for row in rows)))
 
     def json(self, name: str, obj) -> None:
         self.lines(name, [json.dumps(obj, sort_keys=True, indent=2)])
@@ -208,17 +209,21 @@ class _OutDir:
 
 
 def _run_markets(command: str, config: dict, compute, write) -> None:
-    """Check the layout, create --out-dir, load the panel and run `compute(market, stream,
-    returns, sector_of)` on each market (0-based stream number, log returns, sector labels);
-    only then `write(out, [(market, result), ...])`, and then the manifest."""
+    """Check the layout, create --out-dir, load the panel, form every market's log returns
+    and drop the price grid; then run `compute(market, stream, returns, sector_of)` on each
+    market (0-based stream number); only then `write(out, [(market, result), ...])`, then
+    the manifest."""
     layout = config.get("layout", "long")
     check_choice("layout", layout, LAYOUTS)
     out = _OutDir(config["out_dir"])
     panel = load_price_panel(config["prices"], layout=layout, metadata=config.get("meta"))
+    markets = [(market, log_returns(sub), sub.sector_of)
+               for market, sub in ((m, panel.market_panel(m)) for m in panel.markets())]
+    del panel
     results = []
-    for stream, market in enumerate(panel.markets()):
-        sub = panel.market_panel(market)
-        results.append((market, compute(market, stream, log_returns(sub), sub.sector_of)))
+    while markets:
+        market, returns, sector_of = markets.pop(0)
+        results.append((market, compute(market, len(results), returns, sector_of)))
     write(out, results)
     out.manifest(command, config)
 
@@ -357,8 +362,8 @@ def run_portfolio(config: dict) -> None:
         return result.observations, report
 
     def write(out, results):
-        lines = (line for _, (obs, _) in results for line in _observation_lines(obs))
-        out.lines("observations.csv", [OBS_CSV_UNITS, OBS_CSV_HEADER, *lines])
+        out.lines("observations.csv", chain([OBS_CSV_UNITS, OBS_CSV_HEADER], *(
+            _observation_lines(obs) for _, (obs, _) in results)))
         out.json("report.json", {
             "study": {
                 "formation": study_cfg.formation,

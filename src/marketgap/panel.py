@@ -502,11 +502,12 @@ def merge_panels(panels: list[PricePanel]) -> PricePanel:
 # ---------- Core operations ----------
 
 def log_returns(panel: PricePanel) -> ReturnPanel:
-    """Daily log returns ln(P_t / P_{t-1}); NaN where either price is missing."""
+    """Daily log returns ln(P_t / P_{t-1}), logged in place; NaN where either price is missing."""
     if len(panel.dates) < 2:
         raise DataError("log returns need at least 2 dates")
+    values = panel.close[1:] / panel.close[:-1]
     with np.errstate(invalid="ignore"):
-        values = np.log(panel.close[1:] / panel.close[:-1])
+        np.log(values, out=values)
     return ReturnPanel(dates=panel.dates[1:], tickers=list(panel.tickers), values=values)
 
 

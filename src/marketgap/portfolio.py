@@ -407,11 +407,14 @@ def _window_columns(form: np.ndarray, test: np.ndarray, config: StudyConfig,
     # Drawing positions in `eligible` takes the same random stream as drawing
     # from `eligible` itself.
     pos = _subsets(key, config.portfolios, eligible.size, n)
-    # The eligible assets' rows, each contiguous, centered once; their (P, n, t)
-    # formation and (P, n, h) test stacks are gathered from them.
+    # The eligible assets' rows, each contiguous. Their (P, n, t) formation, centered and
+    # (P, n, h) test stacks are gathered in turn, each once the one before is gone.
     rows = np.ascontiguousarray(form.T[eligible])
-    x = rows[pos]
-    y = np.ascontiguousarray(test.T[eligible])[pos]
+    q_ew = ew_weights(n)
+    # Formation moments stay on the population (1/T) convention.
+    hist = rows[pos].swapaxes(-1, -2) @ q_ew
+    hist -= hist.mean(axis=-1, keepdims=True)
+    sigma_hist = np.sqrt(np.mean(hist ** 2, axis=-1)) * math.sqrt(config.annualization) * 100.0
 
     # Shared population-1/T moments give both the covariance for the weights
     # and the correlation for the gap of the same subset.
@@ -423,11 +426,7 @@ def _window_columns(form: np.ndarray, test: np.ndarray, config: StudyConfig,
 
     q_mvp = mvp_weights(cov, _certified(spectra.eigenvalues, d))
     kept = ~np.isnan(q_mvp).any(axis=-1)
-    q_ew = ew_weights(n)
-    # Formation moments stay on the population (1/T) convention.
-    hist = x.swapaxes(-1, -2) @ q_ew
-    hist -= hist.mean(axis=-1, keepdims=True)
-    sigma_hist = np.sqrt(np.mean(hist ** 2, axis=-1)) * math.sqrt(config.annualization) * 100.0
+    y = np.ascontiguousarray(test.T[eligible])[pos]
     sigma_mvp = realized_volatility(q_mvp, y, config.annualization)
     sigma_ew = realized_volatility(q_ew, y, config.annualization)
     return tuple(c[kept] for c in (eligible[pos], delta, rho_bar, sigma_hist, sigma_mvp, sigma_ew))

@@ -24,9 +24,9 @@ NORM_MODES = ("excess", "plain")
 # Cap on the bytes of each stacked array of one chunk of windows in
 # `rolling_spectra`. A chunk holds at most four such arrays at once: the
 # windows' returns, a group's z-scores, its Z Z' stack and, when a group has
-# more assets than window days, its dual Z'Z stack; so about 4 MiB in all. A
-# single window larger than the cap forms a chunk on its own: its N x N Z Z'
-# is the floor.
+# more assets than window days, its dual Z'Z stack; so about 4 MiB in all, plus
+# the byte masks of the drop rules. A single window larger than the cap forms a
+# chunk on its own: its N x N Z Z' is the floor.
 _CHUNK_BYTES = 2**20
 
 
@@ -125,10 +125,12 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1,
     are per-asset reductions, formed once for all columns, so each group's
     statistics are those of a call on its columns alone, bit for bit. Windows
     are taken in chunks, and each chunk in runs of windows that keep the same
-    assets of a group. A chunk holds as many windows as keep each of its
-    stacked arrays within _CHUNK_BYTES, but at least one, and it holds at most
-    four such arrays at once (the returns, a group's z-scores, its Z Z' and
-    its dual Z'Z); one window's N x N Z Z' of the largest group is the floor.
+    assets of a group. Both drop rules are read from the chunk's copy of its
+    windows' returns, so nothing is sized by the panel's length. A chunk holds
+    as many windows as keep each of its stacked arrays within _CHUNK_BYTES,
+    but at least one, and it holds at most four such arrays at once (the
+    returns, a group's z-scores, its Z Z' and its dual Z'Z); one window's
+    N x N Z Z' of the largest group is the floor.
     Every run's C stack is formed in one buffer sized for the largest group,
     allocated once per call and cleaned in place: NumPy forms Z Z' exactly
     symmetric (a symmetric rank-k update, mirrored), so it needs no
@@ -153,19 +155,6 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1,
         return outs
     # A (W, N, T) view whose window k starts at row k * step = ends[k] - length.
     windows = sliding_window_view(values, length, axis=0)[::step]
-    # Per-asset running counts, built once per panel: of missing returns in
-    # rows [0, k), then, in the same buffer, of changes between consecutive
-    # rows in [0, k). A window keeps an asset with no missing return and at
-    # least one change. A count never exceeds n_dates.
-    seen = np.zeros((n_dates + 1, n_all), dtype=np.int32)
-    np.cumsum(np.isnan(values), axis=0, dtype=np.int32, out=seen[1:])
-    usable = seen[ends] == seen[ends - length]  # (W, N)
-    for cols, out in zip(columns, outs):
-        out.dropped_missing[:] = cols.size - np.count_nonzero(usable[:, cols], axis=1)
-    seen[1] = 0
-    np.cumsum(values[1:] != values[:-1], axis=0, dtype=np.int32, out=seen[2:])
-    usable &= seen[ends] != seen[ends - length + 1]
-    del seen
     largest = max((cols.size for cols in columns), default=0)
     chunk = max(1, _CHUNK_BYTES // (8 * max(n_all * length, largest * largest, 1)))
     buffer = np.empty(min(chunk, n_win) * largest * largest)
@@ -173,10 +162,14 @@ def rolling_spectra(values: np.ndarray, length: int, step: int = 1,
         # A C-ordered copy: each asset's T returns are contiguous, so the means and
         # variances below sum in the same order as a one-dimensional reduction.
         dev = np.array(windows[lo:lo + chunk], order="C")  # (k, N, T)
+        # An asset is kept with no missing return and at least one day-to-day change.
+        complete = ~np.isnan(dev).any(axis=-1)
+        keep = complete & (dev[..., 1:] != dev[..., :-1]).any(axis=-1)
         dev -= dev.mean(axis=-1, keepdims=True)
         std = np.sqrt(np.mean(dev * dev, axis=-1))
-        keep = usable[lo:lo + chunk] & np.isfinite(std) & (std > 0.0)
+        keep &= np.isfinite(std) & (std > 0.0)
         for cols, out in zip(columns, outs):
+            out.dropped_missing[lo:lo + chunk] = cols.size - complete[:, cols].sum(axis=1)
             runs: dict[bytes, list[int]] = {}
             for i, row in enumerate(keep[:, cols]):
                 runs.setdefault(row.tobytes(), []).append(i)

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from datetime import date
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from marketgap import regimes, spectral
+from marketgap import cli, regimes, spectral
 from marketgap.cli import main
 
 from conftest import weekdays
@@ -683,6 +684,35 @@ def test_one_kernel_pass_per_market_for_all_its_sectors(tmp_path, risk_dir, monk
         _, sector, market = line.split(",")
         markets.setdefault(market, set()).add(sector)
     assert sorted(calls) == sorted(kinds - 1 + len(s) for s in markets.values())
+
+
+@pytest.mark.parametrize("panel_dir", ["synth_dir", "risk_dir"])
+def test_price_grid_is_freed_before_the_first_market_computes(tmp_path, request, monkeypatch,
+                                                              panel_dir):
+    # Every market's returns are formed first, and then the loaded panel, each
+    # market's sub-panel and so the price grid go: on one market, whose sub-panel
+    # shares the grid, and on two.
+    directory = request.getfixturevalue(panel_dir)
+    grids, alive = [], []
+    load_price_panel = cli.load_price_panel
+
+    def load(*args, **kwargs):
+        panel = load_price_panel(*args, **kwargs)
+        grids.append(weakref.ref(panel.close))
+        return panel
+
+    def fake_gap_series(returns, config, sector_of=None):
+        alive.append(grids[0]() is not None)
+        return regimes.gap_series(returns, config, sector_of)
+
+    monkeypatch.setattr(cli, "load_price_panel", load)
+    monkeypatch.setattr(cli, "gap_series", fake_gap_series)
+    assert run("gap", "--prices", directory / "prices.csv", "--meta", directory / "meta.csv",
+               "--out-dir", tmp_path / "out") == 0
+    n_markets = len({line.rsplit(",", 1)[1]
+                     for line in (directory / "meta.csv").read_text().splitlines()[1:]})
+    assert n_markets == {"synth_dir": 1, "risk_dir": 2}[panel_dir]
+    assert alive == [False] * n_markets
 
 
 # ---------- rerun ----------

@@ -543,6 +543,24 @@ def test_log_returns_needs_two_dates():
         log_returns(make_panel(np.array([[100.0]])))
 
 
+def test_log_returns_forms_one_matrix():
+    # The log is taken in place on the price ratios: the traced peak stays near
+    # the returned matrix, where a log into a fresh array holds two of them.
+    close = np.random.default_rng(12).uniform(1.0, 2.0, (500, 300))
+    close[::7, ::3] = np.nan
+    close[40:45, 10] = np.nan
+    panel = make_panel(close)
+    tracemalloc.start()
+    try:
+        r = log_returns(panel)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * r.values.nbytes
+    expected = np.log(close[1:] / close[:-1])
+    assert r.values.tobytes() == expected.tobytes()
+
+
 def test_price_reconstruction_round_trip():
     rng = np.random.default_rng(11)
     close = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.02, size=(120, 5)), axis=0))

@@ -542,6 +542,27 @@ def test_rolling_spectra_working_set_is_a_few_windows():
     assert peak <= 8 * n_windows * n_assets * length / 4
 
 
+def test_rolling_spectra_working_set_does_not_grow_with_the_panel():
+    # 5000 days of 200 assets, three 60-day windows: the drop rules are read from
+    # each chunk's copy of its windows, so the traced peak (near 4x here) stays
+    # within a few windows' returns and C, where a running count per day and asset
+    # alone would take 4 MB.
+    n_dates, n_assets, length = 5000, 200, 60
+    values = np.random.default_rng(13).normal(0.0, 0.01, (n_dates, n_assets))
+    values[2010:2015, 3] = np.nan
+    values[4000:4100, 5] = 0.0
+    tracemalloc.start()
+    try:
+        spectra = rolling_spectra(values, length, 2000)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spectra.n_assets.tolist() == [n_assets, n_assets - 1, n_assets - 1]
+    assert spectra.dropped_missing.tolist() == [0, 1, 0]
+    assert spectra.dropped_all_equal.tolist() == [0, 0, 1]
+    assert peak <= 6 * 8 * (n_assets * length + n_assets * n_assets)
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(case=return_panels())
 def test_rolling_spectra_drop_counts_match_oracle_reasons(case):
