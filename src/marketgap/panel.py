@@ -2,7 +2,7 @@
 
 Panels hold aligned daily close prices as a dates x tickers float matrix with
 NaN marking missing observations. All operations are pure; panels are never
-mutated after construction, so they are safe to share across workers.
+mutated after construction.
 """
 from __future__ import annotations
 
@@ -80,14 +80,11 @@ class PricePanel:
             raise DataError(f"no tickers labeled with market {market!r}")
         members = [self.tickers[j] for j in cols]
         whole = len(cols) == len(self.tickers)
-        close = self.close if whole else self.close[:, cols]
-        keep = np.isfinite(close).any(axis=1)
+        keep = np.isfinite(self.close if whole else self.close[:, cols]).any(axis=1)
         return PricePanel(
             dates=[d for d, k in zip(self.dates, keep) if k],
             tickers=members,
-            # The row mask also makes the column gather, which NumPy lays out
-            # in Fortran order, a C-ordered copy.
-            close=close if whole and keep.all() else close[keep],
+            close=self.close if whole and keep.all() else self.close[np.ix_(keep, cols)],
             sector_of={t: self.sector_of[t] for t in members},
             market_of={t: market for t in members},
         )
@@ -177,7 +174,7 @@ def _parse_price(text: str, path, line: int) -> float:
     except ValueError:
         raise ParseError(f"invalid price {text!r}", path, line) from None
     if not math.isfinite(value) or value <= 0.0:
-        raise DataError(f"{path}:{line}: non-positive price {text!r}")
+        raise DataError(f"{path}:{line}: non-positive or non-finite price {text!r}")
     return value
 
 
@@ -202,11 +199,13 @@ def load_metadata(path) -> dict[str, tuple[str, str]]:
     return out
 
 
-def _load_cells(path, layout: str) -> dict[tuple[date, str], float]:
-    """The (date, ticker) prices of a long or wide file, read with the csv module.
+def _load_cells(path, layout: str) -> tuple[list[date], list[str], np.ndarray]:
+    """The dates, tickers and close matrix of a long or wide file, read with the csv module.
 
     A blank line is skipped, and so is an empty wide cell (missing). A repeated
-    key must repeat its price.
+    key must repeat its price. Prices fill a grid as `_read_long_blocks` fills
+    its own: a date or ticker gets a code when it first stores a price, so an
+    all-empty wide line or column stays absent.
     """
     rows = _open_rows(path)
     header = [h.strip() for h in next(rows, None) or ()]
@@ -220,7 +219,9 @@ def _load_cells(path, layout: str) -> dict[tuple[date, str], float]:
             raise ParseError("empty ticker column name", path, 1)
         if len(set(header[1:])) != len(header) - 1:
             raise DataError(f"{path}:1: duplicate ticker columns")
-    cells: dict[tuple[date, str], float] = {}
+    date_codes: dict[date, int] = {}
+    ticker_codes: dict[str, int] = {}
+    grid = np.empty((0, 0))
     for n, row in enumerate(rows, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -236,11 +237,15 @@ def _load_cells(path, layout: str) -> dict[tuple[date, str], float]:
             price_texts = ((t, cell) for t, cell in zip(header[1:], row[1:]) if cell.strip())
         for ticker, text in price_texts:
             price = _parse_price(text, path, n)
-            kept = cells.setdefault((d, ticker), price)
-            if kept != price:
+            r = date_codes.setdefault(d, len(date_codes))
+            c = ticker_codes.setdefault(ticker, len(ticker_codes))
+            grid = _grown(grid, len(date_codes), len(ticker_codes))
+            kept = grid.item(r, c)  # NaN while the cell holds no price
+            if kept != price and not math.isnan(kept):
                 raise DataError(f"{path}:{n}: conflicting duplicate for "
                                 f"({d.isoformat()}, {ticker}): {kept!r} vs {price!r}")
-    return cells
+            grid[r, c] = price
+    return _sorted_panel(date_codes, ticker_codes, grid)
 
 
 class _Declined(Exception):
@@ -310,10 +315,13 @@ def _block_rows(chunk: bytes, text_codes: dict[str, int], date_codes: dict[date,
             prices)
 
 
-def _sorted_keys(codes: dict) -> tuple[list, np.ndarray]:
-    """The keys of `codes` sorted, and the code of each in that order."""
-    ordered = sorted(codes)
-    return ordered, np.array([codes[k] for k in ordered], dtype=np.intp)
+def _sorted_panel(date_codes: dict[date, int], ticker_codes: dict[str, int],
+                  grid: np.ndarray) -> tuple[list[date], list[str], np.ndarray]:
+    """(dates, tickers, close) of a grid indexed by first-seen codes: the dates
+    and tickers sorted, and one gather of the grid's cells into that order."""
+    dates, tickers = sorted(date_codes), sorted(ticker_codes)
+    return dates, tickers, grid[np.ix_([date_codes[d] for d in dates],
+                                       [ticker_codes[t] for t in tickers])]
 
 
 def _grown(grid: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
@@ -393,23 +401,7 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
             # differs from the kept one exactly when the repeat conflicts.
             if not ((np.isnan(held) | (held == prices)) & (grid[rows, cols] == prices)).all():
                 raise _Declined("conflicting prices for a repeated (date, ticker) key")
-    if not date_codes:
-        return [], [], np.empty((0, 0))
-    dates, date_order = _sorted_keys(date_codes)
-    tickers, ticker_order = _sorted_keys(ticker_codes)
-    return dates, tickers, grid[np.ix_(date_order, ticker_order)]
-
-
-def _cells_matrix(cells: dict[tuple[date, str], float]):
-    """(dates, tickers, close matrix) of the cells the csv path read."""
-    dates = sorted({d for d, _ in cells})
-    tickers = sorted({t for _, t in cells})
-    date_idx = {d: i for i, d in enumerate(dates)}
-    tick_idx = {t: j for j, t in enumerate(tickers)}
-    close = np.full((len(dates), len(tickers)), np.nan)
-    for (d, t), price in cells.items():
-        close[date_idx[d], tick_idx[t]] = price
-    return dates, tickers, close
+    return _sorted_panel(date_codes, ticker_codes, grid)
 
 
 def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:
@@ -430,9 +422,9 @@ def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:
             dates, tickers, close = _read_long_blocks(path)
         except _Declined as exc:
             logger.debug("%s: block reader declined (%s); reading with the csv parser", path, exc)
-            dates, tickers, close = _cells_matrix(_load_cells(path, layout))
+            dates, tickers, close = _load_cells(path, layout)
     else:
-        dates, tickers, close = _cells_matrix(_load_cells(path, layout))
+        dates, tickers, close = _load_cells(path, layout)
     if not dates:
         raise DataError(f"{path}: no price observations")
 

@@ -11,15 +11,17 @@ and the report taken over a list of them, where the package keeps the
 study's results as columns, the stacked pseudo-inverse weights the
 package took before it solved well-conditioned covariances, the scalar
 ordinal pattern and the per-date ordinal distribution that the entropy
-series once took one window at a time, and the `csv.writer` loop that once
-wrote price panels, and the stacked correlation kernel as it stood before it
-cleaned its input in place. The windows come from plain `range` loops here,
-not from the package's grid. Only the dataclasses, the pattern table, the
-closed-form Marchenko-Pastur band and the report's rank statistics come from
-the package, except in the sector series `gap --by-sector` once took, which
-checks the calendar a sector runs on and so takes the package's log returns
-and gap series, and in the per-sector loop `sector_gap_series` ran before one
-kernel pass served every sector, which takes the package's gap series.
+series once took one window at a time, the `csv.writer` loop that once
+wrote price panels, the csv path's (date, ticker) -> price dict and the
+matrix once built from its sorted keys, and the stacked correlation kernel
+as it stood before it cleaned its input in place. The windows come from
+plain `range` loops here, not from the package's grid. Only the dataclasses,
+the pattern table, the closed-form Marchenko-Pastur band, the report's rank
+statistics and the csv parse rules come from the package, except in the
+sector series `gap --by-sector` once took, which checks the calendar a
+sector runs on and so takes the package's log returns and gap series, and in
+the per-sector loop `sector_gap_series` ran before one kernel pass served
+every sector, which takes the package's gap series.
 """
 from __future__ import annotations
 
@@ -31,14 +33,24 @@ from datetime import date
 import numpy as np
 
 from marketgap.errors import (
+    DataError,
     DegenerateWindowError,
     NumericError,
+    ParseError,
     UndefinedCorrelationError,
     UsageError,
 )
 from marketgap.ordinal import N_PATTERNS, PATTERNS
 from marketgap import regimes
-from marketgap.panel import LONG_HEADER, PricePanel, ReturnPanel, log_returns
+from marketgap.panel import (
+    LONG_HEADER,
+    PricePanel,
+    ReturnPanel,
+    _open_rows,
+    _parse_date,
+    _parse_price,
+    log_returns,
+)
 from marketgap.portfolio import (
     QuintileReport,
     StudyConfig,
@@ -585,6 +597,52 @@ def write_price_panel(panel: PricePanel, path) -> None:
                 value = panel.close[i, j]
                 if np.isfinite(value):
                     writer.writerow([iso, t, repr(float(value))])
+
+
+def load_cells(path, layout: str) -> tuple[list[date], list[str], np.ndarray]:
+    """(dates, tickers, close) of a long or wide file as the csv path once read it:
+    every price into a (date, ticker) dict, then a matrix over the dict's
+    sorted dates and tickers. The parse rules are the package's."""
+    rows = _open_rows(path)
+    header = [h.strip() for h in next(rows, None) or ()]
+    if layout == "long":
+        if tuple(h.lower() for h in header) != LONG_HEADER:
+            raise ParseError(f"expected header {','.join(LONG_HEADER)}", path, 1)
+    else:
+        if not header or header[0].lower() != "date":
+            raise ParseError("expected header starting with 'date'", path, 1)
+        if len(header) == 1 or not all(header[1:]):
+            raise ParseError("empty ticker column name", path, 1)
+        if len(set(header[1:])) != len(header) - 1:
+            raise DataError(f"{path}:1: duplicate ticker columns")
+    cells: dict[tuple[date, str], float] = {}
+    for n, row in enumerate(rows, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise ParseError(f"expected {len(header)} fields, got {len(row)}", path, n)
+        d = _parse_date(row[0], path, n)
+        if layout == "long":
+            ticker = row[1].strip()
+            if not ticker:
+                raise ParseError("empty ticker", path, n)
+            price_texts = ((ticker, row[2]),)
+        else:
+            price_texts = ((t, cell) for t, cell in zip(header[1:], row[1:]) if cell.strip())
+        for ticker, text in price_texts:
+            price = _parse_price(text, path, n)
+            kept = cells.setdefault((d, ticker), price)
+            if kept != price:
+                raise DataError(f"{path}:{n}: conflicting duplicate for "
+                                f"({d.isoformat()}, {ticker}): {kept!r} vs {price!r}")
+    dates = sorted({d for d, _ in cells})
+    tickers = sorted({t for _, t in cells})
+    date_idx = {d: i for i, d in enumerate(dates)}
+    tick_idx = {t: j for j, t in enumerate(tickers)}
+    close = np.full((len(dates), len(tickers)), np.nan)
+    for (d, t), price in cells.items():
+        close[date_idx[d], tick_idx[t]] = price
+    return dates, tickers, close
 
 
 def restricted_sector_gap_series(panel: PricePanel, config: GapConfig) -> dict:

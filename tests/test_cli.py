@@ -238,6 +238,17 @@ def test_gap_rejects_bad_price_file(tmp_path):
     assert run("gap", "--prices", bad, "--out-dir", tmp_path / "out") == 3
 
 
+@pytest.mark.parametrize("layout", ["long", "wide"])
+@pytest.mark.parametrize("price", ["nan", "inf", "-inf", "1e400", "0", "-3"])
+def test_non_positive_or_non_finite_price_is_named_exit_3(tmp_path, capsys, layout, price):
+    bad = tmp_path / "bad.csv"
+    bad.write_text({"long": f"date,ticker,close\n2025-01-02,A,100\n2025-01-03,A,{price}\n",
+                    "wide": f"date,A,B\n2025-01-02,100,1\n2025-01-03,{price},1\n"}[layout],
+                   encoding="utf-8")
+    assert run("gap", "--prices", bad, "--layout", layout, "--out-dir", tmp_path / "out") == 3
+    assert f"{bad}:3: non-positive or non-finite price '{price}'" in capsys.readouterr().err
+
+
 GOOD_ROWS = b"".join(b"2025-01-%02d,%s,%d.0\n" % (d, t, 10 + d) for d in range(2, 8)
                      for t in (b"A", b"B", b"C"))
 

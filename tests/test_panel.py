@@ -202,6 +202,14 @@ def strict_load(path):
         return load_price_panel(path)
 
 
+def oracle_load(path, layout="long"):
+    """load_price_panel with every file read by the oracle's dict-based csv path."""
+    declined = panel_module._Declined("forced")
+    with mock.patch.object(panel_module, "_read_long_blocks", side_effect=declined), \
+            mock.patch.object(panel_module, "_load_cells", oracle.load_cells):
+        return load_price_panel(path, layout)
+
+
 def outcome(load, path):
     """What a load gives: the panel's dates, tickers and bytes, or the exception."""
     try:
@@ -303,7 +311,8 @@ def test_long_loader_matches_csv_path(case, block):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
         path.write_bytes(text.encode("utf-8"))
-        expected = outcome(strict_load, path)
+        expected = outcome(oracle_load, path)
+        assert outcome(strict_load, path) == expected
         spy = mock.patch.object(panel_module, "_load_cells", wraps=panel_module._load_cells)
         with mock.patch.object(panel_module, "_BLOCK_BYTES", block), spy as load_cells:
             got = outcome(load_price_panel, path)
@@ -324,7 +333,8 @@ def test_long_loader_hands_every_fault_to_the_csv_path(tmp_path, fault, eol):
              "2025-01-03,A,101"]
     f = tmp_path / "p.csv"
     f.write_bytes((eol.join(line.replace("\n", eol) for line in lines) + eol).encode("utf-8"))
-    expected = outcome(strict_load, f)
+    expected = outcome(oracle_load, f)
+    assert outcome(strict_load, f) == expected
     with mock.patch.object(panel_module, "_load_cells", wraps=panel_module._load_cells) as spy:
         assert outcome(load_price_panel, f) == expected
     assert spy.call_count == 1
@@ -421,6 +431,104 @@ def test_long_loader_logs_why_it_declines(tmp_path, caplog):
     assert "block reader declined (a quote character)" in caplog.text
 
 
+# ---------- The wide layout against the dict oracle ----------
+
+# Cells that both the grid and the dict take; the blank ones are missing.
+WIDE_CELLS = PRICES + ["", " ", "\t"]
+WIDE_HEADER_FAULTS = ["day,A", "date", "date,A,", "date,A, A", "date\r,A"]
+
+
+@st.composite
+def wide_files(draw):
+    """A random wide file for `load_price_panel(..., layout="wide")`.
+
+    Its lines hold prices, empty and whitespace cells, maybe an all-empty
+    column, and distinct dates. Up to two of them repeat, with their prices or
+    with one cell redrawn (an equal price in another form, a new price, or a
+    blank). Lines from BLANKS may stand anywhere after the header. 0-2 lines
+    come from FAULTS, with price texts in the places of the ticker and the
+    price, padded to the header's width; now and then the header is one from
+    WIDE_HEADER_FAULTS.
+    """
+    tickers = draw(st.lists(st.sampled_from(TICKERS), min_size=1, max_size=4, unique=True))
+    header = "date," + ",".join(draw(st.sampled_from(["{}", " {} "])).format(t)
+                                for t in tickers)
+    rows = [[d] + [draw(st.sampled_from(WIDE_CELLS)) for _ in tickers]
+            for d in draw(st.lists(st.sampled_from(DATES), unique=True))]
+    if rows and draw(st.booleans()):
+        empty = draw(st.integers(1, len(tickers)))
+        for row in rows:
+            row[empty] = ""
+    for row in draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []:
+        row = list(row)
+        if draw(st.booleans()):
+            row[draw(st.integers(1, len(tickers)))] = draw(st.sampled_from(WIDE_CELLS))
+        rows.append(row)
+    lines = [header] + [
+        ",".join([_date_text(row[0], draw(st.sampled_from(DATE_FORMS)))] + row[1:])
+        for row in draw(st.permutations(rows))]
+    for blank in draw(st.lists(st.sampled_from(BLANKS), max_size=2)):
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    pad = "," * max(len(tickers) - 2, 0)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 1, 2]))):
+        fault = FAULTS[draw(st.sampled_from(sorted(FAULTS)))](
+            "2025-01-09", draw(st.sampled_from(PRICES)), draw(st.sampled_from(PRICES)))
+        lines.insert(draw(st.integers(1, len(lines))),
+                     "\n".join(line + pad for line in fault.split("\n")))
+    if draw(st.integers(0, 9)) == 0:
+        lines[0] = draw(st.sampled_from(WIDE_HEADER_FAULTS))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(line.replace("\n", eol) for line in lines)
+    return text + eol if draw(st.booleans()) else text
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(text=wide_files())
+def test_wide_loader_matches_the_dict_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(lambda f: oracle_load(f, "wide"), path)
+        assert outcome(lambda f: load_price_panel(f, layout="wide"), path) == expected
+
+
+@pytest.mark.parametrize("layout", ["wide", "long"])
+def test_csv_path_peak_memory_is_one_grid(tmp_path, layout):
+    # The csv path fills one NaN grid (grown geometrically, then gathered into
+    # sorted order), as the block reader does. On this 250 x 300 panel (0.6 MB)
+    # it peaks near 3.1x the matrix in the wide layout, and near 3.9x in the
+    # long one, where the block reader's first block adds to it. A (date,
+    # ticker) dict with a matrix built from it reaches 14.9x and 25.7x.
+    rng = np.random.default_rng(13)
+    close = rng.uniform(1, 500, size=(250, 300))
+    close[rng.random(close.shape) < 0.05] = np.nan
+    tickers = [f"S{j:03d}" for j in range(300)]
+    dates = weekdays(date(2024, 1, 2), 250)
+    with open(tmp_path / "p.csv", "w", encoding="utf-8") as fh:
+        if layout == "wide":
+            fh.write("date," + ",".join(tickers) + "\n")
+            for d, row in zip(dates, close.tolist()):
+                fh.write(d.isoformat() + "," + ",".join(
+                    "" if math.isnan(v) else repr(v) for v in row) + "\n")
+        else:  # quoted tickers, which the block reader declines
+            fh.write("date,ticker,close\n")
+            for d, row in zip(dates, close.tolist()):
+                fh.write("".join(f'{d},"{t}",{v!r}\n' for t, v in zip(tickers, row)
+                                 if not math.isnan(v)))
+    spy = mock.patch.object(panel_module, "_load_cells", wraps=panel_module._load_cells)
+    with spy as load_cells:
+        tracemalloc.start()
+        try:
+            panel = load_price_panel(tmp_path / "p.csv", layout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert load_cells.call_count == 1
+    assert (panel.dates, panel.tickers) == (dates, tickers)
+    assert panel.close.tobytes() == close.tobytes()
+    assert peak <= 6 * panel.close.nbytes + (1 << 20)
+
+
 # ---------- The writer against csv.writer ----------
 
 WRITER_TICKERS = ["A", "B2", "a,b", 'q"x', "C D", " P", ""]
@@ -502,6 +610,23 @@ def test_market_panel_shares_a_whole_panel_and_copies_a_part():
     # Every asset of M2, and of the gappy panel, is missing on the middle date.
     assert len(cases[1][0].market_panel("M2").dates) == 2
     assert len(cases[2][0].market_panel("ALL").dates) == 2
+
+
+def test_market_panel_copies_a_part_once():
+    # A part-market is one gather of its rows and columns; a column copy
+    # followed by a row copy peaks at twice the sub-panel or more.
+    close = np.random.default_rng(4).uniform(1.0, 2.0, (400, 200))
+    close[::5, 100:] = np.nan  # M2 keeps 320 of the 400 dates
+    panel = make_panel(close, market={f"T{j}": "M1" if j < 100 else "M2" for j in range(200)})
+    for market, n_dates in (("M1", 400), ("M2", 320)):
+        tracemalloc.start()
+        try:
+            sub = panel.market_panel(market)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sub.close.shape == (n_dates, 100) and sub.close.flags.c_contiguous
+        assert peak <= 1.8 * sub.close.nbytes
 
 
 def test_merge_panels_checks():
