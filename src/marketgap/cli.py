@@ -115,12 +115,23 @@ def _json(x):
     return int(x) if isinstance(x, np.integer) else x
 
 
+# `_observation_lines` turns this many observations at a time into Python
+# objects, about 0.3 MB of them. On the risk-study preset (seed 9, 18000
+# observations) slices of 4096 rows peaked 1.0 MB higher in RSS.
+_OBS_SLICE = 1024
+
+
 def _observation_lines(obs):
-    """The OBS_CSV_HEADER line of each observation, by the _cell rule (str(date) is ISO)."""
-    tickers = (";".join(map(obs.tickers.__getitem__, row)) for row in obs.picks.tolist())
-    columns = (getattr(obs, key).tolist() for key in OBS_CSV_HEADER.split(",")[1:-1])
-    for end, delta, rho_bar, hist, mvp, ew, names in zip(*columns, tickers):
-        yield f"{obs.market},{end},{delta:.9g},{rho_bar:.9g},{hist:.9g},{mvp:.9g},{ew:.9g},{names}"
+    """The OBS_CSV_HEADER line of each observation, by the _cell rule (str(date) is ISO);
+    the columns are read in slices of _OBS_SLICE rows, so the lines stream."""
+    keys = OBS_CSV_HEADER.split(",")[1:-1]
+    for lo in range(0, len(obs), _OBS_SLICE):
+        rows = slice(lo, lo + _OBS_SLICE)
+        tickers = (";".join(map(obs.tickers.__getitem__, row)) for row in obs.picks[rows].tolist())
+        columns = (getattr(obs, key)[rows].tolist() for key in keys)
+        for end, delta, rho_bar, hist, mvp, ew, names in zip(*columns, tickers):
+            yield (f"{obs.market},{end},{delta:.9g},{rho_bar:.9g},{hist:.9g},{mvp:.9g},"
+                   f"{ew:.9g},{names}")
 
 
 def _gap_rows(series) -> list[tuple]:

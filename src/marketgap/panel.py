@@ -23,8 +23,12 @@ LONG_HEADER = ("date", "ticker", "close")
 META_HEADER = ("ticker", "sector", "market")
 DEFAULT_SECTOR = "UNKNOWN"
 DEFAULT_MARKET = "ALL"
-# The long-layout reader takes the file in blocks of this many bytes.
-_BLOCK_BYTES = 1 << 18
+# The long-layout reader takes the file in blocks of this many bytes. A block's
+# field strings leave freed heap behind that later arrays reuse only in part, so
+# the block size sets a floor under a command's later peak: against 256 KiB,
+# 64 KiB blocks lowered `gap --by-sector`'s peak RSS from 40.0 to 39.2 MB on
+# the three-phase preset and from 63.4 to 61.4 MB on the 1500 x 500 panel.
+_BLOCK_BYTES = 1 << 16
 
 logger = logging.getLogger(__name__)
 
@@ -252,35 +256,57 @@ class _Declined(Exception):
     """The block reader met something it leaves to the csv path; the text says what."""
 
 
-def _block_rows(chunk: bytes, text_codes: dict[str, int], date_codes: dict[date, int],
-                ticker_codes: dict[str, int]):
-    """(date codes, ticker codes, prices) of whole lines, each `date,ticker,close`;
-    blank and whitespace-only lines are skipped.
+class _DateCodes(dict):
+    """Date text -> code of its date in `dates`, first seen first; a new text is parsed
+    on its first lookup, and one that is no date declines."""
 
-    `text_codes` maps each date text seen so far to the code of its date in
-    `date_codes`, and `ticker_codes` each ticker to its code. The dicts grow
-    by the block's new keys.
+    def __init__(self):
+        super().__init__()
+        self.dates: dict[date, int] = {}
+
+    def __missing__(self, text: str) -> int:
+        try:
+            d = _parse_date(text, None, None)
+        except ParseError:
+            raise _Declined(f"the date {text!r}") from None
+        return self.setdefault(text, self.dates.setdefault(d, len(self.dates)))
+
+
+class _TickerCodes(dict):
+    """Ticker -> code, first seen first; an empty or padded ticker declines on its first lookup."""
+
+    def __missing__(self, ticker: str) -> int:
+        if not ticker or ticker != ticker.strip():
+            raise _Declined(f"the empty or padded ticker {ticker!r}")
+        return self.setdefault(ticker, len(self))
+
+
+def _block_rows(chunk: bytes, date_codes: _DateCodes, ticker_codes: _TickerCodes):
+    """(date codes, ticker codes, prices) of whole lines, each `date,ticker,close`;
+    blank and whitespace-only lines are skipped. The code tables grow by the block's
+    new keys.
     """
     if b'"' in chunk:
         raise _Declined("a quote character")
     if b"\0" in chunk:
         raise _Declined("a NUL character")
+    raw = np.frombuffer(chunk, dtype=np.uint8)
     # A CRLF line keeps its \r at the end of the price, which `float` ignores.
-    if b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
+    if b"\r" in chunk and (raw[np.flatnonzero(raw == ord("\r")) + 1] != ord("\n")).any():
         raise _Declined("a carriage return outside a CRLF line end")
-    if chunk.count(b",") < 2 * chunk.count(b"\n"):
+    ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
+    if commas.size < 2 * ends.size:
         # Fewer commas than 3 fields a line take: drop the lines that the csv
         # path skips, those without a comma that `bytes.strip` empties. Any
         # other line without a comma (one of Unicode whitespace, say) stays
         # and is declined below.
         chunk = b"".join([line for line in chunk.splitlines(keepends=True)
                           if b"," in line or line.strip()])
+        raw = np.frombuffer(chunk, dtype=np.uint8)
+        ends, commas = np.flatnonzero(raw == ord("\n")), np.flatnonzero(raw == ord(","))
     if not chunk:
         return np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)
-    raw = np.frombuffer(chunk, dtype=np.uint8)
-    ends = np.flatnonzero(raw == ord("\n"))
     starts = np.r_[-1, ends[:-1]]  # the newline before each line
-    commas = np.flatnonzero(raw == ord(","))
     # With 2 commas per line in all, each line holds its own two exactly when
     # comma 2k follows line k's start and comma 2k + 1 precedes its end.
     if (commas.size != 2 * ends.size or (commas[0::2] < starts).any()
@@ -293,26 +319,15 @@ def _block_rows(chunk: bytes, text_codes: dict[str, int], date_codes: dict[date,
     except UnicodeDecodeError:
         raise _Declined("bytes that are not UTF-8") from None
     date_texts, tickers, price_texts = fields[0:-1:3], fields[1::3], fields[2::3]
-
-    for text in set(date_texts).difference(text_codes):
-        try:
-            d = _parse_date(text, None, None)
-        except ParseError:
-            raise _Declined(f"the date {text!r}") from None
-        text_codes[text] = date_codes.setdefault(d, len(date_codes))
-    for ticker in set(tickers).difference(ticker_codes):
-        if not ticker or ticker != ticker.strip():
-            raise _Declined(f"the empty or padded ticker {ticker!r}")
-        ticker_codes[ticker] = len(ticker_codes)
+    rows = np.fromiter(map(date_codes.__getitem__, date_texts), np.int32, len(date_texts))
+    cols = np.fromiter(map(ticker_codes.__getitem__, tickers), np.int32, len(tickers))
     try:
         prices = np.fromiter(map(float, price_texts), np.float64, len(price_texts))
     except ValueError:
         raise _Declined("a price that is not a number") from None
     if not ((prices > 0.0) & (prices < math.inf)).all():
         raise _Declined("a non-finite or non-positive price")
-    return (np.fromiter(map(text_codes.__getitem__, date_texts), np.int32, len(date_texts)),
-            np.fromiter(map(ticker_codes.__getitem__, tickers), np.int32, len(tickers)),
-            prices)
+    return rows, cols, prices
 
 
 def _sorted_panel(date_codes: dict[date, int], ticker_codes: dict[str, int],
@@ -379,9 +394,7 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
         fh = open(path, "rb")
     except OSError as exc:
         raise _Declined(f"cannot open: {exc.strerror}") from None
-    text_codes: dict[str, int] = {}
-    date_codes: dict[date, int] = {}
-    ticker_codes: dict[str, int] = {}
+    date_codes, ticker_codes = _DateCodes(), _TickerCodes()
     grid = np.empty((0, 0))
     with fh:
         chunks = _line_blocks(fh)
@@ -392,8 +405,8 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
                 or tuple(h.strip().lower() for h in names) != LONG_HEADER):
             raise _Declined("not the plain long header")
         for chunk in itertools.chain([first], chunks):
-            rows, cols, prices = _block_rows(chunk, text_codes, date_codes, ticker_codes)
-            grid = _grown(grid, len(date_codes), len(ticker_codes))
+            rows, cols, prices = _block_rows(chunk, date_codes, ticker_codes)
+            grid = _grown(grid, len(date_codes.dates), len(ticker_codes))
             held = grid[rows, cols]  # NaN for a key no earlier block holds
             grid[rows, cols] = prices
             # A key from an earlier block must repeat its price. A key repeated
@@ -401,7 +414,7 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
             # differs from the kept one exactly when the repeat conflicts.
             if not ((np.isnan(held) | (held == prices)) & (grid[rows, cols] == prices)).all():
                 raise _Declined("conflicting prices for a repeated (date, ticker) key")
-    return _sorted_panel(date_codes, ticker_codes, grid)
+    return _sorted_panel(date_codes.dates, ticker_codes, grid)
 
 
 def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:

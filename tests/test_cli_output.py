@@ -5,7 +5,9 @@ files below depend only on the output format: 9 significant digits, exponent
 notation, negatives, NumPy scalars, ISO dates, None entries and the `# units:`
 lines. No BLAS routine runs, so the expected text holds on any machine.
 """
+import hashlib
 import json
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -355,3 +357,31 @@ EXPECTED = {
         '}\n'
     ),
 }
+
+
+def test_observation_lines_stream_in_slices(monkeypatch):
+    # 100k observations: the lines are made from slices of _OBS_SLICE rows, so
+    # the traced peak is a few slices' Python objects (about 340 bytes a row),
+    # and they are the lines of one pass over every row.
+    rng = np.random.default_rng(3)
+    k = 100_000
+    windows = np.repeat(np.arange(100), k // 100)
+    obs = Observations("M", tuple(f"T{j:02d}" for j in range(60)), windows,
+                       np.datetime64("2025-01-02", "D") + windows,
+                       np.sort(rng.integers(0, 60, (k, 10)), axis=1), *rng.normal(size=(5, k)))
+
+    def digest():
+        h = hashlib.sha256()
+        for line in cli._observation_lines(obs):
+            h.update(line.encode())
+        return h.hexdigest()
+
+    tracemalloc.start()
+    try:
+        sliced = digest()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * cli._OBS_SLICE * 512
+    monkeypatch.setattr(cli, "_OBS_SLICE", k)
+    assert sliced == digest()

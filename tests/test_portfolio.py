@@ -2,6 +2,7 @@
 import logging
 import math
 import sys
+import tracemalloc
 from datetime import date
 from fractions import Fraction
 
@@ -869,6 +870,65 @@ def test_study_routes_uncertified_covariances_through_eigvalsh(caplog, monkeypat
     # take eigvalsh only where they are not certified.
     assert sum(stacks) == 3 * 40 + count["not certified"]
     assert_matches_oracle(result, returns, config, 5)
+
+
+def test_study_peak_memory_is_one_chunk_plus_the_observation_columns():
+    # 4000 portfolios of 10 stocks over 60 days: each (P, n, t) stack is 19 MB
+    # when a window is one stack. In chunks, the traced peak is one chunk's
+    # stacks (1.7 caps here) over the block of observation columns.
+    rng = np.random.default_rng(50)
+    returns = make_returns(rng.normal(0, 0.01, size=(120, 14)))
+    config = StudyConfig(formation=60, test=20, n_stocks=10, portfolios=4000)
+    tracemalloc.start()
+    try:
+        result = run_portfolio_study(returns, config, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result.observations) == 3 * 4000 - result.skipped_portfolios
+    columns = 3 * 4000 * 8 * (1 + config.n_stocks + 5) + 8 * len(result.observations)
+    assert peak <= 2 * portfolio._STACK_BYTES + columns + (1 << 20)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_study_chunks_join_to_the_one_chunk_columns(small_study, monkeypatch, per_chunk):
+    # The default cap holds a window's 25 portfolios in one chunk; a cap of one
+    # byte gives chunks of one portfolio, and one of 3 portfolios' stacks gives
+    # chunks of 3, which do not divide 25.
+    returns, config = small_study
+    stack = 8 * config.n_stocks * max(config.formation, config.test)
+    assert portfolio._STACK_BYTES >= config.portfolios * stack
+    default = run_portfolio_study(returns, config, seed=5)
+    calls = []
+    chunk_columns = portfolio._chunk_columns
+    monkeypatch.setattr(portfolio, "_chunk_columns",
+                        lambda *args: calls.append(len(args[4])) or chunk_columns(*args))
+    monkeypatch.setattr(portfolio, "_STACK_BYTES", 1 if per_chunk == 1 else per_chunk * stack)
+    chunked = run_portfolio_study(returns, config, seed=5)
+    n_windows = (returns.n_dates - 80) // 20 + 1
+    p = config.portfolios
+    assert calls == [min(per_chunk, p - lo) for lo in range(0, p, per_chunk)] * n_windows
+    assert same_columns(chunked.observations, default.observations)
+    assert chunked.skipped_windows == default.skipped_windows
+    assert chunked.skipped_portfolios == default.skipped_portfolios
+    assert_matches_oracle(chunked, returns, config, 5)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(case=study_cases(), per_chunk=st.integers(1, 6))
+def test_study_in_small_chunks_matches_the_default_and_the_oracle(case, per_chunk):
+    # Panels with skipped windows, undefined weights and eigvalsh routes, in
+    # chunks of 1 to 6 portfolios.
+    returns, config, seed, stream = case
+    default = run_portfolio_study(returns, config, seed=seed, stream=stream)
+    stack = 8 * config.n_stocks * max(config.formation, config.test)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(portfolio, "_STACK_BYTES", per_chunk * stack)
+        chunked = run_portfolio_study(returns, config, seed=seed, stream=stream)
+    assert same_columns(chunked.observations, default.observations)
+    assert chunked.skipped_windows == default.skipped_windows
+    assert chunked.skipped_portfolios == default.skipped_portfolios
+    assert_matches_oracle(chunked, returns, config, seed, stream=stream)
 
 
 # ---------- Quintile report ----------
