@@ -159,8 +159,22 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _slug(label: str) -> str:
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", label)
+def _file_names(kind: str, labels) -> dict:
+    """The file-name part of each output label, a (market,) or (market, sector) tuple:
+    its parts joined by "_", each run of characters other than A-Za-z0-9_.- in them
+    made one "_". Two labels of one name would write one file, so they raise a
+    DataError naming both; a command checks its names before its first write."""
+    names, owners = {}, {}
+    for label in labels:
+        name = "_".join(re.sub(r"[^A-Za-z0-9_.-]+", "_", part) for part in label)
+        owner = owners.setdefault(name, label)
+        if owner != label:
+            first, second = (f"market {m[0]!r}" if len(m) == 1
+                             else f"sector {m[1]!r} of market {m[0]!r}" for m in (owner, label))
+            raise DataError(f"{first} and {second} would both write {kind}_{name}.csv; "
+                            "relabel one")
+        names[label] = name
+    return names
 
 
 # The config keys that name input files.
@@ -243,7 +257,8 @@ def _run_markets(command: str, config: dict, compute, write) -> None:
 #
 # Each command builds its config objects, which check every argument, before
 # it creates --out-dir or opens an input. `_run_markets` computes every market
-# before the first write, so a failed run leaves --out-dir empty.
+# before the first write, and each `write` checks its file names (`_file_names`)
+# before it writes, so a failed run leaves --out-dir empty.
 
 def run_gap(config: dict) -> None:
     by_sector = config.get("by_sector", False)
@@ -266,8 +281,10 @@ def run_gap(config: dict) -> None:
             "window": gap_cfg.window, "step": gap_cfg.step,
             "rho_mode": gap_cfg.rho_mode, "norm_mode": gap_cfg.norm_mode,
         }, "markets": {}}
+        names = _file_names("gap", [(market,) for market, _ in results] + [
+            (market, sector) for market, series in results for sector in series.sectors])
         for market, series in results:
-            name = _slug(market)
+            name = names[market,]
             out.table(f"gap_{name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER, _gap_rows(series))
             out.lines(f"gap_{name}.jsonl", _gap_json_lines(series))
             delta = series.delta
@@ -284,7 +301,7 @@ def run_gap(config: dict) -> None:
             if not sectors:
                 continue
             for sector, sector_series in sectors.items():
-                out.table(f"gap_{name}_{_slug(sector)}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
+                out.table(f"gap_{names[market, sector]}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER,
                           _gap_rows(sector_series))
             summary["markets"][market]["sectors"] = {sector: {
                 "n_windows": s.delta.size,
@@ -323,8 +340,9 @@ def run_entropy(config: dict) -> None:
         return series, {"phases": phases, "statistics": phase_statistics(series, phases)}
 
     def write(out, results):
+        names = _file_names("entropy", [(market,) for market, _ in results])
         for market, (series, phase_doc) in results:
-            name = _slug(market)
+            name = names[market,]
             out.table(f"entropy_{name}.csv", ENTROPY_CSV_UNITS, ENTROPY_CSV_HEADER, (
                 (d, series.n_stocks[i], series.values[i], *series.probabilities[i])
                 for i, d in enumerate(series.dates)))
@@ -345,8 +363,10 @@ def run_heatmap(config: dict) -> None:
         return monthly_sector_heatmap(returns, sector_of, gap_cfg)
 
     def write(out, tables):
+        names = _file_names("heatmap", [(market,) for market, _ in tables])
         for market, rows in tables:
-            out.table(f"heatmap_{_slug(market)}.csv", HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER, rows)
+            out.table(f"heatmap_{names[market,]}.csv", HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER,
+                      rows)
 
     _run_markets("heatmap", config, compute, write)
 

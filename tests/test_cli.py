@@ -519,6 +519,44 @@ def test_failed_last_market_leaves_out_dir_empty(tmp_path, capsys, command):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, markets, said", [
+    # '/' and '_' both slug to '_', so the two markets would write one file.
+    (("gap",), ("US/NY", "US_NY"), "market 'US/NY' and market 'US_NY' would both write "
+                                   "gap_US_NY.csv"),
+    (("heatmap",), ("US/NY", "US_NY"), "market 'US/NY' and market 'US_NY' would both write "
+                                       "heatmap_US_NY.csv"),
+    (("entropy",), ("US/NY", "US_NY"), "market 'US/NY' and market 'US_NY' would both write "
+                                       "entropy_US_NY.csv"),
+    # Market A_B's series and sector B of market A share a name across kinds.
+    (("gap", "--by-sector"), ("A", "A_B"), "market 'A_B' and sector 'B' of market 'A' would "
+                                           "both write gap_A_B.csv"),
+], ids=["gap", "heatmap", "entropy", "gap_by_sector"])
+def test_labels_that_share_a_file_name_exit_3_before_any_write(tmp_path, capsys, argv, markets,
+                                                              said):
+    dates = weekdays(date(2025, 1, 2), 40)
+    rng = np.random.default_rng(5)
+    rows, labels = ["date,ticker,close"], []
+    for m, market in enumerate(markets):
+        for k, sector in enumerate(("B", "B", "C", "C")):
+            prices = 100.0 * np.exp(np.cumsum(rng.normal(0, 0.01, len(dates))))
+            rows += [f"{d.isoformat()},T{m}{k},{p!r}" for d, p in zip(dates, prices.tolist())]
+            labels.append((f"T{m}{k}", sector, market))
+    (tmp_path / "p.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+    def run_with(rename, out):
+        (tmp_path / "m.csv").write_text("ticker,sector,market\n" + "".join(
+            f"{t},{s},{rename(m)}\n" for t, s, m in labels), encoding="utf-8")
+        return run(*argv, "--prices", tmp_path / "p.csv", "--meta", tmp_path / "m.csv",
+                   "--window", 10, "--out-dir", out)
+
+    out = tmp_path / "out"
+    assert run_with(str, out) == 3
+    assert said in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    # Relabelled apart, the same run writes its files.
+    assert run_with(lambda m: m.replace("_", "x"), out) == 0
+
+
 def test_sector_wide_hole_drops_the_windows_that_hold_it(tmp_path, synth_dir):
     # One date is blanked for every SEC0 stock. `gap --by-sector` and `heatmap`
     # both run on the market's calendar: SEC0 loses exactly the windows whose

@@ -3,6 +3,7 @@ import csv
 import io
 import logging
 import math
+import os
 import tempfile
 import tracemalloc
 from datetime import date
@@ -304,9 +305,16 @@ def long_files(draw):
     return text, not faults
 
 
+def split(parts):
+    """Patches under which a long file of at least `parts` bytes after its header is
+    read in up to `parts` parts, all but the first in forked workers."""
+    return mock.patch.multiple(panel_module, _PART_BYTES=1, _cpus=lambda: parts)
+
+
 @settings(max_examples=600, deadline=None, database=None)
-@given(case=long_files(), block=st.sampled_from([1, 2, 7, 29, 64] + [1 << 20] * 5))
-def test_long_loader_matches_csv_path(case, block):
+@given(case=long_files(), block=st.sampled_from([1, 2, 7, 29, 64] + [1 << 20] * 5),
+       parts=st.sampled_from([1, 1, 2, 3, 4]))
+def test_long_loader_matches_csv_path(case, block, parts):
     text, plain = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
@@ -314,7 +322,8 @@ def test_long_loader_matches_csv_path(case, block):
         expected = outcome(oracle_load, path)
         assert outcome(strict_load, path) == expected
         spy = mock.patch.object(panel_module, "_load_cells", wraps=panel_module._load_cells)
-        with mock.patch.object(panel_module, "_BLOCK_BYTES", block), spy as load_cells:
+        with mock.patch.object(panel_module, "_BLOCK_BYTES", block), split(parts), \
+                spy as load_cells:
             got = outcome(load_price_panel, path)
     assert got == expected
     if plain:  # the block reader took the file itself
@@ -378,22 +387,26 @@ def test_long_loader_peak_memory_is_one_grid_plus_one_block(tmp_path):
     # The reader holds one price grid (at most twice the matrix on each axis
     # it grew, then its sorted copy) and one block: its bytes, its text, and
     # the field strings and arrays parsed from it. This 250 x 300 panel
-    # (0.57 MB) peaks near 4.1 MB against a bound of 6.1 MB. A reader that
-    # keeps every block's codes and prices to the end, with 1 MiB blocks,
-    # peaks near 12.3 MB against its bound of 10.6 MB.
+    # (0.6 MB) peaks near 1.9 MB against a bound of 5.2 MB. Read in 2-4 parts,
+    # where this process holds its own part's grid, then one worker's part at
+    # a time as it merges it, it peaks at 1.9-2.0 MB. A reader that keeps
+    # every block's codes and prices to the end, with 1 MiB blocks, peaks near
+    # 12.3 MB against its bound of 10.6 MB.
     rng = np.random.default_rng(10)
     close = rng.uniform(1, 500, size=(250, 300))
     original = make_panel(close, tickers=[f"S{j:03d}" for j in range(300)])
     path = tmp_path / "p.csv"
     write_price_panel(original, path)
-    tracemalloc.start()
-    try:
-        panel = load_price_panel(path)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert panel == original
-    assert peak <= 8 * panel.close.nbytes + 6 * panel_module._BLOCK_BYTES
+    for parts in (1, 2, 4):  # one part, and parts read in forked workers
+        with split(parts):
+            tracemalloc.start()
+            try:
+                panel = load_price_panel(path)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert panel == original
+        assert peak <= 8 * panel.close.nbytes + 6 * panel_module._BLOCK_BYTES, parts
 
 
 @pytest.mark.parametrize("repeat, loads", [("100", True), ("1e2", True), ("101", False)])
@@ -429,6 +442,191 @@ def test_long_loader_logs_why_it_declines(tmp_path, caplog):
         p = load_price_panel(f)
     assert p.tickers == ["A"]
     assert "block reader declined (a quote character)" in caplog.text
+
+
+@pytest.mark.parametrize("text", [
+    "100", "1_0", " 12 ", "\t7\r", "\u00a012\u00a0", "\u0661\u0662", "\u0663.\u0665",
+    "0x10", "1e", "1__0", "_1", "1_", "1j", "abc", "", " ", "+3", ".5", "5.", "1E-2",
+    "0.1", "3.0000000000000004", "123456789012345678901234567890", "4.9e-324",
+    "2.2250738585072011e-308", "1.7976931348623157e308", "1e400", "1e-400", "-0", "-3",
+    "nan", "NaN", "-nan", "inf", "Infinity", "-inf"])
+def test_block_reader_parses_prices_as_float_does(text):
+    # The block reader parses a block's prices in one NumPy call; each must
+    # give float's bits, or be declined where float raises or gives no price.
+    try:
+        value = float(text)
+    except ValueError:
+        expected = ("declined", "a price that is not a number")
+    else:
+        expected = (("parsed", np.float64(value).tobytes()) if 0.0 < value < math.inf
+                    else ("declined", "a non-finite or non-positive price"))
+    chunk = f"2025-01-02,A,{text}\n".encode("utf-8")
+    try:
+        _, _, prices = panel_module._block_rows(chunk, panel_module._DateCodes(),
+                                                panel_module._TickerCodes())
+    except panel_module._Declined as exc:
+        got = ("declined", str(exc))
+    else:
+        got = ("parsed", prices.tobytes())
+    assert got == expected
+
+
+# ---------- The long layout read in parts ----------
+
+def lines_text(lines, end="\n"):
+    return "\n".join(lines) + end
+
+
+def date_runs(n_dates=6, n_tickers=6):
+    """Lines of a date-major long file, every line 20 bytes with its LF."""
+    return [f"{d.isoformat()},T{j},{100 + i + j}.5" for i, d in enumerate(
+        weekdays(date(2025, 1, 2), n_dates)) for j in range(n_tickers)]
+
+
+def spaced_runs():
+    lines = []
+    for k, line in enumerate(date_runs()):
+        lines += [line, BLANKS[k % len(BLANKS)]]
+    return lines
+
+
+def split_lines(text, parts):
+    """The file's body lines, by part, as the split read cuts them."""
+    data = text.encode("utf-8")
+    start = data.index(b"\n") + 1
+    with split(parts):
+        cuts = panel_module._part_cuts(io.BytesIO(data), start, len(data), parts)
+    return [data[a:b].decode("utf-8").splitlines() for a, b in zip(cuts, cuts[1:])]
+
+
+def _cut_inside_a_date_run(by_part):
+    return any(a[-1][:10] == b[0][:10] for a, b in zip(by_part, by_part[1:]))
+
+
+def _cut_next_to_a_blank(by_part):
+    return any(not a[-1].strip() or not b[0].strip() for a, b in zip(by_part, by_part[1:]))
+
+
+def _in_parts(by_part, *wanted):
+    """The part of each wanted line."""
+    return [next(k for k, lines in enumerate(by_part) if line in lines) for line in wanted]
+
+
+# Each case: the file's text, the parts to ask for, and what must hold of its cuts.
+SPLIT_CASES = {
+    "cut_inside_a_date_run": (lines_text(["date,ticker,close"] + date_runs()), 3,
+                              _cut_inside_a_date_run),
+    "crlf_cut_inside_a_date_run": (lines_text(["date,ticker,close"] + date_runs())
+                                   .replace("\n", "\r\n"), 4, _cut_inside_a_date_run),
+    "cut_next_to_blank_lines": (lines_text(["date,ticker,close"] + spaced_runs()), 4,
+                                _cut_next_to_a_blank),
+    "last_line_without_lf": (lines_text(["date,ticker,close"] + date_runs(), end=""), 3,
+                             lambda by_part: len(by_part) == 3),
+    # The split falls in the last line, which has no LF: the probe meets the
+    # end of the file, and the first part runs to it.
+    "split_inside_a_last_line_without_lf": (
+        lines_text(["date,ticker,close"] + date_runs(2) + ["2025-01-06,T9,1" + " " * 400],
+                   end=""), 2, lambda by_part: len(by_part) == 1),
+    "fault_only_in_a_worker_part": (
+        lines_text(["date,ticker,close"] + date_runs() + ["2025-01-13,T0,abc"]), 3,
+        lambda by_part: _in_parts(by_part, "2025-01-13,T0,abc") == [2]),
+    "conflict_across_parts": (
+        lines_text(["date,ticker,close", "2025-01-10,T0,7"] + date_runs()
+                   + ["2025-01-10,T0,8"]), 3,
+        lambda by_part: _in_parts(by_part, "2025-01-10,T0,7", "2025-01-10,T0,8") == [0, 2]),
+    "equal_repeat_across_parts": (
+        lines_text(["date,ticker,close", "2025-01-10,T0,7"] + date_runs()
+                   + ["2025-01-10,T0,7.00"]), 4,
+        lambda by_part: _in_parts(by_part, "2025-01-10,T0,7", "2025-01-10,T0,7.00") == [0, 3]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_read_matches_the_one_part_read(tmp_path, case):
+    text, parts, holds = SPLIT_CASES[case]
+    assert holds(split_lines(text, parts)), case  # the case cuts where it says
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = outcome(oracle_load, path)
+    assert outcome(load_price_panel, path) == expected
+    spy = mock.patch.object(panel_module, "_load_cells", wraps=panel_module._load_cells)
+    with split(parts), spy as load_cells, \
+            mock.patch.object(panel_module.os, "fork", wraps=os.fork) as fork:
+        assert outcome(load_price_panel, path) == expected
+    assert fork.call_count == len(split_lines(text, parts)) - 1
+    # A file that loads is read in parts; a fault anywhere hands it to the csv path.
+    assert load_cells.call_count == (expected[0] == "raised"), case
+
+
+def test_split_read_declines_a_lone_cr_file_after_one_probe(tmp_path):
+    # Lone-CR line ends leave no LF after the header: the first cut's probe
+    # reads the csv field size limit plus one byte, finds no LF, and declines
+    # before any worker starts. So the read stays within the limit plus one
+    # block, where a part's reader may take the limit plus one block itself.
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"date,ticker,close\n" + b"2025-01-02,A,100\r" * 200_000)
+    read = []
+
+    class Counted(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            read.append(n)
+            return n
+
+    def counted_open(file, mode):
+        assert mode == "rb"
+        return io.BufferedReader(Counted(file, "r"))
+
+    with split(4), mock.patch.object(panel_module, "open", counted_open, create=True), \
+            mock.patch.object(panel_module.os, "fork") as fork:
+        with pytest.raises(panel_module._Declined, match="field size limit"):
+            panel_module._read_long_blocks(path)
+    assert fork.call_count == 0
+    assert 0 < sum(read) <= csv.field_size_limit() + panel_module._BLOCK_BYTES
+    with split(4):
+        assert outcome(load_price_panel, path) == outcome(oracle_load, path)
+
+
+@pytest.mark.parametrize("ending", ["loads", "parent_declines", "worker_declines",
+                                    "interrupted"])
+def test_no_worker_outlives_a_split_read(tmp_path, ending):
+    lines = ["date,ticker,close"] + date_runs(12)
+    if ending == "parent_declines":
+        lines.insert(1, "2025-01-02,T0,abc")
+    elif ending == "worker_declines":
+        lines.append("2025-01-30,T0,abc")
+    path = write(tmp_path / "p.csv", lines_text(lines))
+    parent, read_part = os.getpid(), panel_module._read_part
+
+    def interrupted(fh, end=None):  # the parent's own part is interrupted
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        return read_part(fh, end)
+
+    with split(4), mock.patch.object(panel_module.os, "fork", wraps=os.fork) as fork, \
+            mock.patch.object(panel_module, "_read_part",
+                              interrupted if ending == "interrupted" else read_part):
+        if ending == "interrupted":
+            with pytest.raises(KeyboardInterrupt):
+                load_price_panel(path)
+        elif ending == "loads":
+            assert load_price_panel(path).shape == (12, 6)
+        else:
+            with pytest.raises(ParseError, match="invalid price 'abc'"):
+                load_price_panel(path)
+    assert fork.call_count == 3
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_long_loader_logs_its_parts(tmp_path, caplog):
+    f = write(tmp_path / "p.csv", lines_text(["date,ticker,close"] + date_runs()))
+    with caplog.at_level(logging.DEBUG, logger="marketgap"):
+        load_price_panel(f)
+        with split(3):
+            load_price_panel(f)
+    assert f"{f}: block reader in 1 part(s)" in caplog.text
+    assert f"{f}: block reader in 3 part(s)" in caplog.text
 
 
 # ---------- The wide layout against the dict oracle ----------
