@@ -483,13 +483,6 @@ def date_runs(n_dates=6, n_tickers=6):
         weekdays(date(2025, 1, 2), n_dates)) for j in range(n_tickers)]
 
 
-def spaced_runs():
-    lines = []
-    for k, line in enumerate(date_runs()):
-        lines += [line, BLANKS[k % len(BLANKS)]]
-    return lines
-
-
 def split_lines(text, parts):
     """The file's body lines, by part, as the split read cuts them."""
     data = text.encode("utf-8")
@@ -518,8 +511,9 @@ SPLIT_CASES = {
                               _cut_inside_a_date_run),
     "crlf_cut_inside_a_date_run": (lines_text(["date,ticker,close"] + date_runs())
                                    .replace("\n", "\r\n"), 4, _cut_inside_a_date_run),
-    "cut_next_to_blank_lines": (lines_text(["date,ticker,close"] + spaced_runs()), 4,
-                                _cut_next_to_a_blank),
+    "cut_next_to_blank_lines": (lines_text(["date,ticker,close"] + [
+        text for k, line in enumerate(date_runs()) for text in (line, BLANKS[k % len(BLANKS)])]),
+        4, _cut_next_to_a_blank),
     "last_line_without_lf": (lines_text(["date,ticker,close"] + date_runs(), end=""), 3,
                              lambda by_part: len(by_part) == 3),
     # The split falls in the last line, which has no LF: the probe meets the
@@ -544,7 +538,8 @@ SPLIT_CASES = {
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_read_matches_the_one_part_read(tmp_path, case):
     text, parts, holds = SPLIT_CASES[case]
-    assert holds(split_lines(text, parts)), case  # the case cuts where it says
+    by_part = split_lines(text, parts)
+    assert holds(by_part), case  # the case cuts where it says
     path = tmp_path / "p.csv"
     path.write_bytes(text.encode("utf-8"))
     expected = outcome(oracle_load, path)
@@ -553,7 +548,7 @@ def test_split_read_matches_the_one_part_read(tmp_path, case):
     with split(parts), spy as load_cells, \
             mock.patch.object(panel_module.os, "fork", wraps=os.fork) as fork:
         assert outcome(load_price_panel, path) == expected
-    assert fork.call_count == len(split_lines(text, parts)) - 1
+    assert fork.call_count == len(by_part) - 1
     # A file that loads is read in parts; a fault anywhere hands it to the csv path.
     assert load_cells.call_count == (expected[0] == "raised"), case
 
