@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 usage, 3 data, 4 numeric.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -152,6 +151,10 @@ def _gap_json_lines(series):
 # ---------- Helpers and the run skeleton ----------
 
 def _sha256(path) -> str:
+    # hashlib maps OpenSSL, 3.6 MB of RSS; imported here, it loads only once a
+    # run's results are gone (see `_run_markets`), or as `rerun` checks its inputs.
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -163,7 +166,7 @@ def _file_names(kind: str, labels) -> dict:
     """The file-name part of each output label, a (market,) or (market, sector) tuple:
     its parts joined by "_", each run of characters other than A-Za-z0-9_.- in them
     made one "_". Two labels of one name would write one file, so they raise a
-    DataError naming both; a command checks its names before its first write."""
+    DataError naming both; `_run_markets` checks the names before the first compute."""
     names, owners = {}, {}
     for label in labels:
         name = "_".join(re.sub(r"[^A-Za-z0-9_.-]+", "_", part) for part in label)
@@ -233,11 +236,14 @@ class _OutDir:
         })
 
 
-def _run_markets(command: str, config: dict, compute, write) -> None:
+def _run_markets(command: str, config: dict, compute, write, files: bool = True,
+                 sectors: bool = False) -> None:
     """Check the layout, create --out-dir, load the panel, form every market's log returns
-    and drop the price grid; then run `compute(market, stream, returns, sector_of)` on each
-    market (0-based stream number); only then `write(out, [(market, result), ...])`, then
-    the manifest."""
+    and drop the price grid. A command that writes `files` per market names them by the
+    market, and by each of its sectors too if `sectors`; those names (`_file_names`) are
+    checked before `compute(market, stream, returns, sector_of)` runs on each market
+    (0-based stream number). Only then `write(out, [(market, result), ...], names)`, and
+    the manifest once the results are gone."""
     layout = config.get("layout", "long")
     check_choice("layout", layout, LAYOUTS)
     out = _OutDir(config["out_dir"])
@@ -245,20 +251,27 @@ def _run_markets(command: str, config: dict, compute, write) -> None:
     markets = [(market, log_returns(sub), sub.sector_of)
                for market, sub in ((m, panel.market_panel(m)) for m in panel.markets())]
     del panel
+    # Each market's sectors are its sorted labels, as the kernels group them.
+    names = _file_names(command, [(market,) for market, _, _ in markets] + [
+        (market, sector) for market, _, sector_of in markets if sectors
+        for sector in sorted(set(sector_of.values()))]) if files else {}
     results = []
     while markets:
         market, returns, sector_of = markets.pop(0)
         results.append((market, compute(market, len(results), returns, sector_of)))
-    write(out, results)
+    write(out, results, names)
+    # The manifest's digests map OpenSSL; the results and the last market's returns
+    # go first, so that map lands in a heap smaller than the run's peak.
+    del results, returns
     out.manifest(command, config)
 
 
 # ---------- Commands ----------
 #
 # Each command builds its config objects, which check every argument, before
-# it creates --out-dir or opens an input. `_run_markets` computes every market
-# before the first write, and each `write` checks its file names (`_file_names`)
-# before it writes, so a failed run leaves --out-dir empty.
+# it creates --out-dir or opens an input. `_run_markets` checks the file names
+# (`_file_names`) before the first compute and computes every market before the
+# first write, so a failed run leaves --out-dir empty.
 
 def run_gap(config: dict) -> None:
     by_sector = config.get("by_sector", False)
@@ -276,13 +289,11 @@ def run_gap(config: dict) -> None:
     def compute(market, stream, returns, sector_of):
         return gap_series(returns, gap_cfg, sector_of if by_sector else None)
 
-    def write(out, results):
+    def write(out, results, names):
         summary: dict = {"config": {
             "window": gap_cfg.window, "step": gap_cfg.step,
             "rho_mode": gap_cfg.rho_mode, "norm_mode": gap_cfg.norm_mode,
         }, "markets": {}}
-        names = _file_names("gap", [(market,) for market, _ in results] + [
-            (market, sector) for market, series in results for sector in series.sectors])
         for market, series in results:
             name = names[market,]
             out.table(f"gap_{name}.csv", GAP_CSV_UNITS, GAP_CSV_HEADER, _gap_rows(series))
@@ -310,7 +321,7 @@ def run_gap(config: dict) -> None:
             } for sector, s in sectors.items()}
         out.json("summary.json", _json(summary))
 
-    _run_markets("gap", config, compute, write)
+    _run_markets("gap", config, compute, write, sectors=by_sector)
 
 
 def run_entropy(config: dict) -> None:
@@ -339,8 +350,7 @@ def run_entropy(config: dict) -> None:
         phases = phase_segmentation(series.dates, series.values, event, params=params)
         return series, {"phases": phases, "statistics": phase_statistics(series, phases)}
 
-    def write(out, results):
-        names = _file_names("entropy", [(market,) for market, _ in results])
+    def write(out, results, names):
         for market, (series, phase_doc) in results:
             name = names[market,]
             out.table(f"entropy_{name}.csv", ENTROPY_CSV_UNITS, ENTROPY_CSV_HEADER, (
@@ -362,8 +372,7 @@ def run_heatmap(config: dict) -> None:
     def compute(market, stream, returns, sector_of):
         return monthly_sector_heatmap(returns, sector_of, gap_cfg)
 
-    def write(out, tables):
-        names = _file_names("heatmap", [(market,) for market, _ in tables])
+    def write(out, tables, names):
         for market, rows in tables:
             out.table(f"heatmap_{names[market,]}.csv", HEATMAP_CSV_UNITS, HEATMAP_CSV_HEADER,
                       rows)
@@ -392,7 +401,7 @@ def run_portfolio(config: dict) -> None:
         report["skipped_portfolios"] = result.skipped_portfolios
         return result.observations, report
 
-    def write(out, results):
+    def write(out, results, names):
         out.lines("observations.csv", chain([OBS_CSV_UNITS, OBS_CSV_HEADER], *(
             _observation_lines(obs) for _, (obs, _) in results)))
         out.json("report.json", {
@@ -414,7 +423,7 @@ def run_portfolio(config: dict) -> None:
             "markets": {market: report for market, (_, report) in results},
         })
 
-    _run_markets("portfolio", config, compute, write)
+    _run_markets("portfolio", config, compute, write, files=False)
 
 
 _PRESETS = ("three-phase", "risk-study", "one-factor")

@@ -232,11 +232,11 @@ def realized_volatility(weights: np.ndarray, test_returns: np.ndarray,
 
 # ---------- Subset draws ----------
 #
-# `_subsets` gives, for P keys at once, the set that
+# `_subsets` gives, for a range of keys at once, the set that
 # `np.random.default_rng(key).choice(m, n, replace=False)` draws: NumPy's
 # SeedSequence hash of the key, the PCG64 (XSL-RR 128/64) stream it seeds,
 # the buffered 32-bit draws and the no-replacement rule of `Generator.choice`.
-# Each of the P lanes runs the same uint64 arithmetic; 32-bit quantities are
+# Each lane runs the same uint64 arithmetic; 32-bit quantities are
 # masked back to 32 bits and 128-bit ones are (hi, lo) pairs.
 
 _M32 = np.uint64(0xFFFFFFFF)
@@ -289,12 +289,14 @@ def _mulhi64(a: np.ndarray) -> np.ndarray:
 
 
 class _Lanes:
-    """P PCG64 generators seeded by SeedSequence([*prefix, p]), p = 0..P-1."""
+    """PCG64 generators seeded by SeedSequence([*prefix, p]), one for each p in `keys`,
+    a range of step 1."""
 
-    def __init__(self, prefix: tuple[int, ...], count: int):
-        # Every lane index is one 32-bit key word, as count <= 2**32.
+    def __init__(self, prefix: tuple[int, ...], keys: range):
+        count = len(keys)
+        # Every lane index is one 32-bit key word, as keys.stop <= 2**32.
         entropy = [np.full(count, w, dtype=np.uint64) for k in prefix for w in _key_words(k)]
-        entropy.append(np.arange(count, dtype=np.uint64))
+        entropy.append(np.arange(keys.start, keys.stop, dtype=np.uint64))
         # SeedSequence.mix_entropy into a pool of 4 words.
         hashmix = _hasher(_INIT_A, _MULT_A)
         pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(count, dtype=np.uint64))
@@ -360,16 +362,19 @@ class _Lanes:
         return (prod >> _S32).astype(np.int64)
 
 
-def _subsets(prefix: tuple[int, ...], count: int, m: int, n: int) -> np.ndarray:
-    """Sorted (count, n) sets `default_rng([*prefix, p]).choice(m, n, replace=False)` draws.
+def _subsets(prefix: tuple[int, ...], keys: range, m: int, n: int) -> np.ndarray:
+    """Sorted (len(keys), n) sets `default_rng([*prefix, p]).choice(m, n, replace=False)`
+    draws, one row for each p in `keys`, a range of step 1.
 
-    Row p is the draw of key [*prefix, p]; 1 <= n <= m < 2**32 - 1. Like
+    Each row depends on its key alone, so the rows of a split range join to
+    those of the whole; 1 <= n <= m < 2**32 - 1. Like
     `Generator.choice`, it takes Floyd's algorithm when m <= 10000 or
     n <= m // 50, and otherwise shuffles the last n places of range(m); both
     draw by `_Lanes.bounded`. Only the set is kept, so the final shuffle of
     the Floyd branch is left out.
     """
-    lanes = _Lanes(prefix, count)
+    lanes = _Lanes(prefix, keys)
+    count = len(keys)
     if m <= 10000 or n <= m // 50:
         picks = np.zeros((count, n), dtype=np.int64)
         for k, j in enumerate(range(m - n, m)):
@@ -415,18 +420,20 @@ def _window_columns(form: np.ndarray, test: np.ndarray, config: StudyConfig,
     if eligible.size < n:
         return f"{eligible.size} eligible stocks (need {n})"
 
-    # Drawing positions in `eligible` takes the same random stream as drawing
-    # from `eligible` itself.
-    pos = _subsets(key, config.portfolios, eligible.size, n)
     # The eligible assets' rows, each contiguous: raw and centered formation
     # returns, and test returns.
     rows = np.ascontiguousarray(form.T[eligible])
     centered = rows - rows.mean(axis=1, keepdims=True)
     tests = np.ascontiguousarray(test.T[eligible])
     chunk = max(1, _STACK_BYTES // (8 * n * max(form.shape[0], test.shape[0])))
-    return [_chunk_columns(eligible, rows, centered, tests, pos[lo:lo + chunk],
+    # Each chunk draws its own portfolios' subsets, so the draw's lane state
+    # grows with the chunk and not with the window. Drawing positions in
+    # `eligible` takes the same random stream as drawing from `eligible` itself.
+    p = config.portfolios
+    return [_chunk_columns(eligible, rows, centered, tests,
+                           _subsets(key, range(lo, min(lo + chunk, p)), eligible.size, n),
                            config.annualization)
-            for lo in range(0, len(pos), chunk)]
+            for lo in range(0, p, chunk)]
 
 
 def _chunk_columns(eligible: np.ndarray, rows: np.ndarray, centered: np.ndarray,

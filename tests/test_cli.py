@@ -549,8 +549,14 @@ def test_labels_that_share_a_file_name_exit_3_before_any_write(tmp_path, capsys,
         return run(*argv, "--prices", tmp_path / "p.csv", "--meta", tmp_path / "m.csv",
                    "--window", 10, "--out-dir", out)
 
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a kernel ran before the file names were checked")
+
     out = tmp_path / "out"
-    assert run_with(str, out) == 3
+    with pytest.MonkeyPatch.context() as mp:
+        for kernel in ("gap_series", "entropy_series", "monthly_sector_heatmap"):
+            mp.setattr(cli, kernel, no_kernel)
+        assert run_with(str, out) == 3
     assert said in capsys.readouterr().err
     assert list(out.iterdir()) == []
     # Relabelled apart, the same run writes its files.
@@ -1186,6 +1192,62 @@ def test_cli_import_leaves_scipy_stats_unloaded():
         "assert 'scipy.stats' not in sys.modules",
     ])
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib maps OpenSSL, 3.6 MB of RSS, and only the manifest and `rerun`'s
+    # input check take digests.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys\nimport marketgap.cli\nassert '_hashlib' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@pytest.mark.parametrize("argv, kernel", [
+    (("gap", "--by-sector"), "gap_series"),
+    (("heatmap",), "monthly_sector_heatmap"),
+    (("entropy", "--event-date", "event"), "entropy_series"),
+    (("portfolio", "--seed", "1"), "run_portfolio_study"),
+], ids=["gap_by_sector", "heatmap", "entropy", "portfolio"])
+def test_manifest_is_written_once_the_results_are_gone(tmp_path, risk_dir, argv, kernel):
+    # Each market's returns and result are freed before the manifest takes its
+    # digests, and OpenSSL is mapped only then, so it adds to a smaller heap
+    # than the run's peak. Both markets of the risk-study preset are checked.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    event = json.loads((risk_dir / "truth.json").read_text())["event_date"]
+    argv = [event if a == "event" else a for a in argv]
+    code = "\n".join([
+        "import sys, weakref",
+        "from marketgap import cli",
+        "argv, kernel_name = sys.argv[1:-1], sys.argv[-1]",
+        "kernel, refs, seen = getattr(cli, kernel_name), [], []",
+        "class Rows(list):  # a list that takes weak references",
+        "    pass",
+        "def watched(returns, *args, **kwargs):",
+        "    result = kernel(returns, *args, **kwargs)",
+        "    if isinstance(result, list):",
+        "        result = Rows(result)",
+        "    held = result.observations if kernel_name == 'run_portfolio_study' else result",
+        "    refs.extend([weakref.ref(returns), weakref.ref(held)])",
+        "    return result",
+        "setattr(cli, kernel_name, watched)",
+        "manifest = cli._OutDir.manifest",
+        "def checked(self, command, config):",
+        "    assert '_hashlib' not in sys.modules",
+        "    assert len(refs) == 4 and [r() for r in refs] == [None] * 4, refs",
+        "    seen.append(command)",
+        "    manifest(self, command, config)",
+        "cli._OutDir.manifest = checked",
+        "assert cli.main(argv) == 0",
+        "assert seen == argv[:1] and '_hashlib' in sys.modules",
+    ])
+    inputs = ["--prices", str(risk_dir / "prices.csv"), "--meta", str(risk_dir / "meta.csv")]
+    subprocess.run([sys.executable, "-c", code, *argv, *inputs,
+                    "--out-dir", str(tmp_path / "out"), kernel], env=env, check=True)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["inputs"] == {str(risk_dir / name): digest(risk_dir / name)
+                                  for name in ("prices.csv", "meta.csv")}
 
 
 def test_commands_without_a_portfolio_report_leave_scipy_unloaded(tmp_path):

@@ -20,6 +20,7 @@ from marketgap.portfolio import (
     StudyConfig,
     _certified,
     _subsets,
+    _window_columns,
     covariance_matrix,
     ew_weights,
     incremental_r2,
@@ -522,14 +523,15 @@ def test_spearman_invariant_under_increasing_transforms():
 
 # ---------- Subset draws ----------
 
-def numpy_subsets(prefix, count, m, n):
+def numpy_subsets(prefix, keys, m, n):
     return np.array([np.sort(np.random.default_rng([*prefix, p]).choice(m, n, replace=False))
-                     for p in range(count)])
+                     for p in keys])
 
 
 @st.composite
 def subset_cases(draw):
-    """Keys whose seed spans one to three 32-bit words, and (m, n) on both choice branches."""
+    """Keys whose seed spans one to three 32-bit words, a range of 1 to 8 lanes that
+    starts at 0 or further on, and (m, n) on both choice branches."""
     seed = draw(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3]) | st.integers(0, 2**96))
     prefix = (seed, draw(st.integers(0, 5)), draw(st.integers(0, 2**40)))
     m = draw(st.integers(1, 10000) | st.integers(10001, 30000))
@@ -537,41 +539,57 @@ def subset_cases(draw):
         n = m // 50 + draw(st.integers(-5, 5))
     else:
         n = draw(st.integers(1, min(m, 300)) | st.just(m))
-    return prefix, draw(st.integers(1, 8)), m, n
+    start = draw(st.just(0) | st.integers(1, 2**32 - 8))
+    return prefix, range(start, start + draw(st.integers(1, 8))), m, n
 
 
 @settings(max_examples=150, deadline=None, database=None)
 @given(case=subset_cases())
 def test_subsets_match_numpy_choice(case):
-    prefix, count, m, n = case
-    np.testing.assert_array_equal(_subsets(prefix, count, m, n),
-                                  numpy_subsets(prefix, count, m, n), strict=True)
+    prefix, keys, m, n = case
+    np.testing.assert_array_equal(_subsets(prefix, keys, m, n),
+                                  numpy_subsets(prefix, keys, m, n), strict=True)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(prefix=st.tuples(st.integers(0, 2**64), st.integers(0, 5), st.integers(0, 100)),
+       shuffle=st.booleans(), count=st.integers(1, 40), data=st.data())
+def test_subsets_drawn_in_chunks_join_to_the_whole_draw(prefix, shuffle, count, data):
+    # The study draws each chunk's range of keys apart; the rows must be the
+    # whole range's, bit for bit, on the Floyd branch and the tail shuffle.
+    m, n = (10001, 201) if shuffle else (60, 10)
+    cuts = sorted(data.draw(st.lists(st.integers(1, count - 1), max_size=4, unique=True))
+                  if count > 1 else [])
+    bounds = [0, *cuts, count]
+    chunks = [_subsets(prefix, range(lo, hi), m, n) for lo, hi in zip(bounds, bounds[1:])]
+    np.testing.assert_array_equal(np.concatenate(chunks), _subsets(prefix, range(count), m, n),
+                                  strict=True)
 
 
 @pytest.mark.parametrize("m,n", [(1, 1), (7, 7), (10000, 10000), (10001, 10001), (12000, 600)])
 def test_subsets_match_numpy_choice_at_branch_edges(m, n):
     for seed in (0, 2**32):
-        np.testing.assert_array_equal(_subsets((seed, 1, 2), 3, m, n),
-                                      numpy_subsets((seed, 1, 2), 3, m, n), strict=True)
+        np.testing.assert_array_equal(_subsets((seed, 1, 2), range(3), m, n),
+                                      numpy_subsets((seed, 1, 2), range(3), m, n), strict=True)
 
 
 def test_subsets_golden_draws():
     # Fixed here, so the study's stream stays put whatever a later NumPy does.
-    assert _subsets((3, 0, 0), 3, 60, 10).tolist() == [
+    assert _subsets((3, 0, 0), range(3), 60, 10).tolist() == [
         [2, 4, 5, 9, 12, 33, 41, 44, 49, 54],
         [2, 10, 13, 14, 22, 34, 35, 40, 47, 54],
         [1, 6, 16, 23, 33, 39, 50, 53, 55, 56],
     ]
-    assert _subsets((2**64 + 3, 1, 17), 2, 100, 5).tolist() == [
+    assert _subsets((2**64 + 3, 1, 17), range(2), 100, 5).tolist() == [
         [10, 22, 58, 61, 66], [9, 17, 41, 83, 90]]
-    tail = _subsets((7, 2, 5), 2, 10001, 201)  # the tail-shuffle branch
+    tail = _subsets((7, 2, 5), range(2), 10001, 201)  # the tail-shuffle branch
     assert tail[:, :6].tolist() == [[80, 93, 130, 141, 221, 224], [1, 46, 48, 75, 116, 250]]
     assert tail.sum(axis=1).tolist() == [950231, 976971]
 
 
 def test_subsets_reject_negative_key():
     with pytest.raises(UsageError, match="non-negative"):
-        _subsets((-1, 0, 0), 2, 10, 3)
+        _subsets((-1, 0, 0), range(2), 10, 3)
 
 
 # ---------- Rolling study ----------
@@ -888,6 +906,31 @@ def test_study_peak_memory_is_one_chunk_plus_the_observation_columns():
     assert len(result.observations) == 3 * 4000 - result.skipped_portfolios
     columns = 3 * 4000 * 8 * (1 + config.n_stocks + 5) + 8 * len(result.observations)
     assert peak <= 2 * portfolio._STACK_BYTES + columns + (1 << 20)
+
+
+def test_window_peak_memory_is_one_chunk_over_the_kept_columns():
+    # 5000 portfolios of 10 stocks over 60 days run in 6 chunks of 873. Each
+    # chunk draws its own subsets, so over the columns it keeps the window
+    # peaks no higher than a window of one chunk does: its stacks and its
+    # lanes. Drawing all 5000 subsets first held their 400 kB of positions
+    # through every chunk, and peaked 260 kB above a window of one chunk.
+    rng = np.random.default_rng(50)
+    form, test = rng.normal(0, 0.01, size=(60, 60)), rng.normal(0, 0.01, size=(20, 60))
+    chunk = portfolio._STACK_BYTES // (8 * 10 * 60)
+
+    def peak_over_columns(portfolios):
+        config = StudyConfig(formation=60, test=20, n_stocks=10, portfolios=portfolios)
+        tracemalloc.start()
+        try:
+            columns = _window_columns(form, test, config, (9, 0, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(c[0]) for c in columns) == portfolios
+        return peak - sum(c.nbytes for cols in columns for c in cols)
+
+    assert 5000 // chunk == 5
+    assert peak_over_columns(5000) <= peak_over_columns(chunk) + (64 << 10)
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3])
