@@ -440,10 +440,7 @@ def run_synth(config: dict) -> None:
     truth = None
     seed_kwargs = {} if seed is None else {"seed": seed}
     if scenario:
-        synth_cfg = load_scenario_json(scenario)
-        if seed is not None:
-            synth_cfg.seed = seed
-        panel = generate_factor_panel(synth_cfg)
+        panel = generate_factor_panel(load_scenario_json(scenario, seed))
     elif preset == "three-phase":
         result = three_phase_scenario(three_phase_config(**seed_kwargs))
         panel, truth = result.panel, result.truth

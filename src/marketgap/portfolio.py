@@ -319,12 +319,13 @@ class _Lanes:
         self.lo += s1
         self.hi += s0 + (self.lo < s1)
         self.every = np.arange(count)
-        self._step(self.every)
+        self._step()
         self.has_word = np.zeros(count, dtype=bool)
         self.word = np.zeros(count, dtype=np.uint64)
 
-    def _step(self, lanes: np.ndarray) -> np.ndarray:
-        """Advance the given lanes one PCG64 step; their 64-bit XSL-RR outputs."""
+    def _step(self, lanes: np.ndarray | slice = slice(None)) -> np.ndarray:
+        """Advance the given lanes, or every lane, one PCG64 step; their 64-bit XSL-RR
+        outputs."""
         hi, lo = self.hi[lanes], self.lo[lanes]
         hi = hi * _PCG_LO + lo * _PCG_HI + _mulhi64(lo) + self.inc_hi[lanes]
         lo = lo * _PCG_LO
@@ -335,8 +336,20 @@ class _Lanes:
         x, rot = hi ^ lo, hi >> _S58
         return x >> rot | x << ((_S64 - rot) & _S63)
 
-    def next_uint32(self, lanes: np.ndarray) -> np.ndarray:
-        """Each lane's next 32-bit draw: the low half of a fresh output, then its high half."""
+    def next_uint32(self, lanes: np.ndarray | None = None) -> np.ndarray:
+        """Each lane's next 32-bit draw, of the given lanes or of every lane: the low
+        half of a fresh output, then its high half."""
+        if lanes is None:
+            # Lanes redraw so rarely that every lane mostly holds a half, or none.
+            if not self.has_word.any():
+                value = self._step()
+                self.word = value >> _S32
+                self.has_word[:] = True
+                return value & _M32
+            if self.has_word.all():
+                self.has_word[:] = False
+                return self.word.copy()
+            lanes = self.every
         out = self.word[lanes]
         had = self.has_word[lanes]
         fresh = lanes[~had]
@@ -354,8 +367,8 @@ class _Lanes:
         while the low word is below 2**32 mod (j + 1).
         """
         bound, threshold = np.uint64(j + 1), np.uint64(2**32 % (j + 1))
-        prod = self.next_uint32(self.every) * bound
-        redo = self.every[(prod & _M32) < threshold]
+        prod = self.next_uint32() * bound
+        redo = np.flatnonzero((prod & _M32) < threshold)
         while redo.size:
             prod[redo] = self.next_uint32(redo) * bound
             redo = redo[(prod[redo] & _M32) < threshold]

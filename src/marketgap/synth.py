@@ -329,7 +329,7 @@ def risk_study_scenario(seed: int = DEFAULT_SEED) -> tuple[PricePanel, date]:
 _REGIME_KEYS = ("start", "end", "market_vol", "sector_vol", "idio_vol")
 
 
-def load_scenario_json(path) -> SynthConfig:
+def load_scenario_json(path, seed: int | None = None) -> SynthConfig:
     """Build a SynthConfig from a JSON document.
 
     Expected keys: n_assets, n_days, sectors (list or {label: count} in label
@@ -337,6 +337,8 @@ def load_scenario_json(path) -> SynthConfig:
     or objects with those keys), seed, market, ticker_prefix, start_date, and
     either explicit market_loadings/sector_loadings arrays or
     loading_ranges {"beta": [lo, hi], "gamma": [lo, hi]} drawn from the seed.
+    A `seed` argument replaces the file's seed for every draw, the loadings'
+    included.
     Counts, regime days and the seed must be JSON integers (>= 0), and
     volatilities and loadings finite JSON numbers, by the rules a flag meets;
     any fault is a DataError naming the file and the key.
@@ -398,7 +400,8 @@ def load_scenario_json(path) -> SynthConfig:
             integer(f"{at}.start", r.get("start")), integer(f"{at}.end", r.get("end")),
             *(checked(check_real, f"{at}.{key}", r.get(key)) for key in _REGIME_KEYS[2:])))
 
-    seed = integer("seed", doc.get("seed", DEFAULT_SEED))
+    file_seed = integer("seed", doc.get("seed", DEFAULT_SEED))  # checked even when replaced
+    seed = file_seed if seed is None else seed
     if "market_loadings" in doc and "sector_loadings" in doc:
         beta = np.asarray(reals("market_loadings", doc["market_loadings"], n_assets), dtype=float)
         gamma = np.asarray(reals("sector_loadings", doc["sector_loadings"], n_assets), dtype=float)

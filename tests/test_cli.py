@@ -74,6 +74,23 @@ def test_synth_scenario_json(tmp_path):
     assert run("synth", "--scenario", bad, "--out-dir", tmp_path / "bad") == 3
 
 
+def test_synth_seed_flag_is_the_scenario_seed_for_every_draw(tmp_path):
+    # Before, the loadings drawn from loading_ranges took the file's seed, and
+    # only the returns took --seed.
+    doc = {"n_assets": 4, "n_days": 30, "sectors": ["A", "A", "B", "B"],
+           "regimes": [[1, 30, 0.005, 0.004, 0.01]], "seed": 3,
+           "loading_ranges": {"beta": [0.2, 1.8], "gamma": [0.5, 1.5]}}
+    for seed in (7, 8):
+        flagged, inline = tmp_path / f"flag-{seed}.json", tmp_path / f"inline-{seed}.json"
+        flagged.write_text(json.dumps(doc), encoding="utf-8")
+        inline.write_text(json.dumps(dict(doc, seed=seed)), encoding="utf-8")
+        assert run("synth", "--scenario", flagged, "--seed", seed,
+                   "--out-dir", tmp_path / f"flag-{seed}") == 0
+        assert run("synth", "--scenario", inline, "--out-dir", tmp_path / f"inline-{seed}") == 0
+        assert digest(tmp_path / f"flag-{seed}" / "prices.csv") == \
+            digest(tmp_path / f"inline-{seed}" / "prices.csv")
+
+
 # ---------- gap ----------
 
 def test_gap_one_factor_summary_small_delta(tmp_path):

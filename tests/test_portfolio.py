@@ -573,6 +573,13 @@ def test_subsets_match_numpy_choice_at_branch_edges(m, n):
                                       numpy_subsets((seed, 1, 2), range(3), m, n), strict=True)
 
 
+def test_subsets_match_numpy_choice_where_lemire_redraws_often():
+    # At m = 3 * 2**30 about one draw in four is redrawn, so after the first
+    # draw the lanes hold a kept high half or none, mixed.
+    np.testing.assert_array_equal(_subsets((5, 1, 2), range(64), 3 * 2**30, 4),
+                                  numpy_subsets((5, 1, 2), range(64), 3 * 2**30, 4), strict=True)
+
+
 def test_subsets_golden_draws():
     # Fixed here, so the study's stream stays put whatever a later NumPy does.
     assert _subsets((3, 0, 0), range(3), 60, 10).tolist() == [
