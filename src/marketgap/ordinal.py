@@ -9,6 +9,7 @@ equally common, 0 when all stocks share one pattern.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 
@@ -23,10 +24,10 @@ PATTERNS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 N_PATTERNS = len(PATTERNS)
 MAX_ENTROPY = math.log(N_PATTERNS)
 
-# Permutation (a, b, c) encoded as 9a + 3b + c -> pattern id; -1 marks non-permutations.
-_CODE_TO_INDEX = np.full(27, -1, dtype=np.int64)
-for _i, _p in enumerate(PATTERNS):
-    _CODE_TO_INDEX[9 * _p[0] + 3 * _p[1] + _p[2]] = _i
+# Bits (x1 < x0, x2 < x0, x2 < x1) as 4a + 2b + c -> pattern id; -1: no finite triple.
+_BITS_TO_INDEX = np.full(8, -1, dtype=np.int64)
+for _i, _r in enumerate(tuple(_p.index(k) for k in range(3)) for _p in PATTERNS):
+    _BITS_TO_INDEX[4 * (_r[1] < _r[0]) + 2 * (_r[2] < _r[0]) + (_r[2] < _r[1])] = _i
 
 
 @dataclass(eq=False)
@@ -60,13 +61,16 @@ class OrdinalPhaseStats:
 
 # ---------- Pattern extraction ----------
 
+def _pattern_ids(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    # Strict < sorts the earlier of two tied returns first.
+    return _BITS_TO_INDEX[4 * (x1 < x0) + 2 * (x2 < x0) + (x2 < x1)]
+
+
 def pattern_indices(triples: np.ndarray) -> np.ndarray:
-    """Vectorized pattern ids for a (..., 3, n_stocks) stack of return triples."""
+    """Vectorized pattern ids for a (..., 3, n_stocks) stack of finite return triples."""
     if triples.ndim < 2 or triples.shape[-2] != 3:
         raise UsageError(f"expected a (..., 3, n) block, got shape {triples.shape}")
-    order = np.argsort(triples, axis=-2, kind="stable")
-    codes = 9 * order[..., 0, :] + 3 * order[..., 1, :] + order[..., 2, :]
-    return _CODE_TO_INDEX[codes]
+    return _pattern_ids(*np.moveaxis(triples, -2, 0))
 
 
 # ---------- Entropy ----------
@@ -78,11 +82,7 @@ def ordinal_entropy(probabilities) -> float:
     return float(-(nz * np.log(nz)).sum() + 0.0)  # +0.0 normalizes -0.0
 
 
-def entropy_series(
-    returns: ReturnPanel,
-    length: int = 60,
-    step: int = 1,
-) -> EntropySeries:
+def entropy_series(returns: ReturnPanel, length: int = 60, step: int = 1) -> EntropySeries:
     """Ordinal entropy at each rolling window end date.
 
     Only the final three returns of each window feed the patterns; the window
@@ -91,17 +91,18 @@ def entropy_series(
     are all present; a date where none does raises DegenerateWindowError.
     """
     ends = window_ends(returns.n_dates, length, step)
-    triples = returns.values[(ends - 3)[:, np.newaxis] + np.arange(3)]  # (W, 3, N)
-    eligible = np.isfinite(triples).all(axis=1)  # (W, N)
+    # Rows ends - 3, ends - 2 and ends - 1 as three strided (W, N) views, no copy.
+    x0, x1, x2 = (returns.values[length - 3 + i::step][:ends.size] for i in range(3))
+    eligible = np.isfinite(x0) & np.isfinite(x1) & np.isfinite(x2)
     n_stocks = np.count_nonzero(eligible, axis=1)
     if not n_stocks.all():
         first = returns.dates[ends[np.argmin(n_stocks)] - 1]
         raise DegenerateWindowError(
             f"no stock has complete returns for the triple ending {first.isoformat()}"
         )
-    # Window k's patterns are counted in bins 6k .. 6k + 5.
-    bins = (N_PATTERNS * np.arange(ends.size)[:, np.newaxis] + pattern_indices(triples))[eligible]
-    counts = np.bincount(bins, minlength=N_PATTERNS * ends.size).reshape(-1, N_PATTERNS)
+    bins = _pattern_ids(x0, x1, x2)
+    bins += N_PATTERNS * np.arange(ends.size)[:, np.newaxis]  # window k: bins 6k .. 6k + 5
+    counts = np.bincount(bins[eligible], minlength=N_PATTERNS * ends.size).reshape(-1, N_PATTERNS)
     probabilities = counts / n_stocks[:, np.newaxis]
     return EntropySeries(
         dates=[returns.dates[end - 1] for end in ends],
@@ -113,12 +114,12 @@ def entropy_series(
 
 # ---------- Phase statistics ----------
 
-def _phase_values(dates: list[date], values: np.ndarray, interval) -> np.ndarray:
+def _phase_values(series: EntropySeries, interval) -> np.ndarray:
+    """The values dated within [start, end]: one slice, as the dates ascend."""
     if interval is None:
-        return np.array([])
+        return series.values[:0]
     start, end = interval
-    mask = np.array([start <= d <= end for d in dates])
-    return values[mask]
+    return series.values[bisect_left(series.dates, start):bisect_right(series.dates, end)]
 
 
 def _stat(vals: np.ndarray) -> PhaseStat | None:
@@ -130,9 +131,8 @@ def _stat(vals: np.ndarray) -> PhaseStat | None:
 
 def phase_statistics(series: EntropySeries, phases: PhaseWindows) -> OrdinalPhaseStats:
     """Mean and sample std of entropy per phase; 95th percentile over false recovery."""
-    per_phase = {}
-    for name in ("pre_shock", "shock", "false_recovery", "stabilized"):
-        per_phase[name] = _phase_values(series.dates, series.values, getattr(phases, name))
+    per_phase = {name: _phase_values(series, getattr(phases, name))
+                 for name in ("pre_shock", "shock", "false_recovery", "stabilized")}
     fr = per_phase["false_recovery"]
     p95 = float(np.percentile(fr, 95, method="linear")) if fr.size else None
     return OrdinalPhaseStats(

@@ -1,7 +1,8 @@
 """Ordinal pattern, cross-sectional distribution, entropy, and phase-stat tests."""
 import itertools
 import math
-from datetime import date
+import tracemalloc
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -71,6 +72,12 @@ def test_vectorized_patterns_match_scalar():
     # A (W, 3, N) stack gives each block's ids.
     stack = np.stack([triples[:, :250], triples[:, 250:]])
     np.testing.assert_array_equal(pattern_indices(stack), [vec[:250], vec[250:]])
+    # A strided view, every other row and reversed columns, gives the same ids.
+    spread = np.zeros((2, 5, 250))
+    spread[:, ::2] = stack[..., ::-1]
+    view = spread[:, ::2, ::-1]
+    assert not view.flags.c_contiguous
+    np.testing.assert_array_equal(pattern_indices(view), [vec[:250], vec[250:]])
     with pytest.raises(UsageError):
         pattern_indices(np.zeros((2, 2, 50)))
 
@@ -151,6 +158,7 @@ def ordinal_panels(draw):
     levels = draw(st.sampled_from([
         np.array([-0.01, 0.0, 0.01]),
         np.array([-0.0, 0.0, 0.02]),
+        np.array([-np.inf, -0.01, 0.0, 0.0, np.inf]),
         np.linspace(-0.03, 0.03, 61),
     ]))
     values = rng.choice(levels, size=(n_dates, n_assets))
@@ -263,6 +271,20 @@ def test_entropy_series_bookkeeping():
     assert series.probabilities.shape == (len(ends), 6)
 
 
+def test_entropy_series_peak_memory_is_a_few_return_matrices():
+    # Patterns come from three strided views of the returns, so the peak stays
+    # a few (W, N) arrays; a (W, 3, N) stack of triples and its argsort need ~8x.
+    values = np.random.default_rng(24).standard_normal((600, 300)) * 0.01
+    returns = make_returns(values)
+    tracemalloc.start()
+    try:
+        series = entropy_series(returns, length=20, step=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert series.n_stocks.tolist() == [300] * 581
+    assert peak <= 3 * values.nbytes
+
 
 # ---------- Phase statistics ----------
 
@@ -325,16 +347,23 @@ def test_phase_statistics_percentile_matches_brute_force():
 def test_phase_statistics_empty_phase_absent():
     series = series_of(np.linspace(0.5, 1.5, 10))
     d = series.dates
+    day = timedelta(days=1)
     phases = PhaseWindows(
         pre_shock=None,
-        shock=(d[0], d[2]),
-        false_recovery=(d[3], d[6]),
-        stabilized=(d[7], d[9]),
+        shock=(d[0], d[1]),
+        false_recovery=(d[2] - day, d[6] + day),  # a Sunday to a Saturday: d[2] .. d[6]
+        stabilized=(d[-1] + day, d[-1] + 30 * day),  # wholly after the series
         event_date=d[1],
     )
     stats = phase_statistics(series, phases)
     assert stats.pre_shock is None
     assert stats.shock is not None
+    assert stats.stabilized is None
+    fr_values = series.values[2:7]
+    assert stats.false_recovery.n == 5
+    assert stats.false_recovery.mean_nats == float(np.mean(fr_values))
+    assert stats.false_recovery.std_nats == float(np.std(fr_values, ddof=1))
+    assert stats.false_recovery_p95_nats == float(np.percentile(fr_values, 95, method="linear"))
 
 
 def test_phase_statistics_values_in_entropy_range(three_phase):

@@ -252,9 +252,17 @@ def small_panel(m: Matrix, preset: str, seed: int | None, full: bool) -> None:
         sector_hole_copy(synth, hole, "SEC0", "2025-04-07")
         m.run(f"{panel}/sec0-hole-gap-by-sector", "gap", "--by-sector", *_inputs(synth, hole))
         m.run(f"{panel}/sec0-hole-heatmap", "heatmap", *_inputs(synth, hole))
+        m.run(f"{panel}/sec0-hole-entropy", "entropy", *_inputs(synth, hole))
     else:
         m.run(f"{panel}/portfolio-5000", "portfolio", *inputs, "--seed", 1,
               "--portfolios", 5000, "--event-date", event)
+
+
+def _column(table: Path, name: str) -> list[int]:
+    """An integer column of a CSV output, after its units line."""
+    with open(table, newline="") as fh:
+        next(fh)
+        return [int(row[name]) for row in csv.DictReader(fh)]
 
 
 def large_panel(m: Matrix, tree: Path, full: bool) -> None:
@@ -286,13 +294,13 @@ def large_panel(m: Matrix, tree: Path, full: bool) -> None:
     holed_by_sector = m.run("large-5/holed-gap-by-sector", "gap", "--by-sector", *holed_inputs)
     holed_gap = m.run("large-5/holed-gap", "gap", *holed_inputs)
     m.same_series(holed_gap, holed_by_sector)
+    holed_entropy = m.run("large-5/holed-entropy", "entropy", *holed_inputs)
     with open(synth / "meta.csv") as fh:
         assets = sum(1 for _ in fh) - 1
-    with open(holed_gap / "gap_LARGE.csv", newline="") as fh:
-        next(fh)  # the units line
-        kept = [int(row["n_assets"]) for row in csv.DictReader(fh)]
-    if min(kept) >= assets:
+    if min(_column(holed_gap / "gap_LARGE.csv", "n_assets")) >= assets:
         m.fail("no window of the holed large panel drops an asset")
+    if min(_column(holed_entropy / "entropy_LARGE.csv", "n_stocks")) >= assets:
+        m.fail("no date of the holed large panel's entropy drops a stock")
 
 
 def run_tree(tree: Path, root: Path, threads: int, full: bool) -> tuple[dict[str, str], int]:
