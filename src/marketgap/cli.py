@@ -150,13 +150,40 @@ def _gap_json_lines(series):
 
 # ---------- Helpers and the run skeleton ----------
 
-def _sha256(path) -> str:
-    # hashlib maps OpenSSL, 3.6 MB of RSS; imported here, it loads only once a
-    # run's results are gone (see `_run_markets`), or as `rerun` checks its inputs.
-    import hashlib
+# Files below this many bytes are hashed by CPython's built-in SHA-256, larger ones
+# by hashlib's OpenSSL. The built-in costs 6.3 ns/B (27 MiB in 0.170 s; 1.2 MB in
+# 8.1 ms with its import). OpenSSL costs 0.8 ns/B (27 MiB in 0.021 s), but its
+# import takes 6.7 ms and maps 3.57 MB of RSS onto the process's peak. At this cut
+# the built-in spends at most about 16 ms more to keep those 3.57 MB unmapped.
+_BUILTIN_SHA256_BELOW = 4 << 20
 
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
+
+def _sha256(path) -> str:
+    """The hex SHA-256 digest of a file; one that cannot be opened is a DataError.
+
+    Either implementation gives the same digest. hashlib, imported only for a file
+    at or above the cut or where CPython lacks the built-in module, loads once a
+    run's results are gone (see `_run_markets`), or as `rerun` checks its inputs.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror}") from exc
+    with fh:
+        sha256 = None
+        if os.fstat(fh.fileno()).st_size < _BUILTIN_SHA256_BELOW:
+            try:
+                from _sha2 import sha256  # CPython 3.12 on
+            except ImportError:
+                try:
+                    from _sha256 import sha256  # CPython 3.10 and 3.11
+                except ImportError:
+                    pass
+        if sha256 is None:
+            import hashlib
+
+            sha256 = hashlib.sha256
+        h = sha256()
         for chunk in iter(lambda: fh.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()
@@ -260,8 +287,9 @@ def _run_markets(command: str, config: dict, compute, write, files: bool = True,
         market, returns, sector_of = markets.pop(0)
         results.append((market, compute(market, len(results), returns, sector_of)))
     write(out, results, names)
-    # The manifest's digests map OpenSSL; the results and the last market's returns
-    # go first, so that map lands in a heap smaller than the run's peak.
+    # The digest of an input at or above the cut maps OpenSSL; the results and the
+    # last market's returns go first, so that map lands in a heap smaller than the
+    # run's peak.
     del results, returns
     out.manifest(command, config)
 

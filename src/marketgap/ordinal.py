@@ -15,7 +15,7 @@ from datetime import date
 
 import numpy as np
 
-from .errors import DegenerateWindowError, UsageError
+from .errors import DegenerateWindowError
 from .panel import ReturnPanel, window_ends
 from .regimes import PhaseWindows
 
@@ -64,13 +64,6 @@ class OrdinalPhaseStats:
 def _pattern_ids(x0: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     # Strict < sorts the earlier of two tied returns first.
     return _BITS_TO_INDEX[4 * (x1 < x0) + 2 * (x2 < x0) + (x2 < x1)]
-
-
-def pattern_indices(triples: np.ndarray) -> np.ndarray:
-    """Vectorized pattern ids for a (..., 3, n_stocks) stack of finite return triples."""
-    if triples.ndim < 2 or triples.shape[-2] != 3:
-        raise UsageError(f"expected a (..., 3, n) block, got shape {triples.shape}")
-    return _pattern_ids(*np.moveaxis(triples, -2, 0))
 
 
 # ---------- Entropy ----------

@@ -237,15 +237,17 @@ def realized_volatility(weights: np.ndarray, test_returns: np.ndarray,
 # SeedSequence hash of the key, the PCG64 (XSL-RR 128/64) stream it seeds,
 # the buffered 32-bit draws and the no-replacement rule of `Generator.choice`.
 # Each lane runs the same uint64 arithmetic; 32-bit quantities are
-# masked back to 32 bits and 128-bit ones are (hi, lo) pairs.
+# masked back to 32 bits and 128-bit ones are (hi, lo) pairs. The seed hash
+# takes Python ints where a word is the same in every lane, and uint64 lane
+# arrays from the first step that reads the lane's own key word.
 
 _M32 = np.uint64(0xFFFFFFFF)
-_S16, _S32, _S58, _S63, _S64 = (np.uint64(s) for s in (16, 32, 58, 63, 64))
+_S32, _S58, _S63, _S64 = (np.uint64(s) for s in (32, 58, 63, 64))
 _ONE = np.uint64(1)
 # SeedSequence hash constants.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # The PCG64 multiplier, as 64-bit halves and the 32-bit limbs of its low half.
 _PCG_HI, _PCG_LO = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
 _PCG_LO1, _PCG_LO0 = _PCG_LO >> _S32, _PCG_LO & _M32
@@ -262,22 +264,24 @@ def _key_words(value: int) -> list[int]:
 
 
 def _hasher(init: int, mult: int):
-    """SeedSequence's hashmix; its 32-bit constant starts at init and is multiplied by mult per call."""
+    """SeedSequence's hashmix, of a 32-bit int or a uint64 lane array; its 32-bit
+    constant starts at init and is multiplied by mult per call, in call order."""
     const = init
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
+    def hashmix(value):
         nonlocal const
-        value = value ^ np.uint64(const)
+        value = value ^ const
         const = const * mult & 0xFFFFFFFF
-        value = value * np.uint64(const) & _M32
-        return value ^ (value >> _S16)
+        value = value * const & 0xFFFFFFFF
+        return value ^ (value >> 16)
 
     return hashmix
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = (_MIX_L * x - _MIX_R * y) & _M32
-    return result ^ (result >> _S16)
+def _mix(x, y):
+    """SeedSequence's mix of two 32-bit words, each an int or a uint64 lane array."""
+    result = (_MIX_L * x - _MIX_R * y) & 0xFFFFFFFF
+    return result ^ (result >> 16)
 
 
 def _mulhi64(a: np.ndarray) -> np.ndarray:
@@ -294,13 +298,14 @@ class _Lanes:
 
     def __init__(self, prefix: tuple[int, ...], keys: range):
         count = len(keys)
-        # Every lane index is one 32-bit key word, as keys.stop <= 2**32.
-        entropy = [np.full(count, w, dtype=np.uint64) for k in prefix for w in _key_words(k)]
+        # The prefix's words are ints, equal in every lane; every lane index is one
+        # 32-bit key word, as keys.stop <= 2**32.
+        entropy: list = [w for k in prefix for w in _key_words(k)]
         entropy.append(np.arange(keys.start, keys.stop, dtype=np.uint64))
-        # SeedSequence.mix_entropy into a pool of 4 words.
+        # SeedSequence.mix_entropy into a pool of 4 words. A step on ints alone stays
+        # an int; the lane word makes each pool word it reaches an array.
         hashmix = _hasher(_INIT_A, _MULT_A)
-        pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(count, dtype=np.uint64))
-                for i in range(4)]
+        pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
         for src in range(4):
             for dst in range(4):
                 if src != dst:

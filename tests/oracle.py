@@ -17,7 +17,9 @@ matrix once built from its sorted keys, and the stacked correlation kernel
 as it stood before it cleaned its input in place. The windows come from
 plain `range` loops here, not from the package's grid. Only the dataclasses,
 the pattern table, the closed-form Marchenko-Pastur band, the report's rank
-statistics and the csv parse rules come from the package, except in the
+statistics and the csv parse rules come from the package, except in
+`pattern_indices`, which puts a stack of triples through the package's
+three-comparison pattern ids so the scalar pattern can check them, in the
 sector series `gap --by-sector` once took, which checks the calendar a
 sector runs on and so takes the package's log returns and gap series, and in
 the per-sector loop `sector_gap_series` ran before one kernel pass served
@@ -40,7 +42,7 @@ from marketgap.errors import (
     UndefinedCorrelationError,
     UsageError,
 )
-from marketgap.ordinal import N_PATTERNS, PATTERNS
+from marketgap.ordinal import N_PATTERNS, PATTERNS, _pattern_ids
 from marketgap import regimes
 from marketgap.panel import (
     LONG_HEADER,
@@ -534,6 +536,14 @@ def ordinal_pattern(x0: float, x1: float, x2: float) -> int:
             raise NumericError(f"ordinal pattern needs finite inputs, got {v!r}")
     perm = sorted(range(3), key=lambda i: ((x0, x1, x2)[i], i))
     return PATTERNS.index(tuple(perm))
+
+
+def pattern_indices(triples: np.ndarray) -> np.ndarray:
+    """The package's pattern ids, `ordinal._pattern_ids`, for a (..., 3, n_stocks)
+    stack of finite return triples."""
+    if triples.ndim < 2 or triples.shape[-2] != 3:
+        raise UsageError(f"expected a (..., 3, n) block, got shape {triples.shape}")
+    return _pattern_ids(*np.moveaxis(triples, -2, 0))
 
 
 @dataclass(eq=False)

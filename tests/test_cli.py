@@ -839,6 +839,67 @@ def test_rerun_refuses_changed_input(tmp_path, synth_dir, capsys):
     assert str(prices) in capsys.readouterr().err
 
 
+def _unopenable_meta_rerun(tmp_path, synth_dir, capsys, block):
+    """rerun's exit code and stderr once `block(meta)` has made the run's meta
+    input unopenable."""
+    meta = tmp_path / "meta.csv"
+    meta.write_bytes((synth_dir / "meta.csv").read_bytes())
+    first = tmp_path / "first"
+    assert run("gap", "--prices", synth_dir / "prices.csv", "--meta", meta, "--window", 30,
+               "--out-dir", first) == 0
+    block(meta)
+    capsys.readouterr()
+    code = run("rerun", "--manifest", first / "manifest.json", "--out-dir", tmp_path / "second")
+    return code, capsys.readouterr().err
+
+
+def test_rerun_input_that_cannot_be_opened_is_exit_3(tmp_path, synth_dir, capsys, monkeypatch):
+    # Before, the digest's open raised PermissionError through main: exit 1 and
+    # a traceback.
+    def block(meta):
+        def refuse(path, *args, **kwargs):
+            if Path(path) == meta:
+                raise PermissionError(13, "Permission denied", str(path))
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refuse, raising=False)
+
+    code, err = _unopenable_meta_rerun(tmp_path, synth_dir, capsys, block)
+    assert code == 3
+    assert f"error: {tmp_path / 'meta.csv'}: cannot open: Permission denied" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root opens a file of mode 000")
+def test_rerun_input_without_read_permission_is_exit_3(tmp_path, synth_dir, capsys):
+    code, err = _unopenable_meta_rerun(tmp_path, synth_dir, capsys, lambda meta: meta.chmod(0))
+    assert code == 3
+    assert f"error: {tmp_path / 'meta.csv'}: cannot open: Permission denied" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("size", [0, 7, 8, 9])
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "no_builtin"])
+def test_sha256_on_either_side_of_the_cut_is_hashlibs(tmp_path, monkeypatch, size, builtin):
+    # Below the cut the built-in module hashes the file, at or above it hashlib
+    # does, as it does where CPython lacks the built-in module.
+    monkeypatch.setattr(cli, "_BUILTIN_SHA256_BELOW", 8)
+    if not builtin:
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)  # importing it raises ImportError
+    reference, calls = hashlib.sha256, []
+
+    def counted(*args):
+        calls.append(args)
+        return reference(*args)
+
+    monkeypatch.setattr(hashlib, "sha256", counted)
+    path = tmp_path / "input"
+    path.write_bytes(bytes(range(40, 40 + size)))
+    assert cli._sha256(path) == reference(path.read_bytes()).hexdigest()
+    assert len(calls) == (0 if builtin and size < 8 else 1)
+
+
 @pytest.mark.parametrize("key,edit", [
     ("prices", "other"),  # the config reads a file whose digest was never taken
     ("meta", "other"),
@@ -1220,16 +1281,22 @@ def test_cli_import_leaves_hashlib_unloaded():
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-@pytest.mark.parametrize("argv, kernel", [
-    (("gap", "--by-sector"), "gap_series"),
-    (("heatmap",), "monthly_sector_heatmap"),
-    (("entropy", "--event-date", "event"), "entropy_series"),
-    (("portfolio", "--seed", "1"), "run_portfolio_study"),
-], ids=["gap_by_sector", "heatmap", "entropy", "portfolio"])
-def test_manifest_is_written_once_the_results_are_gone(tmp_path, risk_dir, argv, kernel):
+@pytest.mark.parametrize("argv, kernel, openssl", [
+    pytest.param(argv, kernel, openssl, id=name if openssl else f"{name}_default_cut")
+    for openssl in (True, False) for name, argv, kernel in [
+        ("gap_by_sector", ("gap", "--by-sector"), "gap_series"),
+        ("heatmap", ("heatmap",), "monthly_sector_heatmap"),
+        ("entropy", ("entropy", "--event-date", "event"), "entropy_series"),
+        ("portfolio", ("portfolio", "--seed", "1"), "run_portfolio_study"),
+    ]])
+def test_manifest_is_written_once_the_results_are_gone(tmp_path, risk_dir, argv, kernel,
+                                                       openssl):
     # Each market's returns and result are freed before the manifest takes its
     # digests, and OpenSSL is mapped only then, so it adds to a smaller heap
     # than the run's peak. Both markets of the risk-study preset are checked.
+    # With the cut at 0 every input goes through hashlib, as an input at or
+    # above the cut does; at the default cut the preset's inputs are below it,
+    # so OpenSSL is never mapped.
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     event = json.loads((risk_dir / "truth.json").read_text())["event_date"]
@@ -1237,6 +1304,7 @@ def test_manifest_is_written_once_the_results_are_gone(tmp_path, risk_dir, argv,
     code = "\n".join([
         "import sys, weakref",
         "from marketgap import cli",
+        f"if {openssl}: cli._BUILTIN_SHA256_BELOW = 0",
         "argv, kernel_name = sys.argv[1:-1], sys.argv[-1]",
         "kernel, refs, seen = getattr(cli, kernel_name), [], []",
         "class Rows(list):  # a list that takes weak references",
@@ -1257,7 +1325,7 @@ def test_manifest_is_written_once_the_results_are_gone(tmp_path, risk_dir, argv,
         "    manifest(self, command, config)",
         "cli._OutDir.manifest = checked",
         "assert cli.main(argv) == 0",
-        "assert seen == argv[:1] and '_hashlib' in sys.modules",
+        f"assert seen == argv[:1] and ('_hashlib' in sys.modules) == {openssl}",
     ])
     inputs = ["--prices", str(risk_dir / "prices.csv"), "--meta", str(risk_dir / "meta.csv")]
     subprocess.run([sys.executable, "-c", code, *argv, *inputs,
@@ -1265,6 +1333,42 @@ def test_manifest_is_written_once_the_results_are_gone(tmp_path, risk_dir, argv,
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["inputs"] == {str(risk_dir / name): digest(risk_dir / name)
                                   for name in ("prices.csv", "meta.csv")}
+
+
+def test_rerun_and_synth_of_small_inputs_leave_openssl_unmapped(tmp_path, risk_dir):
+    # rerun checks its inputs' digests before the command runs; the risk-study
+    # preset's files are below the default cut, so CPython's built-in SHA-256
+    # takes them and OpenSSL stays unmapped. `synth` loads hashlib anyway, as
+    # NumPy's random module imports hmac, which imports it; its scenario digest
+    # must not call it.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    first = tmp_path / "first"
+    assert run("gap", "--prices", risk_dir / "prices.csv", "--meta", risk_dir / "meta.csv",
+               "--out-dir", first) == 0
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({
+        "n_assets": 4, "n_days": 30, "sectors": {"A": 2, "B": 2},
+        "regimes": [[1, 30, 0.005, 0.004, 0.01]], "seed": 3}), encoding="utf-8")
+    rerun, synth = tmp_path / "rerun", tmp_path / "synth"
+    code = "\n".join([
+        "import sys",
+        "from marketgap.cli import main",
+        "manifest, scenario, rerun, synth = sys.argv[1:]",
+        "assert main(['rerun', '--manifest', manifest, '--out-dir', rerun]) == 0",
+        "assert '_hashlib' not in sys.modules",
+        "import hashlib",
+        "def refuse(*args):",
+        "    raise AssertionError('hashlib.sha256 called')",
+        "hashlib.sha256 = refuse",
+        "assert main(['synth', '--scenario', scenario, '--out-dir', synth]) == 0",
+    ])
+    subprocess.run([sys.executable, "-c", code, str(first / "manifest.json"), str(scenario),
+                    str(rerun), str(synth)], env=env, check=True)
+    for out, inputs in ((rerun, [risk_dir / "prices.csv", risk_dir / "meta.csv"]),
+                        (synth, [scenario])):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["inputs"] == {str(path): digest(path) for path in inputs}
 
 
 def test_commands_without_a_portfolio_report_leave_scipy_unloaded(tmp_path):

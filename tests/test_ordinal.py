@@ -17,12 +17,11 @@ from marketgap.ordinal import (
     EntropySeries,
     entropy_series,
     ordinal_entropy,
-    pattern_indices,
     phase_statistics,
 )
 from marketgap.panel import window_ends
 from marketgap.regimes import PhaseWindows
-from oracle import ordinal_pattern
+from oracle import ordinal_pattern, pattern_indices
 
 from conftest import make_returns, weekdays
 
