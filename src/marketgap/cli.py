@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .errors import DataError, MarketGapError, UsageError, check_choice, check_int
-from .ordinal import entropy_series, phase_statistics
+from .ordinal import entropy_series
 from .panel import (
     LAYOUTS,
     load_price_panel,
@@ -41,6 +41,7 @@ from .regimes import (
     gap_series,
     monthly_sector_heatmap,
     phase_segmentation,
+    phase_statistics,
 )
 from .spectral import NORM_MODES, RHO_MODES
 from .synth import (
@@ -376,7 +377,8 @@ def run_entropy(config: dict) -> None:
         if event is None:
             return series, None
         phases = phase_segmentation(series.dates, series.values, event, params=params)
-        return series, {"phases": phases, "statistics": phase_statistics(series, phases)}
+        stats = phase_statistics(series.dates, series.values, phases)
+        return series, {"phases": phases, "statistics": stats}
 
     def write(out, results, names):
         for market, (series, phase_doc) in results:

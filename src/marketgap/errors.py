@@ -3,7 +3,6 @@ and the checks that a setting is a value of its kind."""
 import math
 import numbers
 
-EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4

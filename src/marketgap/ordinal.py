@@ -8,8 +8,6 @@ equally common, 0 when all stocks share one pattern.
 """
 from __future__ import annotations
 
-import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 
@@ -17,12 +15,10 @@ import numpy as np
 
 from .errors import DegenerateWindowError
 from .panel import ReturnPanel, window_ends
-from .regimes import PhaseWindows
 
 # The 6 permutations of (0, 1, 2) in lexicographic order; index = pattern id.
 PATTERNS = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
 N_PATTERNS = len(PATTERNS)
-MAX_ENTROPY = math.log(N_PATTERNS)
 
 # Bits (x1 < x0, x2 < x0, x2 < x1) as 4a + 2b + c -> pattern id; -1: no finite triple.
 _BITS_TO_INDEX = np.full(8, -1, dtype=np.int64)
@@ -38,25 +34,6 @@ class EntropySeries:
     values: np.ndarray  # entropy in nats, one per date
     n_stocks: np.ndarray
     probabilities: np.ndarray  # shape (n_dates, 6)
-
-
-@dataclass(frozen=True)
-class PhaseStat:
-    mean_nats: float
-    std_nats: float | None  # sample std (ddof=1); None when fewer than 2 points
-    n: int
-
-
-@dataclass(frozen=True)
-class OrdinalPhaseStats:
-    """Per-phase entropy statistics plus the false-recovery 95th percentile."""
-
-    pre_shock: PhaseStat | None
-    shock: PhaseStat | None
-    false_recovery: PhaseStat | None
-    stabilized: PhaseStat | None
-    false_recovery_p95_nats: float | None
-    percentile_method: str = "linear interpolation between closest ranks"
 
 
 # ---------- Pattern extraction ----------
@@ -102,36 +79,4 @@ def entropy_series(returns: ReturnPanel, length: int = 60, step: int = 1) -> Ent
         values=np.array([ordinal_entropy(p) for p in probabilities]),
         n_stocks=n_stocks.astype(np.int64),
         probabilities=probabilities,
-    )
-
-
-# ---------- Phase statistics ----------
-
-def _phase_values(series: EntropySeries, interval) -> np.ndarray:
-    """The values dated within [start, end]: one slice, as the dates ascend."""
-    if interval is None:
-        return series.values[:0]
-    start, end = interval
-    return series.values[bisect_left(series.dates, start):bisect_right(series.dates, end)]
-
-
-def _stat(vals: np.ndarray) -> PhaseStat | None:
-    if vals.size == 0:
-        return None
-    std = float(np.std(vals, ddof=1)) if vals.size >= 2 else None
-    return PhaseStat(mean_nats=float(np.mean(vals)), std_nats=std, n=int(vals.size))
-
-
-def phase_statistics(series: EntropySeries, phases: PhaseWindows) -> OrdinalPhaseStats:
-    """Mean and sample std of entropy per phase; 95th percentile over false recovery."""
-    per_phase = {name: _phase_values(series, getattr(phases, name))
-                 for name in ("pre_shock", "shock", "false_recovery", "stabilized")}
-    fr = per_phase["false_recovery"]
-    p95 = float(np.percentile(fr, 95, method="linear")) if fr.size else None
-    return OrdinalPhaseStats(
-        pre_shock=_stat(per_phase["pre_shock"]),
-        shock=_stat(per_phase["shock"]),
-        false_recovery=_stat(per_phase["false_recovery"]),
-        stabilized=_stat(per_phase["stabilized"]),
-        false_recovery_p95_nats=p95,
     )

@@ -597,7 +597,7 @@ def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:
         raise DataError(f"{path}: no price observations")
 
     if metadata is not None:
-        meta = load_metadata(metadata) if not isinstance(metadata, dict) else metadata
+        meta = load_metadata(metadata)
         missing = [t for t in tickers if t not in meta]
         if missing:
             raise DataError(f"metadata lacks labels for tickers: {', '.join(missing[:5])}")

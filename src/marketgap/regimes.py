@@ -1,7 +1,8 @@
-"""Gap time series, shock-phase segmentation, and monthly sector heatmaps."""
+"""Gap time series, shock phases and their statistics, and monthly sector heatmaps."""
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from itertools import groupby
@@ -14,7 +15,6 @@ from .panel import ReturnPanel, check_window
 from .spectral import NORM_MODES, RHO_MODES, mp_bounds, normalized_lambda, rolling_spectra
 
 logger = logging.getLogger(__name__)
-
 
 
 class Interval(NamedTuple):
@@ -239,8 +239,10 @@ def phase_segmentation(
     [sustained-run start, series end] unless configured.
     """
     n = len(dates)
-    if n == 0 or len(values) != n:
+    if len(values) != n:
         raise UsageError("segmentation needs equally long dates and values")
+    if n == 0:
+        raise DataError("segmentation needs a series with dated values; this one has none")
     if any(b <= a for a, b in zip(dates, dates[1:])):
         raise DataError("segmentation dates must be strictly increasing")
     if params.stabilized is not None:
@@ -283,6 +285,55 @@ def phase_segmentation(
     )
     _validate_order(phases)
     return phases
+
+
+# ---------- Phase statistics ----------
+
+@dataclass(frozen=True)
+class PhaseStat:
+    mean_nats: float
+    std_nats: float | None  # sample std (ddof=1); None when fewer than 2 points
+    n: int
+
+
+@dataclass(frozen=True)
+class PhaseStatistics:
+    """Per-phase statistics of a dated series in its own units, though named in nats:
+    the names are the keys of `phases_*.json`, which holds the entropy's."""
+
+    pre_shock: PhaseStat | None
+    shock: PhaseStat | None
+    false_recovery: PhaseStat | None
+    stabilized: PhaseStat | None
+    false_recovery_p95_nats: float | None
+    percentile_method: str = "linear interpolation between closest ranks"
+
+
+def _stat(vals: np.ndarray) -> PhaseStat | None:
+    if vals.size == 0:
+        return None
+    std = float(np.std(vals, ddof=1)) if vals.size >= 2 else None
+    return PhaseStat(mean_nats=float(np.mean(vals)), std_nats=std, n=int(vals.size))
+
+
+def phase_statistics(dates: list[date], values: np.ndarray,
+                     phases: PhaseWindows) -> PhaseStatistics:
+    """Mean and sample std of `values` per phase, None for an empty one, and the false
+    recovery's 95th percentile. `dates` ascend, so a phase's values are one slice."""
+    def within(interval: Interval | None) -> np.ndarray:
+        if interval is None:
+            return values[:0]
+        start, end = interval
+        return values[bisect_left(dates, start):bisect_right(dates, end)]
+
+    fr = within(phases.false_recovery)
+    return PhaseStatistics(
+        pre_shock=_stat(within(phases.pre_shock)),
+        shock=_stat(within(phases.shock)),
+        false_recovery=_stat(fr),
+        stabilized=_stat(within(phases.stabilized)),
+        false_recovery_p95_nats=float(np.percentile(fr, 95, method="linear")) if fr.size else None,
+    )
 
 
 # ---------- Monthly sector heatmap ----------

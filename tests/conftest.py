@@ -1,4 +1,5 @@
 """Shared helpers for the test suite."""
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -7,6 +8,9 @@ import pytest
 from marketgap.panel import PricePanel, ReturnPanel
 from marketgap.spectral import correlation_spectra
 from marketgap.synth import DEFAULT_SEED, risk_study_scenario, three_phase_scenario
+
+# The ordinal entropy's upper bound in nats: ln 3!, all six patterns equally common.
+MAX_ENTROPY = math.log(6)
 
 
 def weekdays(start: date, n: int) -> list[date]:

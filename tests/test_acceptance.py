@@ -14,7 +14,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from marketgap.ordinal import MAX_ENTROPY, entropy_series, ordinal_entropy
+from marketgap.ordinal import entropy_series, ordinal_entropy
 from marketgap.panel import ReturnPanel, load_price_panel, log_returns
 from marketgap.portfolio import (
     StudyConfig,
@@ -29,7 +29,7 @@ from marketgap.regimes import GapConfig, gap_series, phase_segmentation
 from marketgap.spectral import correlation_spectra, mp_bounds, normalized_lambda
 from marketgap.synth import risk_study_scenario, three_phase_scenario
 
-from conftest import equicorrelation, random_correlation, zscore_rows
+from conftest import MAX_ENTROPY, equicorrelation, random_correlation, zscore_rows
 from test_portfolio import oracle_rho
 
 def check(num, label, ok, detail=""):

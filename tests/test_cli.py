@@ -420,6 +420,17 @@ def test_entropy_event_outside_range_is_exit_3(tmp_path, synth_dir):
                "--event-date", "1999-01-04", "--out-dir", out) == 3
 
 
+def test_entropy_event_on_a_series_with_no_dates_is_exit_3(tmp_path, synth_dir, capsys):
+    # A window longer than the panel leaves an empty entropy series: a data fault,
+    # not a usage error, and nothing is written.
+    truth = json.loads((synth_dir / "truth.json").read_text())
+    out = tmp_path / "ent"
+    assert run("entropy", "--prices", synth_dir / "prices.csv", "--window", 500,
+               "--event-date", truth["event_date"], "--out-dir", out) == 3
+    assert "error: segmentation needs a series with dated values" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_entropy_degenerate_date_is_exit_4(tmp_path):
     # Two stocks with staggered gaps: one panel date has no complete triple.
     dates = weekdays(date(2025, 1, 2), 30)

@@ -13,7 +13,7 @@ from datetime import date
 import numpy as np
 
 import marketgap.cli as cli
-from marketgap.ordinal import EntropySeries, OrdinalPhaseStats, PhaseStat
+from marketgap.ordinal import EntropySeries
 from marketgap.portfolio import (
     Observations,
     QuintileReport,
@@ -22,7 +22,14 @@ from marketgap.portfolio import (
     StudyResult,
     Subperiod,
 )
-from marketgap.regimes import DroppedWindow, GapSeries, Interval, PhaseWindows
+from marketgap.regimes import (
+    DroppedWindow,
+    GapSeries,
+    Interval,
+    PhaseStat,
+    PhaseStatistics,
+    PhaseWindows,
+)
 
 from conftest import weekdays
 
@@ -86,8 +93,8 @@ def fake_phase_segmentation(dates, values, event_date, params):
     )
 
 
-def fake_phase_statistics(series, phases):
-    return OrdinalPhaseStats(
+def fake_phase_statistics(dates, values, phases):
+    return PhaseStatistics(
         pre_shock=None,
         shock=PhaseStat(mean_nats=np.float64(1.24245332489), std_nats=np.float64(0.386086952),
                         n=2),

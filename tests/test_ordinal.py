@@ -1,8 +1,7 @@
-"""Ordinal pattern, cross-sectional distribution, entropy, and phase-stat tests."""
+"""Ordinal pattern, cross-sectional distribution and entropy tests."""
 import itertools
 import math
 import tracemalloc
-from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -11,19 +10,11 @@ from hypothesis import strategies as st
 
 import oracle
 from marketgap.errors import DegenerateWindowError, NumericError, UsageError
-from marketgap.ordinal import (
-    MAX_ENTROPY,
-    PATTERNS,
-    EntropySeries,
-    entropy_series,
-    ordinal_entropy,
-    phase_statistics,
-)
+from marketgap.ordinal import PATTERNS, entropy_series, ordinal_entropy
 from marketgap.panel import window_ends
-from marketgap.regimes import PhaseWindows
 from oracle import ordinal_pattern, pattern_indices
 
-from conftest import make_returns, weekdays
+from conftest import MAX_ENTROPY, make_returns
 
 
 # ---------- Patterns ----------
@@ -283,97 +274,3 @@ def test_entropy_series_peak_memory_is_a_few_return_matrices():
         tracemalloc.stop()
     assert series.n_stocks.tolist() == [300] * 581
     assert peak <= 3 * values.nbytes
-
-
-# ---------- Phase statistics ----------
-
-def series_of(values, start=date(2025, 1, 2)):
-    values = np.asarray(values, dtype=float)
-    return EntropySeries(
-        dates=weekdays(start, len(values)),
-        values=values,
-        n_stocks=np.full(len(values), 10, dtype=np.int64),
-        probabilities=np.zeros((len(values), 6)),
-    )
-
-
-def phases_for(series, splits):
-    """Split a series into four contiguous phases by index triples."""
-    d = series.dates
-    a, b, c = splits
-    return PhaseWindows(
-        pre_shock=(d[0], d[a - 1]),
-        shock=(d[a], d[b - 1]),
-        false_recovery=(d[b], d[c - 1]),
-        stabilized=(d[c], d[-1]),
-        event_date=d[a],
-    )
-
-
-def test_phase_statistics_constant_series():
-    series = series_of(np.full(40, 1.3))
-    stats = phase_statistics(series, phases_for(series, (10, 20, 30)))
-    for s in (stats.pre_shock, stats.shock, stats.false_recovery, stats.stabilized):
-        assert s.mean_nats == pytest.approx(1.3, abs=1e-12)
-        assert s.std_nats == pytest.approx(0.0, abs=1e-12)
-    assert stats.false_recovery_p95_nats == pytest.approx(1.3, abs=1e-12)
-
-
-def brute_force_percentile(values, pct):
-    """Sort-and-interpolate oracle for the linear percentile definition."""
-    srt = sorted(values)
-    rank = (len(srt) - 1) * pct / 100.0
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    frac = rank - lo
-    return srt[lo] * (1 - frac) + srt[hi] * frac
-
-
-def test_phase_statistics_percentile_matches_brute_force():
-    rng = np.random.default_rng(29)
-    values = rng.uniform(0.2, 1.7, size=20)
-    series = series_of(values)
-    # false recovery spans the whole 20-point series via a 4-way split around it
-    stats = phase_statistics(series, phases_for(series, (3, 5, 18)))
-    fr_values = values[5:18]
-    assert stats.false_recovery_p95_nats == pytest.approx(
-        brute_force_percentile(fr_values, 95), abs=1e-12
-    )
-    assert stats.false_recovery.mean_nats == pytest.approx(np.mean(fr_values), abs=1e-12)
-    assert stats.false_recovery.std_nats == pytest.approx(np.std(fr_values, ddof=1), abs=1e-12)
-
-
-def test_phase_statistics_empty_phase_absent():
-    series = series_of(np.linspace(0.5, 1.5, 10))
-    d = series.dates
-    day = timedelta(days=1)
-    phases = PhaseWindows(
-        pre_shock=None,
-        shock=(d[0], d[1]),
-        false_recovery=(d[2] - day, d[6] + day),  # a Sunday to a Saturday: d[2] .. d[6]
-        stabilized=(d[-1] + day, d[-1] + 30 * day),  # wholly after the series
-        event_date=d[1],
-    )
-    stats = phase_statistics(series, phases)
-    assert stats.pre_shock is None
-    assert stats.shock is not None
-    assert stats.stabilized is None
-    fr_values = series.values[2:7]
-    assert stats.false_recovery.n == 5
-    assert stats.false_recovery.mean_nats == float(np.mean(fr_values))
-    assert stats.false_recovery.std_nats == float(np.std(fr_values, ddof=1))
-    assert stats.false_recovery_p95_nats == float(np.percentile(fr_values, 95, method="linear"))
-
-
-def test_phase_statistics_values_in_entropy_range(three_phase):
-    from marketgap.panel import log_returns
-    from marketgap.regimes import phase_segmentation
-
-    returns = log_returns(three_phase.panel)
-    series = entropy_series(returns, length=60)
-    phases = phase_segmentation(series.dates, series.values, three_phase.truth.event_date)
-    stats = phase_statistics(series, phases)
-    for s in (stats.pre_shock, stats.shock, stats.false_recovery, stats.stabilized):
-        assert 0.0 <= s.mean_nats <= MAX_ENTROPY
-        assert s.std_nats is None or 0.0 <= s.std_nats <= MAX_ENTROPY
-    assert 0.0 <= stats.false_recovery_p95_nats <= MAX_ENTROPY

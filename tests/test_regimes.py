@@ -1,7 +1,7 @@
-"""Gap-series, phase-segmentation, and heatmap tests."""
+"""Gap-series, phase-segmentation, phase-statistics and heatmap tests."""
 import logging
 import math
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -16,16 +16,18 @@ from marketgap.ordinal import entropy_series
 from marketgap.panel import log_returns
 from marketgap.regimes import (
     GapConfig,
+    PhaseWindows,
     SegmentationParams,
     gap_series,
     monthly_sector_heatmap,
     phase_segmentation,
+    phase_statistics,
     sector_gap_series,
 )
 from marketgap.spectral import rolling_spectra
 from marketgap.synth import RegimeSpec, SynthConfig, generate_factor_panel, one_factor_config
 
-from conftest import make_panel, make_returns, weekdays
+from conftest import MAX_ENTROPY, make_panel, make_returns, weekdays
 
 
 # ---------- Gap series ----------
@@ -392,6 +394,115 @@ def test_robustness_pre_gap_exceeds_shock_gap_for_all_window_lengths(three_phase
             elif start_date >= truth.shock[0] and end_date <= truth.shock[1]:
                 shock.append(delta)
         assert np.mean(pre) > np.mean(shock)
+
+
+# ---------- Phase statistics ----------
+
+def phases_for(dates, splits):
+    """Split a series' dates into four contiguous phases by index triples."""
+    d = dates
+    a, b, c = splits
+    return PhaseWindows(
+        pre_shock=(d[0], d[a - 1]),
+        shock=(d[a], d[b - 1]),
+        false_recovery=(d[b], d[c - 1]),
+        stabilized=(d[c], d[-1]),
+        event_date=d[a],
+    )
+
+
+def test_phase_statistics_constant_series():
+    dates, values = entropy_like(np.full(40, 1.3))
+    stats = phase_statistics(dates, values, phases_for(dates, (10, 20, 30)))
+    for s in (stats.pre_shock, stats.shock, stats.false_recovery, stats.stabilized):
+        assert s.mean_nats == pytest.approx(1.3, abs=1e-12)
+        assert s.std_nats == pytest.approx(0.0, abs=1e-12)
+    assert stats.false_recovery_p95_nats == pytest.approx(1.3, abs=1e-12)
+
+
+def brute_force_percentile(values, pct):
+    """Sort-and-interpolate oracle for the linear percentile definition."""
+    srt = sorted(values)
+    rank = (len(srt) - 1) * pct / 100.0
+    lo = math.floor(rank)
+    hi = math.ceil(rank)
+    frac = rank - lo
+    return srt[lo] * (1 - frac) + srt[hi] * frac
+
+
+def signed_gap_series():
+    """The dates and delta of a gap series of both signs. Under `rho_mode="abs"`, two
+    blocks loaded with opposite signs on one factor make the mean |rho| exceed the
+    normalized lambda_max in some windows."""
+    rng = np.random.default_rng(0)
+    loadings = np.array([1.0] * 4 + [-1.0] * 4)
+    x = rng.normal(0, 0.01, (60, 1)) * loadings + rng.normal(0, 0.01, (60, 8))
+    series = gap_series(make_returns(x), GapConfig(window=10, rho_mode="abs"))
+    assert (series.delta < 0).any() and (series.delta > 0).any()
+    return series.dates, series.delta
+
+
+def test_phase_statistics_percentile_matches_brute_force():
+    rng = np.random.default_rng(29)
+    dates, values = entropy_like(rng.uniform(0.2, 1.7, size=20))
+    # false recovery spans the whole 20-point series via a 4-way split around it
+    stats = phase_statistics(dates, values, phases_for(dates, (3, 5, 18)))
+    fr_values = values[5:18]
+    assert stats.false_recovery_p95_nats == pytest.approx(
+        brute_force_percentile(fr_values, 95), abs=1e-12
+    )
+    assert stats.false_recovery.mean_nats == pytest.approx(np.mean(fr_values), abs=1e-12)
+    assert stats.false_recovery.std_nats == pytest.approx(np.std(fr_values, ddof=1), abs=1e-12)
+
+    # Each phase holds the values its interval selects date by date, for this
+    # series and for a gap series' delta, which takes both signs.
+    for dates, values, splits in ((dates, values, (3, 5, 18)),
+                                  (*signed_gap_series(), (12, 17, 40))):
+        phases = phases_for(dates, splits)
+        stats = phase_statistics(dates, values, phases)
+        for name in ("pre_shock", "shock", "false_recovery", "stabilized"):
+            start, end = getattr(phases, name)
+            selected = values[np.array([start <= d <= end for d in dates])]
+            stat = getattr(stats, name)
+            assert stat.n == selected.size >= 2
+            assert stat.mean_nats == np.mean(selected)
+            assert stat.std_nats == np.std(selected, ddof=1)
+            if name == "false_recovery":
+                assert stats.false_recovery_p95_nats == pytest.approx(
+                    brute_force_percentile(selected, 95), abs=1e-12)
+
+
+def test_phase_statistics_empty_phase_absent():
+    dates, values = entropy_like(np.linspace(0.5, 1.5, 10))
+    d = dates
+    day = timedelta(days=1)
+    phases = PhaseWindows(
+        pre_shock=None,
+        shock=(d[0], d[1]),
+        false_recovery=(d[2] - day, d[6] + day),  # a Sunday to a Saturday: d[2] .. d[6]
+        stabilized=(d[-1] + day, d[-1] + 30 * day),  # wholly after the series
+        event_date=d[1],
+    )
+    stats = phase_statistics(dates, values, phases)
+    assert stats.pre_shock is None
+    assert stats.shock is not None
+    assert stats.stabilized is None
+    fr_values = values[2:7]
+    assert stats.false_recovery.n == 5
+    assert stats.false_recovery.mean_nats == float(np.mean(fr_values))
+    assert stats.false_recovery.std_nats == float(np.std(fr_values, ddof=1))
+    assert stats.false_recovery_p95_nats == float(np.percentile(fr_values, 95, method="linear"))
+
+
+def test_phase_statistics_values_in_entropy_range(three_phase):
+    returns = log_returns(three_phase.panel)
+    series = entropy_series(returns, length=60)
+    phases = phase_segmentation(series.dates, series.values, three_phase.truth.event_date)
+    stats = phase_statistics(series.dates, series.values, phases)
+    for s in (stats.pre_shock, stats.shock, stats.false_recovery, stats.stabilized):
+        assert 0.0 <= s.mean_nats <= MAX_ENTROPY
+        assert s.std_nats is None or 0.0 <= s.std_nats <= MAX_ENTROPY
+    assert 0.0 <= stats.false_recovery_p95_nats <= MAX_ENTROPY
 
 
 # ---------- Heatmap ----------

@@ -213,7 +213,8 @@ def small_panel(m: Matrix, preset: str, seed: int | None, full: bool) -> None:
     panel = f"{preset}-{'default' if seed is None else seed}"
     synth = m.run(f"{panel}/synth", "synth", "--preset", preset,
                   *(() if seed is None else ("--seed", seed)))
-    event = json.loads((synth / "truth.json").read_text(encoding="utf-8"))["event_date"]
+    truth = json.loads((synth / "truth.json").read_text(encoding="utf-8"))
+    event = truth["event_date"]
     inputs = _inputs(synth)
     gap = m.run(f"{panel}/gap", "gap", *inputs)
     by_sector = m.run(f"{panel}/gap-by-sector", "gap", "--by-sector", *inputs)
@@ -253,6 +254,11 @@ def small_panel(m: Matrix, preset: str, seed: int | None, full: bool) -> None:
         m.run(f"{panel}/sec0-hole-gap-by-sector", "gap", "--by-sector", *_inputs(synth, hole))
         m.run(f"{panel}/sec0-hole-heatmap", "heatmap", *_inputs(synth, hole))
         m.run(f"{panel}/sec0-hole-entropy", "entropy", *_inputs(synth, hole))
+        # A one-day shock at the scripted false recovery's start, then a sustained run
+        # at once: the phase statistics of an empty phase and of a single day.
+        m.run(f"{panel}/entropy-empty-phases", "entropy", *inputs,
+              "--event-date", truth["false_recovery"]["start"], "--shock-halfwidth", 0,
+              "--sustain-days", 5, "--entropy-threshold", 0.3)
     else:
         m.run(f"{panel}/portfolio-5000", "portfolio", *inputs, "--seed", 1,
               "--portfolios", 5000, "--event-date", event)
