@@ -30,6 +30,7 @@ from .panel import (
     load_price_panel,
     log_returns,
     open_input,
+    open_output,
     write_metadata,
     write_price_panel,
 )
@@ -231,11 +232,15 @@ def _config_date(config: dict, key: str) -> date | None:
 
 class _OutDir:
     """A run's --out-dir, created on construction, and the name of every file written
-    into it; those names are the manifest's `outputs`."""
+    into it; those names are the manifest's `outputs`. A directory that cannot be
+    created, and an output that cannot be opened, is a DataError naming it."""
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise DataError(f"{root}: cannot create: {exc.strerror}") from exc
         self.names: list[str] = []
 
     def path(self, name: str) -> Path:
@@ -244,7 +249,7 @@ class _OutDir:
         return self.root / name
 
     def lines(self, name: str, lines) -> None:
-        with open(self.path(name), "w", encoding="utf-8") as fh:
+        with open_output(self.path(name), "w", encoding="utf-8") as fh:
             fh.writelines(f"{line}\n" for line in lines)
 
     def table(self, name: str, units: str, header: str, rows) -> None:

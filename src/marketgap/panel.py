@@ -38,6 +38,11 @@ _BLOCK_BYTES = 1 << 16
 # 0.028 s (1 MiB), 0.091 against 0.093 s (4 MiB) and 0.128 against 0.208 s
 # (8 MiB), medians of 7 processes each.
 _PART_BYTES = 4 << 20
+# A panel of at least 2 x this many cells is written in one part per CPU, each
+# part at least this many cells (see `write_price_panel`). A price line takes 32
+# bytes or more, so a part is at least about `_PART_BYTES` of the file; every
+# preset (at most about 50k cells) is one part.
+_WRITE_PART_CELLS = _PART_BYTES // 32
 
 logger = logging.getLogger(__name__)
 
@@ -141,6 +146,14 @@ def open_input(path):
     """
     try:
         return open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open: {exc.strerror}") from exc
+
+
+def open_output(path, mode: str, **kwargs):
+    """Open an output file; one that cannot be opened is a DataError naming it."""
+    try:
+        return open(path, mode, **kwargs)
     except OSError as exc:
         raise DataError(f"{path}: cannot open: {exc.strerror}") from exc
 
@@ -469,63 +482,108 @@ def _merge(grid: np.ndarray, rows: list[int], cols: list[int], prices: np.ndarra
         grid[cells] = held
 
 
-def _read_forked(path, fh, cuts: list[int]):
-    """(date codes, ticker codes, grid) of the parts between `cuts`: part 0 read here,
-    each other part in a forked worker that pipes back `_worker_part`'s result; the
-    parts are merged in file order. Every worker is reaped before this returns or
-    raises, and killed first if it may still run."""
-    stat = os.fstat(fh.fileno())
-    workers = []  # (pid, its pipe's read end) of each worker not yet reaped, in file order
+class _ForkFailed(Exception):
+    """`_forked` could not start a worker; no part has run. The text is the OS reason."""
+
+
+class _WorkerFailed(Exception):
+    """A forked worker ended before it sent its whole result."""
+
+
+def _forked(own, jobs, take):
+    """`own()` run here while each of `jobs` runs in a forked worker, then each worker's
+    result folded into own's in job order: `result = take(result, pipe)`, with `pipe`
+    the read end of the worker's pipe as a binary file. Returns the folded result.
+
+    A worker calls its job with the write end of its pipe, as a binary file, and
+    ends with `os._exit`: status 0 once the job has returned, 1 if it raised. So
+    a worker runs no exit handler and flushes no file it inherited; its job must
+    run no BLAS and write no log. A worker that ends with another status than 0
+    raises `_WorkerFailed` after its `take`, and so may `take` itself on a result
+    it finds cut short. Every worker is started before `own()` runs; a pipe or
+    fork that fails raises `_ForkFailed` before it does. Every worker is reaped
+    before this returns or raises, and killed first if it may still run.
+    """
+    workers = []  # (pid, its pipe's read end) of each worker not yet reaped, in job order
     try:
-        for start, end in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
+        for job in jobs:
+            try:
+                r, w = os.pipe()
+            except OSError as exc:
+                raise _ForkFailed(exc.strerror) from None
             try:
                 pid = os.fork()
             except OSError as exc:
                 os.close(r)
                 os.close(w)
-                raise _Declined(f"cannot fork: {exc.strerror}") from None
-            if pid == 0:  # the worker: it runs no BLAS and writes no log
+                raise _ForkFailed(exc.strerror) from None
+            if pid == 0:
                 status = 1
                 try:
                     os.close(r)
                     with open(w, "wb") as pipe:
-                        pickle.dump(_worker_part(path, stat, start, end), pipe,
-                                    protocol=pickle.HIGHEST_PROTOCOL)
+                        job(pipe)
                     status = 0
                 finally:
                     os._exit(status)
             os.close(w)
             workers.append((pid, open(r, "rb")))
-        fh.seek(cuts[0])
-        dates, tickers, grid = _read_part(fh, cuts[1])
+        result = own()
         while workers:
             pid, pipe = workers[0]
             with pipe:
-                try:
-                    part = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    part = None  # the worker ended before it sent its whole result
+                result = take(result, pipe)
             status = os.waitpid(pid, 0)[1]
             workers.pop(0)
-            if part is None or status != 0:
-                raise _Declined("a worker process failed")
-            if isinstance(part, str):
-                raise _Declined(part)
-            part_dates, part_tickers, prices = part
-            rows = [dates.setdefault(d, len(dates)) for d in part_dates]
-            cols = [tickers.setdefault(t, len(tickers)) for t in part_tickers]
-            grid = _grown(grid, len(dates), len(tickers))
-            _merge(grid, rows, cols, prices)
+            if status:
+                raise _WorkerFailed
     finally:
-        if workers:  # a failed read; `signal` costs 1 ms of start-up, so it loads here
+        if workers:  # a failed run; `signal` costs 1 ms of start-up, so it loads here
             import signal
         for pid, pipe in workers:
             pipe.close()
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return dates, tickers, grid
+    return result
+
+
+def _read_forked(path, fh, cuts: list[int]):
+    """(date codes, ticker codes, grid) of the parts between `cuts`: part 0 read here,
+    each other part in a forked worker (`_forked`) that pipes back `_worker_part`'s
+    result; the parts are merged in file order."""
+    stat = os.fstat(fh.fileno())
+
+    def send(start: int, end: int):
+        return lambda pipe: pickle.dump(_worker_part(path, stat, start, end), pipe,
+                                        protocol=pickle.HIGHEST_PROTOCOL)
+
+    def own():
+        fh.seek(cuts[0])
+        return _read_part(fh, cuts[1])
+
+    def take(read, pipe):
+        dates, tickers, grid = read
+        try:
+            part = pickle.load(pipe)
+        except (EOFError, pickle.UnpicklingError):
+            raise _WorkerFailed from None
+        if isinstance(part, str):
+            raise _Declined(part)
+        part_dates, part_tickers, prices = part
+        rows = [dates.setdefault(d, len(dates)) for d in part_dates]
+        cols = [tickers.setdefault(t, len(tickers)) for t in part_tickers]
+        grid = _grown(grid, len(dates), len(tickers))
+        _merge(grid, rows, cols, prices)
+        return dates, tickers, grid
+
+    try:
+        return _forked(own, [send(start, end) for start, end in zip(cuts[1:-1], cuts[2:])],
+                       take)
+    except _ForkFailed as exc:
+        raise _Declined(f"cannot fork: {exc}") from None
+    except _WorkerFailed:
+        raise _Declined("a worker process failed") from None
 
 
 def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
@@ -616,23 +674,61 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[1:-3]
 
 
+def _price_rows(dates, close: np.ndarray, tickers: list[str]):
+    """The long layout's lines of each date and its row of `close`, one bytes object a
+    date: `date,ticker,repr(price)` and `\r\n` for each finite price, tickers as
+    `_csv_field` quotes them, each with its comma."""
+    for d, row in zip(dates, close):
+        head = d.isoformat() + ","
+        yield "".join([f"{head}{t}{v!r}\r\n" for t, v, keep in
+                       zip(tickers, row.tolist(), np.isfinite(row).tolist()) if keep]
+                      ).encode("utf-8")
+
+
 def write_price_panel(panel: PricePanel, path) -> None:
     """Write the panel in the long layout; round-trips through load_price_panel.
 
     The bytes are those of csv.writer: each ticker quoted as it quotes it,
     each price as `repr`, `\r\n` line ends and no row for a missing price.
+
+    A panel of at least 2 x `_WRITE_PART_CELLS` cells is cut into contiguous
+    date ranges, one per CPU (at most one a `_WRITE_PART_CELLS`), and each range
+    but the first is formatted in a forked worker (`_forked`) that pipes back its
+    bytes. This process writes the header and the first range row by row, then
+    copies each worker's bytes in date order, a block at a time, so the file is
+    the one-part write's, byte for byte. A smaller panel, and one on a system
+    without fork, is one part; so is any panel when a fork fails.
     """
     tickers = [_csv_field(t) + "," for t in panel.tickers]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(LONG_HEADER) + "\r\n")
-        for d, row in zip(panel.dates, panel.close):
-            head = d.isoformat() + ","
-            fh.write("".join([f"{head}{t}{v!r}\r\n" for t, v, keep in
-                              zip(tickers, row.tolist(), np.isfinite(row).tolist()) if keep]))
+    n = len(panel.dates)
+    parts = max(1, min(_cpus(), panel.close.size // _WRITE_PART_CELLS, n))
+    cuts = [n * k // parts for k in range(parts + 1)]
+
+    def rows(lo: int, hi: int):
+        return _price_rows(panel.dates[lo:hi], panel.close[lo:hi], tickers)
+
+    def send(lo: int, hi: int):
+        return lambda pipe: pipe.write(b"".join(rows(lo, hi)))
+
+    with open_output(path, "wb") as fh:
+        def take(_, pipe):
+            while block := pipe.read(_BLOCK_BYTES):
+                fh.write(block)
+
+        fh.write((",".join(LONG_HEADER) + "\r\n").encode("utf-8"))
+        try:
+            _forked(lambda: fh.writelines(rows(0, cuts[1])),
+                    [send(lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])], take)
+        except _ForkFailed:
+            parts = 1
+            fh.writelines(rows(0, n))
+        except _WorkerFailed:
+            raise DataError(f"{path}: cannot write: a worker process failed") from None
+    logger.debug("%s: price writer in %d part(s)", path, parts)
 
 
 def write_metadata(panel: PricePanel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(META_HEADER)
         for t in panel.tickers:

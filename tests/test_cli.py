@@ -91,6 +91,44 @@ def test_synth_seed_flag_is_the_scenario_seed_for_every_draw(tmp_path):
             digest(tmp_path / f"inline-{seed}" / "prices.csv")
 
 
+# ---------- unusable output paths ----------
+
+def test_out_dir_that_is_a_file_is_exit_3(tmp_path, capsys):
+    # Before, mkdir's FileExistsError went through main: exit 1 and a traceback.
+    taken = tmp_path / "F"
+    taken.write_text("a file\n")
+    assert run("synth", "--preset", "risk-study", "--out-dir", taken) == 3
+    err = capsys.readouterr().err
+    assert f"error: {taken}: cannot create: File exists" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "a file\n"
+
+
+def test_out_dir_under_a_file_is_exit_3(tmp_path, synth_dir, capsys):
+    # Before, mkdir's NotADirectoryError went through main: exit 1 and a traceback.
+    (tmp_path / "F").write_text("a file\n")
+    out = tmp_path / "F" / "x"
+    assert run("gap", "--prices", synth_dir / "prices.csv", "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert f"error: {out}: cannot create: Not a directory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, name", [("synth", "prices.csv"), ("synth", "meta.csv"),
+                                           ("gap", "gap_ALL.csv"), ("gap", "manifest.json")])
+def test_output_that_cannot_be_opened_is_exit_3(tmp_path, synth_dir, capsys, command, name):
+    # A directory where the output file goes; before, open's IsADirectoryError
+    # went through main.
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    args = (("--preset", "risk-study") if command == "synth"
+            else ("--prices", synth_dir / "prices.csv"))
+    assert run(command, *args, "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert f"error: {out / name}: cannot open: Is a directory" in err
+    assert "Traceback" not in err
+
+
 # ---------- gap ----------
 
 def test_gap_one_factor_summary_small_delta(tmp_path):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import oracle
 from marketgap import panel as panel_module
 from marketgap.errors import DataError, DegenerateWindowError, ParseError, UsageError
+from marketgap.synth import generate_factor_panel, one_factor_config
 from marketgap.panel import (
     PricePanel,
     load_metadata,
@@ -741,27 +742,125 @@ def writer_panels(draw):
     return make_panel(close, tickers=tickers)
 
 
+def split_write(parts):
+    """Patches under which a panel of at least `parts` dates is written in `parts` parts,
+    all but the first formatted in forked workers."""
+    return mock.patch.multiple(panel_module, _WRITE_PART_CELLS=1, _cpus=lambda: parts)
+
+
 @settings(max_examples=150, deadline=None, database=None)
-@given(p=writer_panels())
-def test_writer_matches_csv_writer_and_round_trips(p):
+@given(p=writer_panels(), parts=st.sampled_from([1, 1, 2, 3, 4]))
+def test_writer_matches_csv_writer_and_round_trips(p, parts):
     with tempfile.TemporaryDirectory() as tmp:
         ours, theirs = Path(tmp) / "ours.csv", Path(tmp) / "theirs.csv"
-        write_price_panel(p, ours)
+        with split_write(parts), \
+                mock.patch.object(panel_module.os, "fork", wraps=os.fork) as fork:
+            write_price_panel(p, ours)
+        assert fork.call_count == min(parts, len(p.dates)) - 1
         oracle.write_price_panel(p, theirs)
         assert ours.read_bytes() == theirs.read_bytes()
 
-        # What loads back: the rows and columns that hold a price, under sorted
-        # tickers. The loader strips padding and refuses an empty ticker.
+        # The loader strips padding and refuses an empty ticker.
         if all(t and t == t.strip() for t in p.tickers) and np.isfinite(p.close).any():
-            order = sorted((t, j) for j, t in enumerate(p.tickers)
-                           if np.isfinite(p.close[:, j]).any())
-            close = p.close[:, [j for _, j in order]]
-            rows = np.isfinite(close).any(axis=1)
-            tickers = [t for t, _ in order]
-            expected = panel_module.PricePanel(
-                [d for d, r in zip(p.dates, rows) if r], tickers, close[rows],
-                {t: "UNKNOWN" for t in tickers}, {t: "ALL" for t in tickers})
-            assert load_price_panel(ours) == expected
+            assert load_price_panel(ours) == loaded_back(p)
+
+
+def loaded_back(p):
+    """What a written panel loads back as: the rows and columns that hold a price,
+    under sorted tickers."""
+    order = sorted((t, j) for j, t in enumerate(p.tickers) if np.isfinite(p.close[:, j]).any())
+    close = p.close[:, [j for _, j in order]]
+    rows = np.isfinite(close).any(axis=1)
+    tickers = [t for t, _ in order]
+    return panel_module.PricePanel([d for d, r in zip(p.dates, rows) if r], tickers, close[rows],
+                                   {t: "UNKNOWN" for t in tickers}, {t: "ALL" for t in tickers})
+
+
+def one_part_bytes(p, tmp: Path) -> bytes:
+    path = tmp / "one-part.csv"
+    with split_write(1):
+        write_price_panel(p, path)
+    return path.read_bytes()
+
+
+def holed_panel(n_dates=9, tickers=("A", "a,b", 'q"x', "Z")):
+    """Prices with NaN holes, all-NaN first, middle and last dates, and tickers that
+    csv.writer quotes."""
+    rng = np.random.default_rng(11)
+    close = rng.uniform(1, 500, size=(n_dates, len(tickers)))
+    close[rng.random(close.shape) < 0.3] = np.nan
+    close[[0, n_dates // 2, n_dates - 1]] = np.nan
+    close[1] = rng.uniform(1, 500, len(tickers))  # every ticker has a price
+    return make_panel(close, tickers=list(tickers))
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_dates", [2, 3, 9, 40])  # fewer dates than parts, too
+def test_split_write_round_trips(tmp_path, parts, n_dates):
+    p = holed_panel(n_dates)
+    path = tmp_path / "p.csv"
+    with split_write(parts), mock.patch.object(panel_module.os, "fork", wraps=os.fork) as fork:
+        write_price_panel(p, path)
+    assert fork.call_count == min(parts, n_dates) - 1
+    oracle.write_price_panel(p, tmp_path / "oracle.csv")
+    assert path.read_bytes() == one_part_bytes(p, tmp_path) == \
+        (tmp_path / "oracle.csv").read_bytes()
+    assert b'"a,b"' in path.read_bytes() and b'"q""x"' in path.read_bytes()
+    assert load_price_panel(path) == loaded_back(p)
+
+
+@pytest.mark.parametrize("ending", ["writes", "worker_fails", "interrupted", "fork_fails"])
+def test_no_worker_outlives_a_split_write(tmp_path, ending):
+    p = holed_panel(40)
+    path = tmp_path / "p.csv"
+    parent, price_rows, fork = os.getpid(), panel_module._price_rows, os.fork
+    forks = []
+
+    def rows(*args):
+        if ending == "worker_fails" and os.getpid() != parent:
+            raise RuntimeError("a worker fails")
+        if ending == "interrupted" and os.getpid() == parent:
+            raise KeyboardInterrupt  # the parent's own range is interrupted
+        return price_rows(*args)
+
+    def counted_fork():  # with "fork_fails", the second fork fails
+        forks.append(None)
+        if ending == "fork_fails" and len(forks) == 2:
+            raise OSError(11, "Resource temporarily unavailable")
+        return fork()
+
+    with split_write(4), mock.patch.object(panel_module.os, "fork", counted_fork), \
+            mock.patch.object(panel_module, "_price_rows", rows):
+        if ending == "interrupted":
+            with pytest.raises(KeyboardInterrupt):
+                write_price_panel(p, path)
+        elif ending == "worker_fails":
+            with pytest.raises(DataError, match=f"{path}: cannot write: a worker process failed"):
+                write_price_panel(p, path)
+        else:
+            write_price_panel(p, path)
+    assert len(forks) == (2 if ending == "fork_fails" else 3)
+    if ending in ("writes", "fork_fails"):
+        assert path.read_bytes() == one_part_bytes(p, tmp_path)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_writer_logs_its_parts(tmp_path, caplog):
+    p, path = holed_panel(), tmp_path / "p.csv"
+    with caplog.at_level(logging.DEBUG, logger="marketgap"):
+        write_price_panel(p, path)
+        with split_write(3):
+            write_price_panel(p, path)
+    assert f"{path}: price writer in 1 part(s)" in caplog.text
+    assert f"{path}: price writer in 3 part(s)" in caplog.text
+
+
+def test_every_preset_is_written_in_one_part(three_phase, risk_panel):
+    # The presets' panels are below the size at which a second part pays for itself.
+    panels = [three_phase.panel, risk_panel[0], generate_factor_panel(one_factor_config())]
+    for p in panels:
+        assert p.close.size < 2 * panel_module._WRITE_PART_CELLS, p.shape
 
 
 def test_market_panel_uses_own_calendar():

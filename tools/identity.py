@@ -33,7 +33,7 @@ MASK = "<root>"
 # Each preset's configured stabilized interval for `entropy --stabilized-start/-end`.
 STABILIZED = {"three-phase": ("2025-10-01", "2025-12-31"),
               "risk-study": ("2026-01-05", "2026-02-27")}
-ONE_PART = "block reader in 1 part(s)"
+READER, WRITER = "block reader", "price writer"
 
 
 def file_sha(path: Path) -> str:
@@ -140,6 +140,24 @@ class Matrix:
             if not (b / name).is_file() or file_sha(a / name) != file_sha(b / name):
                 self.fail(f"{b.relative_to(self.root)}/{name} is not "
                           f"{a.relative_to(self.root)}/{name}")
+
+    def parts(self, all_cpus: Path, one_cpu: Path, stage: str, optional: bool = False) -> None:
+        """The debug logs of two runs of one command: the run pinned to one CPU must
+        log `stage` in one part, and the other in more where this process may run on
+        more than one CPU. An `optional` stage that neither run logs (a tree older
+        than it) is reported and not checked."""
+        logs = {run: (run.parent / f"{run.name}.log").read_text() for run in (all_cpus, one_cpu)}
+        for run, log in logs.items():
+            print(f"{run.relative_to(self.root)}:", *(line for line in log.splitlines()
+                                                       if f"{stage} in" in line))
+        if optional and not any(f"{stage} in" in log for log in logs.values()):
+            print(f"{all_cpus.relative_to(self.root)}: no {stage} part count logged")
+            return
+        one_part = f"{stage} in 1 part(s)"
+        if one_part not in logs[one_cpu]:
+            self.fail(f"the one-CPU run {one_cpu.name} did not log its {stage} in one part")
+        if len(os.sched_getaffinity(0)) > 1 and one_part in logs[all_cpus]:
+            self.fail(f"the all-CPU run {all_cpus.name} logged its {stage} in one part")
 
     def same_series(self, plain: Path, by_sector: Path) -> None:
         """Plain `gap`'s series must be `gap --by-sector`'s market series."""
@@ -272,10 +290,15 @@ def _column(table: Path, name: str) -> list[int]:
 
 
 def large_panel(m: Matrix, tree: Path, full: bool) -> None:
-    """`bench/large_panel.json` at seed 5, read on one and on all CPUs, and a holed copy."""
+    """`bench/large_panel.json` at seed 5, written and read on one and on all CPUs,
+    and a holed copy."""
     scenario = m.root / "large_panel.json"
     shutil.copyfile(tree / "bench" / "large_panel.json", scenario)
-    synth = m.run("large-5/synth", "synth", "--scenario", scenario, "--seed", 5)
+    make = ("--log-level", "debug", "synth", "--scenario", scenario, "--seed", 5)
+    synth = m.run("large-5/synth", *make)
+    synth_one_cpu = m.run("large-5/synth-one-cpu", *make, one_cpu=True)
+    m.same(synth, synth_one_cpu)
+    m.parts(synth, synth_one_cpu, WRITER, optional=True)
     large = ("--step", 20, *_inputs(synth))
     by_sector = m.run("large-5/gap-by-sector", "--log-level", "debug", "gap", "--by-sector",
                       *large)
@@ -283,14 +306,7 @@ def large_panel(m: Matrix, tree: Path, full: bool) -> None:
     one_cpu = m.run("large-5/gap-by-sector-one-cpu", "--log-level", "debug", "gap",
                     "--by-sector", *large, one_cpu=True)
     m.same(by_sector, one_cpu)
-    logs = {run: (run.parent / f"{run.name}.log").read_text() for run in (by_sector, one_cpu)}
-    for run, log in logs.items():
-        print(f"{run.relative_to(m.root)}:", *(line for line in log.splitlines()
-                                                if "block reader in" in line))
-    if ONE_PART not in logs[one_cpu]:
-        m.fail("the one-CPU run did not read the large panel in one part")
-    if len(os.sched_getaffinity(0)) > 1 and ONE_PART in logs[by_sector]:
-        m.fail("the all-CPU run read the large panel in one part")
+    m.parts(by_sector, one_cpu, READER)
     if full:
         m.run("large-5/heatmap", "heatmap", *large)
 
