@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import DataError, MarketGapError, UsageError, check_choice, check_int
+from .errors import (DataError, MarketGapError, NumericError, UsageError, check_choice,
+                     check_int)
 from .ordinal import entropy_series
 from .panel import (
     LAYOUTS,
@@ -96,24 +98,29 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _json(x):
+def _json(x, path: str = ""):
     """A result as JSON by the _cell rule: a dataclass or NamedTuple becomes an object of
     its fields, a dict an object of its converted values, a tuple or list an array, a
     float a number of 9 significant digits, a date an ISO-8601 string and a NumPy integer
-    an int; None, bools, ints and labels pass."""
+    an int; None, bools, ints and labels pass. JSON has no NaN or infinity, so a
+    non-finite float is a NumericError naming its `path` of keys and indices."""
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise NumericError(f"{path or 'a value'} is {x}, which JSON cannot hold")
         return float(_cell(x))
     if isinstance(x, date):
         return _cell(x)
     if isinstance(x, dict):
-        return {key: _json(value) for key, value in x.items()}
-    if is_dataclass(x):
-        return {f.name: _json(getattr(x, f.name)) for f in fields(x)}
-    if hasattr(x, "_fields"):  # a NamedTuple
-        return {key: _json(value) for key, value in zip(x._fields, x)}
-    if isinstance(x, (tuple, list)):
-        return [_json(value) for value in x]
-    return int(x) if isinstance(x, np.integer) else x
+        items = x.items()
+    elif is_dataclass(x):
+        items = ((f.name, getattr(x, f.name)) for f in fields(x))
+    elif hasattr(x, "_fields"):  # a NamedTuple
+        items = zip(x._fields, x)
+    elif isinstance(x, (tuple, list)):
+        return [_json(value, f"{path}[{i}]") for i, value in enumerate(x)]
+    else:
+        return int(x) if isinstance(x, np.integer) else x
+    return {key: _json(value, f"{path}.{key}" if path else key) for key, value in items}
 
 
 # `_observation_lines` turns this many observations at a time into Python
@@ -431,8 +438,9 @@ def run_portfolio(config: dict) -> None:
         result = run_portfolio_study(
             returns, study_cfg, seed=config["seed"], market=market, stream=stream
         )
-        report = _json(quintile_report(result.observations, event))
-        report["skipped_windows"] = _json(result.skipped_windows)
+        path = f"markets.{market}"
+        report = _json(quintile_report(result.observations, event), path)
+        report["skipped_windows"] = _json(result.skipped_windows, f"{path}.skipped_windows")
         report["skipped_portfolios"] = result.skipped_portfolios
         return result.observations, report
 

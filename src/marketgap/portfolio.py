@@ -73,13 +73,18 @@ class StudyConfig:
 @dataclass(eq=False)
 class Observations:
     """The study's kept (window, subset) outcomes as columns, in window then draw order;
-    `picks` holds each subset's ascending column positions in `tickers`."""
+    `picks` holds each subset's ascending column positions in `tickers`.
+
+    The integer columns take the narrowest unsigned type of their largest
+    possible value (`np.min_scalar_type`): at 10 stocks, with at most 256
+    tickers and 256 windows, an observation is 59 bytes.
+    """
 
     market: str
     tickers: tuple[str, ...]
-    window_index: np.ndarray  # (k,) int64
+    window_index: np.ndarray  # (k,) unsigned, of the study's window count
     window_end: np.ndarray  # (k,) datetime64[D], formation-window end date
-    picks: np.ndarray  # (k, n_stocks) int64
+    picks: np.ndarray  # (k, n_stocks) unsigned, of the ticker count
     delta: np.ndarray
     rho_bar: np.ndarray
     sigma_hist: np.ndarray  # formation-window EW volatility, % annualized
@@ -133,8 +138,13 @@ def covariance_matrix(values: np.ndarray) -> np.ndarray:
 
 
 def _centered_covariance(centered: np.ndarray) -> np.ndarray:
-    v = centered @ centered.swapaxes(-1, -2) / centered.shape[-1]
-    return (v + v.swapaxes(-1, -2)) / 2.0
+    # In place, (v + v') / 2 of v = X X' / T takes the same roundings with one
+    # stack fewer alive at a time.
+    v = centered @ centered.swapaxes(-1, -2)
+    v /= centered.shape[-1]
+    out = v + v.swapaxes(-1, -2)
+    out /= 2.0
+    return out
 
 
 # A symmetric PSD matrix's singular values are its eigenvalues, and
@@ -513,8 +523,8 @@ def run_portfolio_study(
     # The kept portfolios' columns fill one block sized for every draw, so no
     # window's columns are held twice; the float columns are its rows.
     size = ends.size * config.portfolios
-    window_index = np.empty(size, np.int64)
-    picks = np.empty((size, config.n_stocks), np.int64)
+    window_index = np.empty(size, np.min_scalar_type(ends.size - 1))
+    picks = np.empty((size, config.n_stocks), np.min_scalar_type(returns.n_assets - 1))
     values = np.empty((5, size))
     k = 0
     skipped_windows: list[SkippedWindow] = []
@@ -654,14 +664,22 @@ def _t_two_sided(nu: float, t: float) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of x; tied values share the mean of their positions."""
+    """1-based ranks of x; tied values share the mean of their positions.
+
+    A group's mean position is one exact half-integer, formed once per group,
+    and the sorted values go before the ranks are built, so at most three
+    arrays of x's size are alive at a time when nothing ties.
+    """
     order = np.argsort(x, kind="stable")
     xs = x[order]
     new_value = np.r_[True, xs[1:] != xs[:-1]]
-    bounds = np.r_[np.flatnonzero(new_value), x.size]  # tie groups are [bounds[g], bounds[g+1])
-    group = np.cumsum(new_value) - 1
+    del xs
     ranks = np.empty(x.size)
-    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    if new_value.all():
+        ranks[order] = np.arange(1.0, x.size + 1)
+        return ranks
+    bounds = np.r_[np.flatnonzero(new_value), x.size]  # tie groups are [bounds[g], bounds[g+1])
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), np.diff(bounds))
     return ranks
 
 
@@ -701,21 +719,28 @@ def quintile_partition(n: int) -> list[int]:
     return [q + 1 if i < r else q for i in range(5)]
 
 
+def _sum_of_squares(x: np.ndarray) -> float:
+    """sum(x ** 2), squaring x in place."""
+    x *= x
+    return float(np.sum(x))
+
+
 def _ols_r2(design: np.ndarray, y: np.ndarray) -> float:
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_tot = _sum_of_squares(y - y.mean())
     if ss_tot == 0.0:
         return 0.0
-    return 1.0 - float(np.sum(resid ** 2)) / ss_tot
+    resid = design @ beta
+    return 1.0 - _sum_of_squares(np.subtract(y, resid, out=resid)) / ss_tot
 
 
 def incremental_r2(y: np.ndarray, benchmark: np.ndarray, extra: np.ndarray) -> float:
-    """R2 gain from adding `extra` to an intercept + benchmark OLS of y."""
-    ones = np.ones_like(y)
-    base = _ols_r2(np.column_stack([ones, benchmark]), y)
-    full = _ols_r2(np.column_stack([ones, benchmark, extra]), y)
-    return full - base
+    """R2 gain from adding `extra` to an intercept + benchmark OLS of y.
+
+    Both fits read one (n, 3) design, the base fit its first two columns.
+    """
+    design = np.column_stack([np.ones_like(y), benchmark, extra])
+    return _ols_r2(design, y) - _ols_r2(design[:, :2], y)
 
 
 def quintile_report(
@@ -739,6 +764,7 @@ def quintile_report(
     order = np.argsort(delta, kind="stable")
     bounds = np.cumsum([0, *quintile_partition(n)]).tolist()
     means = [float(sigma_mvp[order[a:b]].mean()) for a, b in zip(bounds, bounds[1:])]
+    del order  # not held through the rank statistics below
 
     def maybe_spearman(a: np.ndarray, b: np.ndarray) -> SpearmanResult | None:
         try:

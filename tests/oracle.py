@@ -7,7 +7,8 @@ full `np.linalg.eigh` eigendecomposition (eigenvectors included), and one
 keeps the gap series as columns. It also keeps the portfolio study's former
 per-subset loop, with its inline subset gap, its single-matrix covariance,
 weights and volatilities, its own `PortfolioObservation` record per subset
-and the report taken over a list of them, where the package keeps the
+and the report taken over a list of them, with an incremental R2 that
+builds a design for each of its two fits, where the package keeps the
 study's results as columns, the stacked pseudo-inverse weights the
 package took before it solved well-conditioned covariances, the scalar
 ordinal pattern and the per-date ordinal distribution that the entropy
@@ -56,7 +57,6 @@ from marketgap.panel import (
 from marketgap.portfolio import (
     QuintileReport,
     StudyConfig,
-    incremental_r2,
     quintile_partition,
     spearman,
 )
@@ -463,18 +463,43 @@ def portfolio_study(
     return observations, skipped_windows, skipped
 
 
+def _unsigned_for(largest: int) -> np.dtype:
+    return next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if largest <= np.iinfo(t).max)
+
+
 def observation_columns(observations: list[PortfolioObservation], tickers: list[str],
-                        n_stocks: int) -> dict:
-    """The package's `Observations` columns, by name, of per-subset records over `tickers`."""
+                        n_stocks: int, n_windows: int) -> dict:
+    """The package's `Observations` columns, by name, of per-subset records over `tickers`
+    from a study of `n_windows` windows: window indices and ticker positions each in the
+    smallest unsigned type that holds the largest one possible."""
     position = {t: j for j, t in enumerate(tickers)}
     return {
-        "window_index": np.array([o.window_index for o in observations], dtype=np.int64),
+        "window_index": np.array([o.window_index for o in observations],
+                                 dtype=_unsigned_for(n_windows - 1)),
         "window_end": np.array([o.window_end for o in observations], dtype="datetime64[D]"),
         "picks": np.array([[position[t] for t in o.tickers] for o in observations],
-                          dtype=np.int64).reshape(-1, n_stocks),
+                          dtype=_unsigned_for(len(tickers) - 1)).reshape(-1, n_stocks),
         **{key: np.array([getattr(o, key) for o in observations], dtype=float)
            for key in ("delta", "rho_bar", "sigma_hist", "sigma_mvp", "sigma_ew")},
     }
+
+
+def _ols_r2(design: np.ndarray, y: np.ndarray) -> float:
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ beta
+    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    if ss_tot == 0.0:
+        return 0.0
+    return 1.0 - float(np.sum(resid ** 2)) / ss_tot
+
+
+def incremental_r2(y: np.ndarray, benchmark: np.ndarray, extra: np.ndarray) -> float:
+    """R2 gain from adding `extra` to an intercept + benchmark OLS of y."""
+    ones = np.ones_like(y)
+    base = _ols_r2(np.column_stack([ones, benchmark]), y)
+    full = _ols_r2(np.column_stack([ones, benchmark, extra]), y)
+    return full - base
 
 
 def quintile_report(observations: list[PortfolioObservation],

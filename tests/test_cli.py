@@ -14,6 +14,7 @@ import pytest
 
 from marketgap import cli, regimes, spectral
 from marketgap.cli import main
+from marketgap.errors import NumericError
 
 from conftest import weekdays
 
@@ -669,6 +670,28 @@ def test_portfolio_requires_seed(tmp_path, risk_dir, capsys):
         run("portfolio", "--prices", risk_dir / "prices.csv",
             "--out-dir", tmp_path / "p")
     assert exc.value.code == 2
+
+
+def test_portfolio_non_finite_report_value_is_exit_4(tmp_path, risk_dir, capsys):
+    # Annualizing by 1e308 overflows the R2 sums to inf / inf. JSON has no NaN, so
+    # the run fails, naming the value's key, before it writes a file.
+    out = tmp_path / "p"
+    with np.errstate(over="ignore"):
+        assert run("portfolio", "--prices", risk_dir / "prices.csv", "--meta",
+                   risk_dir / "meta.csv", "--seed", 7, "--portfolios", 20,
+                   "--annualization", 1e308, "--out-dir", out) == 4
+    assert ("error: markets.M1.incr_r2_over_rho_bar is nan, which JSON cannot hold"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_json_refuses_a_non_finite_float_by_its_path(value):
+    doc = {"a": [1.5, {"b": spectral.MPBounds(0.5, value)}]}
+    with pytest.raises(NumericError, match=r"^a\[1\]\.b\.upper is -?(nan|inf), "):
+        cli._json(doc)
+    with pytest.raises(NumericError, match=r"^a value is "):
+        cli._json(value)
 
 
 def test_portfolio_default_flags_echoed(tmp_path):

@@ -623,8 +623,10 @@ def assert_matches_oracle(result, returns, config, seed, market="ALL", stream=0)
         returns, config, seed, market=market, stream=stream)
     obs = result.observations
     assert (obs.market, obs.tickers) == (market, tuple(returns.tickers))
+    n_windows = len(range(config.formation, returns.n_dates - config.test + 1,
+                          config.effective_step))
     assert same_columns(obs, oracle.observation_columns(records, returns.tickers,
-                                                        config.n_stocks))
+                                                        config.n_stocks, n_windows))
     assert result.skipped_windows == skipped_windows
     assert result.skipped_portfolios == skipped
     return records
@@ -900,7 +902,8 @@ def test_study_routes_uncertified_covariances_through_eigvalsh(caplog, monkeypat
 def test_study_peak_memory_is_one_chunk_plus_the_observation_columns():
     # 4000 portfolios of 10 stocks over 60 days: each (P, n, t) stack is 19 MB
     # when a window is one stack. In chunks, the traced peak is one chunk's
-    # stacks (1.7 caps here) over the block of observation columns.
+    # stacks (1.7 caps here) over the block of observation columns: a byte of
+    # window index and of each pick, and five floats, per draw.
     rng = np.random.default_rng(50)
     returns = make_returns(rng.normal(0, 0.01, size=(120, 14)))
     config = StudyConfig(formation=60, test=20, n_stocks=10, portfolios=4000)
@@ -911,8 +914,36 @@ def test_study_peak_memory_is_one_chunk_plus_the_observation_columns():
     finally:
         tracemalloc.stop()
     assert len(result.observations) == 3 * 4000 - result.skipped_portfolios
-    columns = 3 * 4000 * 8 * (1 + config.n_stocks + 5) + 8 * len(result.observations)
+    columns = 3 * 4000 * (1 + config.n_stocks + 8 * 5) + 8 * len(result.observations)
     assert peak <= 2 * portfolio._STACK_BYTES + columns + (1 << 20)
+
+
+def test_observations_take_59_bytes_each_on_the_risk_study_preset(risk_panel):
+    # 18 windows over 60 tickers: a byte of window index and one for each of
+    # the 10 picks, eight of end date and five floats.
+    panel, _ = risk_panel
+    config = StudyConfig(portfolios=20)
+    for stream, market in enumerate(panel.markets()):
+        returns = log_returns(panel.market_panel(market))
+        obs = run_portfolio_study(returns, config, seed=9, market=market,
+                                  stream=stream).observations
+        assert np.unique(obs.window_index).size == 18 and len(obs) > 0
+        assert (obs.window_index.dtype, obs.picks.dtype) == (np.uint8, np.uint8)
+        assert sum(getattr(obs, key).nbytes for key in STUDY_COLUMNS) <= 59 * len(obs)
+
+
+@pytest.mark.parametrize("n_assets, dtype", [(256, np.uint8), (257, np.uint16),
+                                              (300, np.uint16)])
+def test_study_picks_fit_the_ticker_count_and_match_the_oracle(n_assets, dtype):
+    # Positions up to 255 fit a byte and one more ticker takes two; each study
+    # draws positions within 20 of its last, past 255 for the wider two.
+    rng = np.random.default_rng(53)
+    returns = make_returns(rng.normal(0, 0.01, size=(40, n_assets)))
+    config = StudyConfig(formation=15, test=5, n_stocks=6, portfolios=40)
+    result = run_portfolio_study(returns, config, seed=8)
+    picks = result.observations.picks
+    assert picks.dtype == dtype and picks.max() >= n_assets - 20
+    assert_matches_oracle(result, returns, config, 8)
 
 
 def test_window_peak_memory_is_one_chunk_over_the_kept_columns():
@@ -997,7 +1028,7 @@ def obs(delta, sigma_mvp, end=date(2025, 6, 2), market="X", sigma_ew=None,
 def columns(records) -> Observations:
     """The study's columns of hand-set `obs` records."""
     return Observations(market=records[0].market, tickers=("A",),
-                        **oracle.observation_columns(records, ["A"], 10))
+                        **oracle.observation_columns(records, ["A"], 10, 1))
 
 
 def test_quintile_partition_sizes():
@@ -1085,6 +1116,30 @@ def test_incremental_r2_never_negative():
         b = rng.standard_normal(n)
         extra = rng.standard_normal(n)
         assert incremental_r2(y, b, extra) >= -1e-12
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(n=st.integers(5, 300), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1e-8, 1.0, 1e6]), case=st.sampled_from(["", "flat", "collinear"]))
+def test_incremental_r2_has_the_bits_of_one_design_per_fit(n, seed, scale, case):
+    # The package's fits share one (n, 3) design and square in place; the
+    # oracle builds each fit's design and squares into new arrays.
+    rng = np.random.default_rng(seed)
+    y, benchmark, extra = rng.standard_normal((3, n)) * scale
+    if case == "flat":
+        y[:] = y[0]
+    elif case == "collinear":
+        extra = 3.0 * benchmark
+    got, want = incremental_r2(y, benchmark, extra), oracle.incremental_r2(y, benchmark, extra)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(values=st.lists(st.integers(0, 6) | st.floats(-1e3, 1e3), min_size=1, max_size=60))
+def test_average_ranks_are_the_exact_mean_positions(values):
+    # Tie-rich and tie-free samples; 0.0 and -0.0 tie.
+    ranks = portfolio._average_ranks(np.array(values, dtype=float))
+    assert ranks.tolist() == [float(r) for r in fraction_average_ranks(values)]
 
 
 def test_incremental_r2_detects_added_signal():

@@ -309,6 +309,9 @@ def large_panel(m: Matrix, tree: Path, full: bool) -> None:
     m.parts(by_sector, one_cpu, READER)
     if full:
         m.run("large-5/heatmap", "heatmap", *large)
+        # 1500 tickers: the study's picks are two bytes each.
+        m.run("large-5/portfolio-50", "portfolio", *_inputs(synth), "--seed", 1,
+              "--portfolios", 50)
 
     holed = m.root / "large-5" / "holed.csv"
     holed_copy(synth / "prices.csv", holed)
