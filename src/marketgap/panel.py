@@ -12,7 +12,6 @@ import io
 import logging
 import math
 import os
-import pickle
 from dataclasses import dataclass
 from datetime import date
 
@@ -31,18 +30,13 @@ DEFAULT_MARKET = "ALL"
 # 64 KiB blocks lowered `gap --by-sector`'s peak RSS from 40.0 to 39.2 MB on
 # the three-phase preset and from 63.4 to 61.4 MB on the 1500 x 500 panel.
 _BLOCK_BYTES = 1 << 16
-# A long file is read in one part per CPU, each part at least this many bytes;
-# each part but the first is read in a forked worker (see `_read_long_blocks`).
-# A worker pays for itself from about this size: on a 2-vCPU VM, leading slices
-# of the 1500 x 500 panel loaded in two parts against one in 0.047 against
-# 0.028 s (1 MiB), 0.091 against 0.093 s (4 MiB) and 0.128 against 0.208 s
-# (8 MiB), medians of 7 processes each.
-_PART_BYTES = 4 << 20
 # A panel of at least 2 x this many cells is written in one part per CPU, each
-# part at least this many cells (see `write_price_panel`). A price line takes 32
-# bytes or more, so a part is at least about `_PART_BYTES` of the file; every
-# preset (at most about 50k cells) is one part.
-_WRITE_PART_CELLS = _PART_BYTES // 32
+# part at least this many cells (see `write_price_panel`). Formatting takes about
+# 0.8 us a cell, so a part this size (about 0.1 s) outweighs a worker's start-up:
+# on a 2-vCPU VM the 1500 x 500 panel (750k cells) took 0.57-0.68 s to write in
+# one part and 0.34-0.40 s in two. Every preset (at most about 50k cells) is one
+# part, and so runs no fork.
+_WRITE_PART_CELLS = 131_072
 
 logger = logging.getLogger(__name__)
 
@@ -373,16 +367,16 @@ def _grown(grid: np.ndarray, n_rows: int, n_cols: int) -> np.ndarray:
     return out
 
 
-def _line_blocks(fh, end=None):
-    """The bytes from the file's position to byte `end` (the end of the file when None)
-    in blocks of whole lines; a last line without a line end gets one.
+def _line_blocks(fh):
+    """The bytes from the file's position to its end in blocks of whole lines; a
+    last line without a line end gets one.
 
     A line longer than the csv field size limit is declined as soon as it is
     seen, so a file without LF (one ending its lines in lone CRs) is never
     buffered whole.
     """
     rest = b""
-    while block := fh.read(_BLOCK_BYTES if end is None else min(_BLOCK_BYTES, end - fh.tell())):
+    while block := fh.read(_BLOCK_BYTES):
         chunk = rest + block
         cut = chunk.rfind(b"\n") + 1
         if cut:
@@ -394,10 +388,10 @@ def _line_blocks(fh, end=None):
         yield rest + b"\n"
 
 
-def _read_part(fh, end=None) -> tuple[dict[date, int], _TickerCodes, np.ndarray]:
-    """(date codes, ticker codes, grid) of the lines from the file's position to byte
-    `end` (the end of the file when None): each block scattered as it is read into one
-    NaN grid indexed by codes in first-seen order.
+def _read_part(fh) -> tuple[dict[date, int], _TickerCodes, np.ndarray]:
+    """(date codes, ticker codes, grid) of the lines from the file's position to its
+    end: each block scattered as it is read into one NaN grid indexed by codes in
+    first-seen order.
 
     The grid grows geometrically on the axis whose codes outgrew it, so it may
     hold NaN rows and columns past the codes. The repeat rule is `_load_cells`'
@@ -407,7 +401,7 @@ def _read_part(fh, end=None) -> tuple[dict[date, int], _TickerCodes, np.ndarray]
     """
     date_codes, ticker_codes = _DateCodes(), _TickerCodes()
     grid = np.empty((0, 0))
-    for chunk in _line_blocks(fh, end):
+    for chunk in _line_blocks(fh):
         rows, cols, prices = _block_rows(chunk, date_codes, ticker_codes)
         grid = _grown(grid, len(date_codes.dates), len(ticker_codes))
         held = grid[rows, cols]  # NaN for a key no earlier block holds
@@ -427,61 +421,6 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _part_cuts(fh, start: int, size: int, parts: int) -> list[int]:
-    """Line starts that cut bytes [start, size) of the file into at most `parts` parts:
-    `start`, the first line start after each even split, and `size`.
-
-    Each cut reads at most one line's worth (the csv field size limit, plus one
-    byte) past its split. A probe that finds no LF declines when it is full, so a
-    file without LF is never buffered whole, and otherwise ends the last part at
-    the end of the file.
-    """
-    cuts, limit = [start], csv.field_size_limit()
-    for k in range(1, parts):
-        at = max(start + (size - start) * k // parts, cuts[-1])
-        fh.seek(at)
-        probe = fh.read(limit + 1)
-        lf = probe.find(b"\n")
-        if lf < 0 and len(probe) > limit:
-            raise _Declined("a line longer than the csv field size limit")
-        if lf < 0 or at + lf + 1 >= size:
-            break
-        cuts.append(at + lf + 1)
-    return cuts + [size]
-
-
-def _worker_part(path, stat, start: int, end: int):
-    """What a worker sends back for bytes [start, end) of the file: its dates and tickers
-    in code order and its grid trimmed to them, or the text of its decline. It opens the
-    file anew, so it shares no file offset with the parent, and checks it is the same file."""
-    try:
-        with open(path, "rb") as fh:
-            if not os.path.samestat(os.fstat(fh.fileno()), stat):
-                return "a file replaced while it was read"
-            fh.seek(start)
-            dates, tickers, grid = _read_part(fh, end)
-    except OSError as exc:
-        return f"cannot open: {exc.strerror}"
-    except _Declined as exc:
-        return str(exc)
-    return list(dates), list(tickers), grid[:len(dates), :len(tickers)]
-
-
-def _merge(grid: np.ndarray, rows: list[int], cols: list[int], prices: np.ndarray) -> None:
-    """Scatter a worker's prices into `grid` at (rows, cols), at most a block's bytes of
-    them at a time, so the merge holds no second copy of the part. The repeat rule holds
-    across parts: a cell that holds a price must keep it."""
-    step = max(1, _BLOCK_BYTES // (prices.itemsize * len(cols) or 1))
-    for lo in range(0, len(rows), step):
-        cells = np.ix_(rows[lo:lo + step], cols)
-        held, new = grid[cells], prices[lo:lo + step]
-        present = ~np.isnan(new)
-        if (present & ~np.isnan(held) & (held != new)).any():
-            raise _Declined("conflicting prices for a repeated (date, ticker) key")
-        np.copyto(held, new, where=present)
-        grid[cells] = held
-
-
 class _ForkFailed(Exception):
     """`_forked` could not start a worker; no part has run. The text is the OS reason."""
 
@@ -499,10 +438,10 @@ def _forked(own, jobs, take):
     ends with `os._exit`: status 0 once the job has returned, 1 if it raised. So
     a worker runs no exit handler and flushes no file it inherited; its job must
     run no BLAS and write no log. A worker that ends with another status than 0
-    raises `_WorkerFailed` after its `take`, and so may `take` itself on a result
-    it finds cut short. Every worker is started before `own()` runs; a pipe or
-    fork that fails raises `_ForkFailed` before it does. Every worker is reaped
-    before this returns or raises, and killed first if it may still run.
+    raises `_WorkerFailed` after its `take`. Every worker is started before
+    `own()` runs; a pipe or fork that fails raises `_ForkFailed` before it does.
+    Every worker is reaped before this returns or raises, and killed first if it
+    may still run.
     """
     workers = []  # (pid, its pipe's read end) of each worker not yet reaped, in job order
     try:
@@ -548,44 +487,6 @@ def _forked(own, jobs, take):
     return result
 
 
-def _read_forked(path, fh, cuts: list[int]):
-    """(date codes, ticker codes, grid) of the parts between `cuts`: part 0 read here,
-    each other part in a forked worker (`_forked`) that pipes back `_worker_part`'s
-    result; the parts are merged in file order."""
-    stat = os.fstat(fh.fileno())
-
-    def send(start: int, end: int):
-        return lambda pipe: pickle.dump(_worker_part(path, stat, start, end), pipe,
-                                        protocol=pickle.HIGHEST_PROTOCOL)
-
-    def own():
-        fh.seek(cuts[0])
-        return _read_part(fh, cuts[1])
-
-    def take(read, pipe):
-        dates, tickers, grid = read
-        try:
-            part = pickle.load(pipe)
-        except (EOFError, pickle.UnpicklingError):
-            raise _WorkerFailed from None
-        if isinstance(part, str):
-            raise _Declined(part)
-        part_dates, part_tickers, prices = part
-        rows = [dates.setdefault(d, len(dates)) for d in part_dates]
-        cols = [tickers.setdefault(t, len(tickers)) for t in part_tickers]
-        grid = _grown(grid, len(dates), len(tickers))
-        _merge(grid, rows, cols, prices)
-        return dates, tickers, grid
-
-    try:
-        return _forked(own, [send(start, end) for start, end in zip(cuts[1:-1], cuts[2:])],
-                       take)
-    except _ForkFailed as exc:
-        raise _Declined(f"cannot fork: {exc}") from None
-    except _WorkerFailed:
-        raise _Declined("a worker process failed") from None
-
-
 def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
     """The long layout read in blocks; raises _Declined, never a package error.
 
@@ -596,14 +497,8 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
     distinct text and prices through `float`, so a file read here gives what
     `_load_cells` gives.
 
-    A file of at least 2 x `_PART_BYTES` after its header is cut at line
-    starts into one part per CPU (at most one a `_PART_BYTES`), and each part
-    but the first is read in a forked worker (`_read_forked`); a smaller file,
-    or one on a system without fork, is one part, read here. Each part fills a
-    grid of its own (`_read_part`), the parts are merged in file order under
-    the same repeat rule, and one permutation puts the grid in sorted order at
-    the end; so the panel is the one-part read's, bit for bit. A decline in
-    any part declines the file.
+    The blocks fill one grid (`_read_part`), and one permutation puts it in
+    sorted order at the end.
     """
     try:
         fh = open(path, "rb")
@@ -618,15 +513,6 @@ def _read_long_blocks(path) -> tuple[list[date], list[str], np.ndarray]:
         if (b'"' in header or b"\r" in header or len(header) > csv.field_size_limit()
                 or tuple(h.strip().lower() for h in names) != LONG_HEADER):
             raise _Declined("not the plain long header")
-        # A pipe or other file of no size is one part, read without a seek.
-        start, size = len(line), os.fstat(fh.fileno()).st_size
-        parts = max(1, min(_cpus(), (size - start) // _PART_BYTES))
-        cuts = _part_cuts(fh, start, size, parts)
-        logger.debug("%s: block reader in %d part(s)", path, len(cuts) - 1)
-        if len(cuts) > 2:
-            return _sorted_panel(*_read_forked(path, fh, cuts))
-        if parts > 1:
-            fh.seek(start)  # back from the cut probes
         return _sorted_panel(*_read_part(fh))
 
 
@@ -638,9 +524,9 @@ def load_price_panel(path, layout: str = "long", metadata=None) -> PricePanel:
     path is given every panel ticker must appear in it; otherwise all tickers
     get placeholder sector/market labels.
 
-    A plain long file is read in blocks, a large one in one part per CPU (see
-    `_read_long_blocks`). Any other long file, and any file with a fault, goes
-    through the csv parser, which accepts the same files and raises every error.
+    A plain long file is read in blocks (see `_read_long_blocks`). Any other
+    long file, and any file with a fault, goes through the csv parser, which
+    accepts the same files and raises every error.
     """
     check_choice("layout", layout, LAYOUTS)
     if layout == "long":

@@ -78,6 +78,12 @@ class SynthConfig:
                 raise DataError(
                     f"regime schedule has a gap or overlap between day {a.end} and {b.start}"
                 )
+        # date.max is a Friday, so it is the last of the weekdays left.
+        left = int(np.busday_count(self.start_date, date.max)) + 1
+        if left < self.n_days:
+            raise DataError(f"start_date {self.start_date.isoformat()} and n_days "
+                            f"{self.n_days} run past the last date, {date.max.isoformat()}: "
+                            f"{left} weekdays are left")
 
 
 def trading_dates(start: date, n: int) -> list[date]:
@@ -87,7 +93,8 @@ def trading_dates(start: date, n: int) -> list[date]:
     while len(out) < n:
         if d.weekday() < 5:
             out.append(d)
-        d += timedelta(days=1)
+        if len(out) < n:  # no step past the last date, which may be date.max
+            d += timedelta(days=1)
     return out
 
 
@@ -340,8 +347,11 @@ def load_scenario_json(path, seed: int | None = None) -> SynthConfig:
     A `seed` argument replaces the file's seed for every draw, the loadings'
     included.
     Counts, regime days and the seed must be JSON integers (>= 0), and
-    volatilities and loadings finite JSON numbers, by the rules a flag meets;
-    any fault is a DataError naming the file and the key.
+    volatilities and loadings finite JSON numbers, by the rules a flag meets.
+    The market, each sector label and the ticker prefix must equal their
+    `strip()`, and the market and sector labels must not be empty, since the
+    metadata reader strips every field and refuses an empty one. Any fault is
+    a DataError naming the file and the key.
     """
     with open_input(path) as fh:
         try:
@@ -358,6 +368,14 @@ def load_scenario_json(path, seed: int | None = None) -> SynthConfig:
 
     def integer(key, value):
         return checked(check_int, key, value, 0)
+
+    def label(key, value, may_be_empty=False):
+        text = str(value)
+        if text != text.strip() or not (text or may_be_empty):
+            raise DataError(f"{path}: {key} must be "
+                            f"{'' if may_be_empty else 'non-empty and '}free of leading and "
+                            f"trailing whitespace, got {text!r}")
+        return text
 
     def reals(key, values, n):
         if not isinstance(values, list) or len(values) != n:
@@ -376,10 +394,10 @@ def load_scenario_json(path, seed: int | None = None) -> SynthConfig:
 
     if isinstance(raw_sectors, dict):
         sectors: list[str] = []
-        for label, count in raw_sectors.items():
-            sectors.extend([str(label)] * integer(f"sectors.{label}", count))
+        for name, count in raw_sectors.items():
+            sectors.extend([label("sectors label", name)] * integer(f"sectors.{name}", count))
     elif isinstance(raw_sectors, list):
-        sectors = [str(s) for s in raw_sectors]
+        sectors = [label(f"sectors[{i}]", s) for i, s in enumerate(raw_sectors)]
     else:
         raise DataError(f"{path}: sectors must be a list of labels or an object of counts")
     if len(sectors) != n_assets:
@@ -429,10 +447,13 @@ def load_scenario_json(path, seed: int | None = None) -> SynthConfig:
         sector_loadings=gamma,
         regimes=regimes,
         seed=seed,
-        market=str(doc.get("market", "SYN")),
-        ticker_prefix=str(doc.get("ticker_prefix", "S")),
+        market=label("market", doc.get("market", "SYN")),
+        ticker_prefix=label("ticker_prefix", doc.get("ticker_prefix", "S"), may_be_empty=True),
         start_date=start_date,
     )
-    config.validate()
+    try:
+        config.validate()
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     return config
 

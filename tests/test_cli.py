@@ -1207,6 +1207,21 @@ SCENARIO = {"n_assets": 6, "n_days": 50, "sectors": {"A2": 3, "B2": 3},
         ("regimes", [{"start": 1, "end": 50, "market_vol": 0.005, "idio_vol": 0.01}],
          "regimes[0].sector_vol must be a number, got None"),
         ("start_date", "2025-13-45", "start_date must be an ISO date (YYYY-MM-DD)"),
+        # Before, a start this late ended in an OverflowError traceback, exit 1.
+        ("start_date", "9999-12-30", "start_date 9999-12-30 and n_days 50 run past the "
+                                     "last date, 9999-12-31: 2 weekdays are left"),
+        # Before, `synth` wrote these labels and `gap` refused its meta.csv (an
+        # empty label) or read them back stripped (a padded one).
+        ("sectors", ["A2", "", "A2", "B2", "B2", "B2"],
+         "sectors[1] must be non-empty and free of leading and trailing whitespace, got ''"),
+        ("sectors", {"A2": 3, " B2": 3}, "sectors label must be non-empty and free of "
+                                         "leading and trailing whitespace, got ' B2'"),
+        ("market", "", "market must be non-empty and free of leading and trailing "
+                       "whitespace, got ''"),
+        ("market", "SYN ", "market must be non-empty and free of leading and trailing "
+                           "whitespace, got 'SYN '"),
+        ("ticker_prefix", "S\t", "ticker_prefix must be free of leading and trailing "
+                                  "whitespace, got 'S\\t'"),
         ("loading_ranges", {"beta": [0.5, "1.5"]},
          "loading_ranges.beta[1] must be a number, got '1.5'"),
     ]),

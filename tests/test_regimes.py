@@ -13,7 +13,7 @@ from marketgap import regimes, spectral
 from marketgap.cli import GAP_CSV_HEADER, _gap_rows
 from marketgap.errors import DataError, UsageError
 from marketgap.ordinal import entropy_series
-from marketgap.panel import log_returns
+from marketgap.panel import log_returns, window_ends
 from marketgap.regimes import (
     GapConfig,
     PhaseWindows,
@@ -25,7 +25,14 @@ from marketgap.regimes import (
     sector_gap_series,
 )
 from marketgap.spectral import rolling_spectra
-from marketgap.synth import RegimeSpec, SynthConfig, generate_factor_panel, one_factor_config
+from marketgap.synth import (
+    RegimeSpec,
+    SynthConfig,
+    generate_factor_panel,
+    one_factor_config,
+    three_phase_config,
+    three_phase_scenario,
+)
 
 from conftest import MAX_ENTROPY, make_panel, make_returns, weekdays
 
@@ -394,6 +401,37 @@ def test_robustness_pre_gap_exceeds_shock_gap_for_all_window_lengths(three_phase
             elif start_date >= truth.shock[0] and end_date <= truth.shock[1]:
                 shock.append(delta)
         assert np.mean(pre) > np.mean(shock)
+
+
+def test_gap_columns_follow_the_scripted_phases_on_twenty_seeds():
+    # Per seed, the median of each column over the windows whose returns all
+    # fall inside one scripted phase. The shock has one factor, so one
+    # eigenvalue clears the Marchenko-Pastur band and the gap closes; the calm
+    # phases carry the market and sector factors. The false recovery and the
+    # resync (about 30 days each) hold windows of 20 days only.
+    phases = ("pre", "shock", "false_recovery", "resync", "stabilized")
+    for seed in range(1, 21):
+        scenario = three_phase_scenario(three_phase_config(seed))
+        returns = log_returns(scenario.panel)
+        for window in (20, 60):
+            series = gap_series(returns, GapConfig(window=window))
+            ends = window_ends(returns.n_dates, window)
+            assert series.dates == [returns.dates[end - 1] for end in ends.tolist()]
+            delta, above = {}, {}
+            for name in phases:
+                start, end = getattr(scenario.truth, name)
+                inside = [k for k, e in enumerate(ends.tolist())
+                          if returns.dates[e - window] >= start and returns.dates[e - 1] <= end]
+                if inside:
+                    delta[name] = np.median(series.delta[inside])
+                    above[name] = np.median(series.n_above_mp[inside])
+            at = f"seed {seed}, window {window}"
+            assert above["shock"] == 1, at
+            assert above["pre"] >= 3 and above["stabilized"] >= 3, at
+            assert delta["pre"] > 0 and delta["stabilized"] > 0, at
+            assert delta["shock"] < min(delta["pre"], delta["stabilized"]), at
+            if window == 20:
+                assert delta["false_recovery"] > delta["resync"], at
 
 
 # ---------- Phase statistics ----------

@@ -63,6 +63,17 @@ def test_trading_dates_are_weekdays():
     assert len(set(dates)) == 30
 
 
+def test_trading_dates_may_end_on_the_last_date():
+    # 9999-12-27 is a Monday and date.max a Friday.
+    assert trading_dates(date(9999, 12, 27), 5) == [date(9999, 12, d) for d in range(27, 32)]
+    cfg = one_factor_config(n_assets=3, n_days=5)
+    cfg.start_date = date(9999, 12, 27)
+    assert generate_factor_panel(cfg).dates[-1] == date.max
+    cfg.start_date = date(9999, 12, 28)
+    with pytest.raises(DataError, match="start_date 9999-12-28 and n_days 5 run past"):
+        cfg.validate()
+
+
 def test_labels_and_tickers():
     panel = generate_factor_panel(small_config())
     assert panel.markets() == ["SYN"]

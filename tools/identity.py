@@ -33,7 +33,7 @@ MASK = "<root>"
 # Each preset's configured stabilized interval for `entropy --stabilized-start/-end`.
 STABILIZED = {"three-phase": ("2025-10-01", "2025-12-31"),
               "risk-study": ("2026-01-05", "2026-02-27")}
-READER, WRITER = "block reader", "price writer"
+WRITER = "price writer"  # the stage `synth` logs its part count under
 
 
 def file_sha(path: Path) -> str:
@@ -141,23 +141,23 @@ class Matrix:
                 self.fail(f"{b.relative_to(self.root)}/{name} is not "
                           f"{a.relative_to(self.root)}/{name}")
 
-    def parts(self, all_cpus: Path, one_cpu: Path, stage: str, optional: bool = False) -> None:
-        """The debug logs of two runs of one command: the run pinned to one CPU must
-        log `stage` in one part, and the other in more where this process may run on
-        more than one CPU. An `optional` stage that neither run logs (a tree older
-        than it) is reported and not checked."""
+    def writer_parts(self, all_cpus: Path, one_cpu: Path) -> None:
+        """The debug logs of two `synth` runs: the run pinned to one CPU must log its
+        price writer in one part, and the other in more where this process may run on
+        more than one CPU. A tree whose writer logs no part count (one older than the
+        forked writer) is reported and not checked."""
         logs = {run: (run.parent / f"{run.name}.log").read_text() for run in (all_cpus, one_cpu)}
         for run, log in logs.items():
             print(f"{run.relative_to(self.root)}:", *(line for line in log.splitlines()
-                                                       if f"{stage} in" in line))
-        if optional and not any(f"{stage} in" in log for log in logs.values()):
-            print(f"{all_cpus.relative_to(self.root)}: no {stage} part count logged")
+                                                       if f"{WRITER} in" in line))
+        if not any(f"{WRITER} in" in log for log in logs.values()):
+            print(f"{all_cpus.relative_to(self.root)}: no {WRITER} part count logged")
             return
-        one_part = f"{stage} in 1 part(s)"
+        one_part = f"{WRITER} in 1 part(s)"
         if one_part not in logs[one_cpu]:
-            self.fail(f"the one-CPU run {one_cpu.name} did not log its {stage} in one part")
+            self.fail(f"the one-CPU run {one_cpu.name} did not log its {WRITER} in one part")
         if len(os.sched_getaffinity(0)) > 1 and one_part in logs[all_cpus]:
-            self.fail(f"the all-CPU run {all_cpus.name} logged its {stage} in one part")
+            self.fail(f"the all-CPU run {all_cpus.name} logged its {WRITER} in one part")
 
     def same_series(self, plain: Path, by_sector: Path) -> None:
         """Plain `gap`'s series must be `gap --by-sector`'s market series."""
@@ -298,15 +298,12 @@ def large_panel(m: Matrix, tree: Path, full: bool) -> None:
     synth = m.run("large-5/synth", *make)
     synth_one_cpu = m.run("large-5/synth-one-cpu", *make, one_cpu=True)
     m.same(synth, synth_one_cpu)
-    m.parts(synth, synth_one_cpu, WRITER, optional=True)
+    m.writer_parts(synth, synth_one_cpu)
     large = ("--step", 20, *_inputs(synth))
-    by_sector = m.run("large-5/gap-by-sector", "--log-level", "debug", "gap", "--by-sector",
-                      *large)
+    by_sector = m.run("large-5/gap-by-sector", "gap", "--by-sector", *large)
     m.same_series(m.run("large-5/gap", "gap", *large), by_sector)
-    one_cpu = m.run("large-5/gap-by-sector-one-cpu", "--log-level", "debug", "gap",
-                    "--by-sector", *large, one_cpu=True)
-    m.same(by_sector, one_cpu)
-    m.parts(by_sector, one_cpu, READER)
+    m.same(by_sector, m.run("large-5/gap-by-sector-one-cpu", "gap", "--by-sector", *large,
+                            one_cpu=True))
     if full:
         m.run("large-5/heatmap", "heatmap", *large)
         # 1500 tickers: the study's picks are two bytes each.
